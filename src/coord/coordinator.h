@@ -42,7 +42,10 @@ struct CoordinatorConfig {
   u64 shards_per_worker = 2;
   u64 lease_ms = 10000;
   /// Worker checkpoint/shipping cadence in chunks (0 = worker default).
-  u64 checkpoint_every_chunks = 2;
+  /// Every chunk: auto chunks are at least 1024 bits, so a sampled
+  /// campaign's range holds only a few, and a lost worker's range should
+  /// restart at most one chunk behind.
+  u64 checkpoint_every_chunks = 1;
   /// Concurrent sharded campaigns; extras are rejected with kBusy.
   unsigned max_concurrent = 2;
 

@@ -403,6 +403,7 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     // digest XOR-folds. Disjoint covering ranges therefore reproduce the
     // one-shot campaign's report field-for-field.
     u64 injections = 0, failures = 0, persistent = 0, pruned = 0;
+    u64 gang_runs = 0, gang_lanes = 0, gang_fallbacks = 0;
     u64 cache_hits = 0, cache_misses = 0, cache_stores = 0;
     u64 sensitive_bits = 0, digest = 0, device_bits = 0;
     double modeled_s = 0.0;
@@ -420,6 +421,9 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
       failures += r.get_u64("failures");
       persistent += r.get_u64("persistent");
       pruned += r.get_u64("pruned");
+      gang_runs += r.get_u64("gang_runs");
+      gang_lanes += r.get_u64("gang_lanes");
+      gang_fallbacks += r.get_u64("gang_fallbacks");
       cache_hits += r.get_u64("cache_hits");
       cache_misses += r.get_u64("cache_misses");
       cache_stores += r.get_u64("cache_stores");
@@ -441,6 +445,9 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     result.merged.set_u64("persistent", persistent);
     result.merged.set_u64("pruned", pruned);
     result.merged.set_u64("resumed_injections", result.resumed_injections);
+    result.merged.set_u64("gang_runs", gang_runs);
+    result.merged.set_u64("gang_lanes", gang_lanes);
+    result.merged.set_u64("gang_fallbacks", gang_fallbacks);
     result.merged.set("sensitivity",
                       injections ? static_cast<double>(failures) /
                                        static_cast<double>(injections)

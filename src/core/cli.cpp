@@ -157,7 +157,7 @@ std::vector<CliCommand> build_commands() {
                       "reassign a range after this long without a worker "
                       "frame (default 10000)"),
            value_flag("--checkpoint-every-chunks", "N",
-                      "worker checkpoint-shipping cadence (default 2)"),
+                      "worker checkpoint-shipping cadence (default 1)"),
            value_flag("--max-concurrent", "N",
                       "concurrent sharded campaigns (default 2)"),
            value_flag("--stats-json", "FILE",

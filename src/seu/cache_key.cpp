@@ -95,7 +95,67 @@ VerdictKey derive_key(u64 mode, u64 arch, u64 stim, u64 frame_hash, u64 infl,
   return key;
 }
 
+/// The injector's effective options: its no-dynamic warmup shrink applied,
+/// so fingerprints cover the cycle counts that actually run.
+InjectionOptions effective_options(const PlacedDesign& design,
+                                   const InjectionOptions& options) {
+  InjectionOptions eff = options;
+  if (design.dynamic_lut_sites.empty()) {
+    eff.warmup_cycles =
+        std::min(eff.warmup_cycles, eff.warmup_cycles_no_dynamic);
+  }
+  return eff;
+}
+
+u64 arch_fingerprint_of(const DeviceGeometry& geom,
+                        const InjectionOptions& eff) {
+  u64 a = kBasis;
+  a = fnv1a(a, std::string("vvs-key-v1"));
+  a = fnv1a(a, geom.name);
+  a = fnv1a(a, geom.rows);
+  a = fnv1a(a, geom.cols);
+  a = fnv1a(a, geom.bram_columns);
+  a = fnv1a(a, geom.frame_pad_slots);
+  a = fnv1a(a, eff.warmup_cycles);
+  a = fnv1a(a, eff.observe_cycles);
+  a = fnv1a(a, static_cast<u64>(eff.classify_persistence));
+  a = fnv1a(a, eff.persistence_settle);
+  a = fnv1a(a, eff.persistence_check);
+  // prune_unobservable, gang_width/gang_isa/gang_plan, threads and chunking
+  // are result-invariant (gang evaluation at any width, on any SIMD tier,
+  // with or without the compiled eval plan, is bit-for-bit identical to the
+  // scalar loop); clock_hz and timing only scale the modeled time, which is
+  // recomputed from the live options rather than stored. None belong in the
+  // key (same reasoning as the checkpoint fingerprint).
+  return a;
+}
+
+/// Not part of any key (the stimulus and frame hashes already pin what a
+/// verdict depends on); it only names the design a plan was built for.
+u64 design_identity_of(const PlacedDesign& design, u64 stim_seed) {
+  u64 h = kBasis;
+  h = fnv1a(h, design.netlist->name());
+  h = fnv1a(h, design.space->geometry().name);
+  h = fnv1a(h, design.options.seed);
+  h = fnv1a(h, static_cast<u64>(design.options.halflatch_policy));
+  h = fnv1a(h, static_cast<u64>(design.stats.slices_used));
+  h = fnv1a(h, static_cast<u64>(design.stats.wires_used));
+  h = fnv1a(h, static_cast<u64>(design.stats.total_wirelength));
+  h = fnv1a(h, stim_seed);
+  return h;
+}
+
 }  // namespace
+
+bool cache_key_plan_matches(const CacheKeyPlan& plan,
+                            const PlacedDesign& design,
+                            const InjectionOptions& options) {
+  const InjectionOptions eff = effective_options(design, options);
+  return plan.arch_fingerprint ==
+             arch_fingerprint_of(design.space->geometry(), eff) &&
+         plan.design_identity == design_identity_of(design, eff.stim_seed) &&
+         plan.frame_hashes.size() == design.bitstream.frame_count();
+}
 
 std::vector<u64> hash_bitstream_frames(const Bitstream& bs) {
   std::vector<u64> hashes(bs.frame_count());
@@ -130,33 +190,9 @@ CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
   const DeviceGeometry& geom = space.geometry();
   CacheKeyPlan plan;
 
-  // Effective options: replicate the injector's no-dynamic warmup shrink so
-  // the fingerprint covers the cycle counts that actually run.
-  InjectionOptions eff = options;
-  if (design.dynamic_lut_sites.empty()) {
-    eff.warmup_cycles =
-        std::min(eff.warmup_cycles, eff.warmup_cycles_no_dynamic);
-  }
-
-  u64 a = kBasis;
-  a = fnv1a(a, std::string("vvs-key-v1"));
-  a = fnv1a(a, geom.name);
-  a = fnv1a(a, geom.rows);
-  a = fnv1a(a, geom.cols);
-  a = fnv1a(a, geom.bram_columns);
-  a = fnv1a(a, geom.frame_pad_slots);
-  a = fnv1a(a, eff.warmup_cycles);
-  a = fnv1a(a, eff.observe_cycles);
-  a = fnv1a(a, static_cast<u64>(eff.classify_persistence));
-  a = fnv1a(a, eff.persistence_settle);
-  a = fnv1a(a, eff.persistence_check);
-  // prune_unobservable, gang_width/gang_isa/gang_plan, threads and chunking
-  // are result-invariant (gang evaluation at any width, on any SIMD tier,
-  // with or without the compiled eval plan, is bit-for-bit identical to the
-  // scalar loop); clock_hz and timing only scale the modeled time, which is
-  // recomputed from the live options rather than stored. None belong in the
-  // key (same reasoning as the checkpoint fingerprint).
-  plan.arch_fingerprint = a;
+  const InjectionOptions eff = effective_options(design, options);
+  plan.arch_fingerprint = arch_fingerprint_of(geom, eff);
+  plan.design_identity = design_identity_of(design, eff.stim_seed);
 
   // Stimulus hash: seed, input lane count (the stimulus stream is consumed
   // row-major, so every lane's sequence depends on the total width) and the

@@ -30,6 +30,7 @@
 // CacheKeyPlan::fallback_key_of).
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "seu/injector.h"
@@ -39,6 +40,9 @@ namespace vscrub {
 
 struct CacheKeyPlan {
   u64 arch_fingerprint = 0;
+  /// Which compiled design (netlist, device, place-and-route) and stimulus
+  /// seed the plan was built for; see cache_key_plan_matches().
+  u64 design_identity = 0;
   u64 stimulus_hash = 0;
   std::vector<u64> frame_hashes;    ///< per global frame index
   std::vector<u64> tile_influence;  ///< per tile index (empty in whole-design mode)
@@ -64,6 +68,22 @@ struct CacheKeyPlan {
 /// golden trace, comparable to one SeuInjector construction).
 CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
                                   const InjectionOptions& options);
+
+/// Whether `plan` was built by build_cache_key_plan(design, options). Cheap:
+/// it recomputes the arch fingerprint and the design identity, not the
+/// golden trace or the closures. It guards a plan handed in from outside
+/// (CampaignOptions::key_plan) against the wrong design or options, which
+/// would silently mis-key every verdict; it is not a tamper check.
+bool cache_key_plan_matches(const CacheKeyPlan& plan,
+                            const PlacedDesign& design,
+                            const InjectionOptions& options);
+
+/// Typed error for a key plan that does not belong to the campaign's design
+/// and injection options.
+class KeyPlanMismatchError : public Error {
+ public:
+  explicit KeyPlanMismatchError(const std::string& what) : Error(what) {}
+};
 
 /// Per-frame content hashes of a bitstream, in global frame order — the
 /// delta a re-campaign diffs against a prior manifest.

@@ -11,18 +11,25 @@
 #include "common/rng.h"
 #include "seu/cache_key.h"
 #include "seu/checkpoint.h"
+#include "sim/simd.h"
 #include "store/remote_store.h"
 #include "store/verdict_store.h"
 
 namespace vscrub {
 namespace {
 
-/// Chunk sizing never derives from the thread count: results, progress and
-/// checkpoints must be comparable across machines (and a checkpoint taken
-/// on an 8-way host must resume on a 1-way one).
+/// The auto chunk floor: two of the widest gang runs. A gang run costs about
+/// the same whatever its fill, and each chunk's misses go to the engine as
+/// its own batch, so a smaller chunk wastes most of every run's lanes.
+constexpr u64 kAutoChunkFloor = 2 * u64{kWidestGangWidth};
+
+/// Chunk sizing never derives from the thread count, this run's gang width
+/// or the host's SIMD tier: results, progress and checkpoints must be
+/// comparable across machines (a checkpoint taken on an 8-way AVX-512 host
+/// must resume on a 1-way scalar one).
 u64 resolve_chunk_size(u64 requested, u64 n) {
   if (requested != 0) return requested;
-  return std::clamp<u64>(n / 256, 64, 4096);
+  return std::clamp<u64>(n / 256, kAutoChunkFloor, 4096);
 }
 
 /// The bit universe: every configuration bit, or a uniform sample without
@@ -135,6 +142,13 @@ CampaignResult run_campaign(const PlacedDesign& design,
                             const CampaignOptions& options) {
   const auto start = std::chrono::steady_clock::now();
   const ConfigSpace& space = *design.space;
+  if (options.key_plan != nullptr &&
+      !cache_key_plan_matches(*options.key_plan, design, options.injection)) {
+    throw KeyPlanMismatchError(
+        "campaign: the supplied cache-key plan was not built for design " +
+        design.netlist->name() + " on " + space.geometry().name +
+        " with these injection options");
+  }
 
   std::vector<u64> bits = build_universe(space, options);
   // Fabric range restriction: slice the deterministic universe *after* it is
@@ -162,10 +176,13 @@ CampaignResult run_campaign(const PlacedDesign& design,
   // Verdict store: either the caller's shared process-wide instance
   // (options.store — the serving layer's path, where concurrent campaigns
   // hit each other's verdicts) or one opened here from cache_dir. Either
-  // way the key plan is computed once and shared read-only.
+  // way the key plan — the caller's, or one built here — is shared
+  // read-only by every worker.
   std::unique_ptr<VerdictStore> owned_store;
   VerdictStore* store = options.store;
-  CacheKeyPlan plan;
+  CacheKeyPlan owned_plan;
+  const CacheKeyPlan& plan =
+      options.key_plan != nullptr ? *options.key_plan : owned_plan;
   SimTime cached_iter_time;
   if (store == nullptr && !options.cache_dir.empty()) {
     owned_store = std::make_unique<VerdictStore>(options.cache_dir);
@@ -174,7 +191,9 @@ CampaignResult run_campaign(const PlacedDesign& design,
   RemoteVerdictClient* remote = options.remote_store;
   if (store != nullptr || remote != nullptr) {
     result.cache_enabled = store != nullptr;
-    plan = build_cache_key_plan(design, options.injection);
+    if (options.key_plan == nullptr) {
+      owned_plan = build_cache_key_plan(design, options.injection);
+    }
     // Every iteration — fresh or replayed — bills the same modeled hardware
     // cost: the real testbed cannot cache.
     cached_iter_time =
@@ -234,6 +253,7 @@ CampaignResult run_campaign(const PlacedDesign& design,
   u64 chunks_done = resumed_chunks;     // guarded by merge_mutex
   u64 chunks_since_progress = 0;        // guarded by merge_mutex
   u64 chunks_since_checkpoint = 0;      // guarded by merge_mutex
+  bool checkpoint_saved = false;        // guarded by merge_mutex
 
   const auto make_progress = [&](double elapsed_s) {
     // Rate and ETA from this run's own work; resumed chunks were free.
@@ -258,6 +278,8 @@ CampaignResult run_campaign(const PlacedDesign& design,
     return p;
   };
   const auto save_checkpoint = [&] {
+    chunks_since_checkpoint = 0;
+    checkpoint_saved = true;
     save_campaign_checkpoint(
         options.checkpoint_path,
         to_checkpoint(agg, done, fingerprint, n, chunk_size));
@@ -465,13 +487,16 @@ CampaignResult run_campaign(const PlacedDesign& design,
     if (!options.checkpoint_path.empty() &&
         ++chunks_since_checkpoint >=
             std::max<u64>(1, options.checkpoint_every_chunks)) {
-      chunks_since_checkpoint = 0;
       save_checkpoint();
     }
   });
 
-  // Final checkpoint first: it reads `agg`, which the moves below gut.
-  if (!options.checkpoint_path.empty()) save_checkpoint();
+  // Final checkpoint first: it reads `agg`, which the moves below gut. A
+  // periodic save that already covers every merged chunk is not repeated.
+  if (!options.checkpoint_path.empty() &&
+      (chunks_since_checkpoint > 0 || !checkpoint_saved)) {
+    save_checkpoint();
+  }
 
   result.interrupted = stop.load(std::memory_order_relaxed);
   result.injections = agg.injections;

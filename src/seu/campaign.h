@@ -15,6 +15,7 @@
 
 namespace vscrub {
 
+struct CacheKeyPlan;
 class RemoteVerdictClient;
 class VerdictStore;
 
@@ -62,8 +63,10 @@ struct CampaignOptions {
   u64 range_end = 0;  ///< 0 = whole universe
 
   /// Scheduler chunk size in bits; 0 => auto (total/256 clamped to
-  /// [64, 4096]). Never derived from the thread count, so results and
-  /// checkpoints are comparable across machines.
+  /// [1024, 4096]; the floor is two of the widest gang runs, so a chunk's
+  /// misses fill whole gangs). Never derived from the thread count, the gang
+  /// width or the host's SIMD tier, so results and checkpoints are
+  /// comparable across machines.
   u64 chunk_size = 0;
   /// Called (serialized, from worker threads) every `progress_every_chunks`
   /// completed chunks and once at the end. Return false to stop the
@@ -73,7 +76,8 @@ struct CampaignOptions {
   std::function<bool(const CampaignProgress&)> on_progress;
   u64 progress_every_chunks = 8;
   /// When set, campaign progress is checkpointed here every
-  /// `checkpoint_every_chunks` completed chunks (plus once at the end), and
+  /// `checkpoint_every_chunks` completed chunks (plus once at the end, unless
+  /// the last periodic save already covers every chunk), and
   /// a compatible checkpoint found at this path resumes the campaign from
   /// where it stopped. An incompatible checkpoint (different device, design,
   /// options, or chunking) is ignored and overwritten.
@@ -109,6 +113,16 @@ struct CampaignOptions {
   /// results stay bit-identical with or without the tier; a dead remote
   /// degrades to misses, never to a failed campaign.
   RemoteVerdictClient* remote_store = nullptr;
+
+  /// A cache-key plan already built for this design and these injection
+  /// options (build_cache_key_plan), used instead of building one per run.
+  /// Not owned; must outlive the campaign. The serving layer memoizes one
+  /// plan per (design, device, persistence) beside the compiled design, so
+  /// a request pays no key-plan build. run_campaign throws
+  /// KeyPlanMismatchError for a plan that cache_key_plan_matches() rejects:
+  /// a plan for another design would silently mis-key every verdict.
+  /// Only used when a store or remote tier is set.
+  const CacheKeyPlan* key_plan = nullptr;
 
   /// An external thread pool to schedule the campaign's chunks on instead of
   /// creating a pool per run. Not owned; must outlive the campaign. Several
@@ -174,6 +188,10 @@ struct CampaignOptions {
   }
   CampaignOptions& with_remote_store(RemoteVerdictClient* r) {
     remote_store = r;
+    return *this;
+  }
+  CampaignOptions& with_key_plan(const CacheKeyPlan* p) {
+    key_plan = p;
     return *this;
   }
   CampaignOptions& with_shared_pool(ThreadPool* p) {

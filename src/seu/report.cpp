@@ -53,6 +53,12 @@ JsonReport campaign_report_json(const PlacedDesign& design,
   report.set_u64("persistent", result.persistent);
   report.set_u64("pruned", result.pruned);
   report.set_u64("resumed_injections", result.resumed_injections);
+  // Gang fill: lanes per run is the engine's utilization (a run costs about
+  // the same whatever its fill). Checkpointed with the other phases, so a
+  // resumed run's figures cover its restored chunks too.
+  report.set_u64("gang_runs", result.phases.gang_runs);
+  report.set_u64("gang_lanes", result.phases.gang_lanes);
+  report.set_u64("gang_fallbacks", result.phases.gang_fallbacks);
   report.set("sensitivity", result.sensitivity());
   report.set("normalized_sensitivity", result.normalized_sensitivity());
   report.set("persistence_ratio", result.persistence_ratio());

@@ -123,7 +123,7 @@ const GangWidths& supported_gang_widths() {
   static const GangWidths widths = [] {
     GangWidths w;
     w.max_narrow = 64;
-    w.wide = {256, 512};
+    w.wide = {256, kWidestGangWidth};
     return w;
   }();
   return widths;
@@ -154,7 +154,7 @@ u32 preferred_gang_width() {
   const SimdIsa isa = resolve_simd_isa(SimdIsa::kAuto);
   u32 native = supported_gang_widths().max_narrow;
   if (isa == SimdIsa::kAvx2) native = 256;
-  if (isa == SimdIsa::kAvx512) native = 512;
+  if (isa == SimdIsa::kAvx512) native = kWidestGangWidth;
   return gang_width_supported(native) ? native
                                       : supported_gang_widths().max_narrow;
 }

@@ -52,6 +52,11 @@ bool simd_isa_usable(SimdIsa isa);
 /// throws SimdIsaError naming the usable ones.
 SimdIsa resolve_simd_isa(SimdIsa requested);
 
+/// The widest gang lane word any tier is compiled for (the 512-lane engine).
+/// A constant of the build, not of the host: every tier, scalar included,
+/// carries it.
+inline constexpr u32 kWidestGangWidth = 512;
+
 /// Gang lane widths this binary supports: 1..64 (the u64 engine, optionally
 /// lane-capped) plus each wide word width compiled in (256, 512).
 struct GangWidths {

@@ -8,6 +8,7 @@
 #include "designs/test_designs.h"
 #include "pnr/pnr.h"
 #include "radiation/environment.h"
+#include "seu/cache_key.h"
 #include "seu/report.h"
 #include "sim/simd.h"
 #include "store/verdict_store.h"
@@ -45,35 +46,70 @@ DeviceGeometry device_by_name(const std::string& name) {
 
 namespace {
 
+/// One memo entry: a compiled design plus its cache-key plans, one per
+/// persistence setting, each built on first use under the entry's mutex (a
+/// concurrent request for the same plan waits for it rather than building
+/// its own).
+struct DesignMemoEntry {
+  std::shared_ptr<const PlacedDesign> design;
+  std::mutex plan_mutex;
+  std::shared_ptr<const CacheKeyPlan> plans[2];  ///< [persistence]
+};
+
+std::shared_ptr<const CacheKeyPlan> memoized_key_plan(DesignMemoEntry& entry,
+                                                      bool persistence) {
+  std::lock_guard lock(entry.plan_mutex);
+  std::shared_ptr<const CacheKeyPlan>& plan = entry.plans[persistence];
+  if (plan == nullptr) {
+    plan = std::make_shared<const CacheKeyPlan>(build_cache_key_plan(
+        *entry.design, InjectionOptions{}.with_persistence(persistence)));
+  }
+  return plan;
+}
+
+}  // namespace
+
 /// Compiled designs are pure functions of (design, device), and campaigns
 /// only ever read them (fault injection works on copies of the golden
 /// bitstream), so the daemon memoizes place-and-route process-wide: a warm
 /// served request pays a map lookup, not a compile. The cache is capped —
 /// parameterized `tiny:RxC` device names are unbounded — and overflow simply
-/// compiles without inserting.
-std::shared_ptr<const PlacedDesign> compile_request_design(
-    const std::string& design, const std::string& device) {
+/// compiles without inserting (and without a plan).
+RequestDesign request_design(const std::string& design,
+                             const std::string& device,
+                             std::optional<bool> plan_persistence) {
   static std::mutex cache_mutex;
   static std::map<std::pair<std::string, std::string>,
-                  std::shared_ptr<const PlacedDesign>>
+                  std::shared_ptr<DesignMemoEntry>>
       cache;
   constexpr std::size_t kMaxCachedDesigns = 16;
   const std::pair<std::string, std::string> key{design, device};
+  std::shared_ptr<DesignMemoEntry> entry;
   {
     std::lock_guard lock(cache_mutex);
-    if (const auto it = cache.find(key); it != cache.end()) return it->second;
+    if (const auto it = cache.find(key); it != cache.end()) entry = it->second;
   }
-  auto compiled = std::make_shared<const PlacedDesign>(
-      compile(std::make_shared<const Netlist>(design_by_name(design)),
-              std::make_shared<const ConfigSpace>(device_by_name(device)),
-              {}));
-  std::lock_guard lock(cache_mutex);
-  if (cache.size() < kMaxCachedDesigns) {
-    const auto [it, inserted] = cache.emplace(key, compiled);
-    return it->second;  // a racing compile may have beaten us; share theirs
+  if (entry == nullptr) {
+    auto compiled = std::make_shared<DesignMemoEntry>();
+    compiled->design = std::make_shared<const PlacedDesign>(
+        compile(std::make_shared<const Netlist>(design_by_name(design)),
+                std::make_shared<const ConfigSpace>(device_by_name(device)),
+                {}));
+    std::lock_guard lock(cache_mutex);
+    if (cache.size() >= kMaxCachedDesigns && !cache.contains(key)) {
+      return {compiled->design, nullptr};
+    }
+    // A racing compile may have beaten us; share theirs.
+    entry = cache.emplace(key, std::move(compiled)).first->second;
   }
-  return compiled;
+  RequestDesign out{entry->design, nullptr};
+  if (plan_persistence.has_value()) {
+    out.key_plan = memoized_key_plan(*entry, *plan_persistence);
+  }
+  return out;
 }
+
+namespace {
 
 /// Mirrors vscrubctl's campaign_options_from: same parameter names (with the
 /// CLI's dashes as underscores), same defaults, so a served request and the
@@ -147,26 +183,36 @@ u32 served_gang_width_default() { return preferred_gang_width(); }
 
 namespace {
 
+/// The request's design from the memo, with the memoized key plan when the
+/// campaign will key verdicts (a store or remote tier is attached).
+RequestDesign campaign_request_design(const FlatJson& params,
+                                      const RequestContext& ctx) {
+  const bool keyed = ctx.store != nullptr || ctx.remote_store != nullptr;
+  return request_design(
+      params.get_string("design", "lfsrmult"),
+      params.get_string("device", "campaign"),
+      keyed ? std::optional<bool>(params.get_bool("persistence"))
+            : std::nullopt);
+}
+
 JsonReport run_campaign_request(const FlatJson& params,
                                 const RequestContext& ctx) {
-  const std::shared_ptr<const PlacedDesign> design =
-      compile_request_design(params.get_string("design", "lfsrmult"),
-                             params.get_string("device", "campaign"));
-  const CampaignResult r =
-      run_campaign(*design, campaign_options_from(params, ctx));
-  return campaign_report_json(*design, r);
+  const RequestDesign rd = campaign_request_design(params, ctx);
+  const CampaignResult r = run_campaign(
+      *rd.design,
+      campaign_options_from(params, ctx).with_key_plan(rd.key_plan.get()));
+  return campaign_report_json(*rd.design, r);
 }
 
 JsonReport run_recampaign_request(const FlatJson& params,
                                   const RequestContext& ctx) {
   VSCRUB_CHECK(ctx.store != nullptr,
                "recampaign requests need a server started with --cache-dir");
-  const std::shared_ptr<const PlacedDesign> design =
-      compile_request_design(params.get_string("design", "lfsrmult"),
-                             params.get_string("device", "campaign"));
-  const RecampaignResult rr =
-      run_recampaign(*design, campaign_options_from(params, ctx));
-  return recampaign_report_json(*design, rr);
+  const RequestDesign rd = campaign_request_design(params, ctx);
+  const RecampaignResult rr = run_recampaign(
+      *rd.design,
+      campaign_options_from(params, ctx).with_key_plan(rd.key_plan.get()));
+  return recampaign_report_json(*rd.design, rr);
 }
 
 /// Mirrors vscrubctl's apply_mission_flags (same environment scaling).
@@ -183,50 +229,61 @@ void apply_mission_params(const FlatJson& params, PayloadOptions& options,
   }
 }
 
+/// The mission and fleet design: lfsrmult on the request's device, with the
+/// memoized key plan when the sensitivity campaign keys verdicts (its
+/// injection options are the defaults, persistence off).
+RequestDesign mission_request_design(const FlatJson& params,
+                                     const RequestContext& ctx) {
+  return request_design(
+      "lfsrmult", params.get_string("device", "campaign"),
+      ctx.store != nullptr ? std::optional<bool>(false) : std::nullopt);
+}
+
 /// The sensitivity campaign missions are judged against — shared pool and
 /// store, so concurrent mission requests for the same device reuse each
 /// other's verdicts instead of re-simulating the map.
-CampaignResult mission_sensitivity_campaign(const PlacedDesign& design,
+CampaignResult mission_sensitivity_campaign(const RequestDesign& rd,
                                             const RequestContext& ctx) {
   CampaignOptions copts;
   copts.sample_bits = 10000;
+  copts.with_key_plan(rd.key_plan.get());
   if (ctx.store != nullptr) copts.with_shared_store(ctx.store);
   if (ctx.pool != nullptr) copts.with_shared_pool(ctx.pool);
   const std::atomic<bool>* cancelled = ctx.cancelled;
   copts.with_progress([cancelled](const CampaignProgress&) {
     return cancelled == nullptr || !cancelled->load(std::memory_order_relaxed);
   });
-  return run_campaign(design, copts);
+  return run_campaign(*rd.design, copts);
 }
 
 JsonReport run_mission_request(const FlatJson& params,
                                const RequestContext& ctx) {
-  const std::shared_ptr<const PlacedDesign> design = compile_request_design(
-      "lfsrmult", params.get_string("device", "campaign"));
-  const CampaignResult camp = mission_sensitivity_campaign(*design, ctx);
+  const RequestDesign rd = mission_request_design(params, ctx);
+  const PlacedDesign& design = *rd.design;
+  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
   PayloadOptions options;
-  apply_mission_params(params, options, design->space->total_bits());
+  apply_mission_params(params, options, design.space->total_bits());
   const std::string policy = params.get_string("scrub_policy", "");
   if (!policy.empty()) options.scrub.policy = make_scrub_policy(policy);
   options.seed = params.get_u64("seed", 4242);
   MetricsRegistry metrics;
   options.metrics = &metrics;
-  Payload payload(*design, options, camp.sensitive_set(*design));
+  Payload payload(design, options, camp.sensitive_set(design));
   payload.run_mission(SimTime::hours(params.get_double("hours", 24)));
   return mission_report_json(metrics);
 }
 
 JsonReport run_fleet_request(const FlatJson& params,
                              const RequestContext& ctx) {
-  const std::shared_ptr<const PlacedDesign> design = compile_request_design(
-      "lfsrmult", params.get_string("device", "campaign"));
-  const CampaignResult camp = mission_sensitivity_campaign(*design, ctx);
+  const RequestDesign rd = mission_request_design(params, ctx);
+  const PlacedDesign& design = *rd.design;
+  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
   FleetOptions options;
   options.missions = static_cast<u32>(params.get_u64("missions", 8));
   options.base_seed = params.get_u64("seed", 1);
   options.threads = static_cast<u32>(params.get_u64("threads", 0));
   options.duration = SimTime::hours(params.get_double("hours", 24));
-  apply_mission_params(params, options.payload, design->space->total_bits());
+  apply_mission_params(params, options.payload, design.space->total_bits());
   // Same spec grammar as `vscrubctl fleet --scrub-policy`: one name sets the
   // sweep's policy; a comma list or "all" races them and returns the
   // policy_race report, bit-identical to the one-shot CLI run.
@@ -237,13 +294,13 @@ JsonReport run_fleet_request(const FlatJson& params,
     ro.policies = policies;
     ro.fleet = options;
     return policy_race_report_json(
-        run_policy_race(*design, camp.sensitive_set(*design), ro));
+        run_policy_race(design, camp.sensitive_set(design), ro));
   }
   if (policies.size() == 1) {
     options.payload.scrub.policy = make_scrub_policy(policies[0]);
   }
   return fleet_report_json(
-      run_fleet(*design, camp.sensitive_set(*design), options));
+      run_fleet(design, camp.sensitive_set(design), options));
 }
 
 }  // namespace

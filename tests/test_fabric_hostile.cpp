@@ -176,6 +176,12 @@ void expect_merged_matches(const JsonReport& merged_report,
             expected.get_u64("sensitive_bits"));
   EXPECT_EQ(merged.get_u64("sensitive_digest"),
             expected.get_u64("sensitive_digest"));
+  // Gang fill sums across ranges like the other counters. Without a store
+  // every unpruned eligible bit is one gang lane exactly once (a resumed
+  // range's checkpoint carries its finished chunks' counters), so lanes
+  // match the one-shot run; runs depend on how ranges cut the chunks.
+  EXPECT_EQ(merged.get_u64("gang_lanes"), expected.get_u64("gang_lanes"));
+  EXPECT_GT(merged.get_u64("gang_runs"), 0u);
   EXPECT_FALSE(merged.get_bool("interrupted"));
 }
 

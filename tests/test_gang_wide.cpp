@@ -177,6 +177,65 @@ TEST(GangWide, CampaignDigestInvariantAcrossEngineConfigs) {
 }
 
 // ---------------------------------------------------------------------------
+// Auto chunking: gang-sized chunks, same verdicts as small ones
+// ---------------------------------------------------------------------------
+
+/// The per-bit verdict map of a campaign: which bits failed, and each
+/// failure's verdict fields (sensitive bits come back sorted by address).
+void expect_same_verdict_map(const CampaignResult& want,
+                             const CampaignResult& got,
+                             const std::string& tag) {
+  ASSERT_EQ(want.injections, got.injections) << tag;
+  ASSERT_EQ(want.failures, got.failures) << tag;
+  EXPECT_EQ(want.persistent, got.persistent) << tag;
+  ASSERT_EQ(want.sensitive_bits.size(), got.sensitive_bits.size()) << tag;
+  for (std::size_t i = 0; i < want.sensitive_bits.size(); ++i) {
+    const auto& a = want.sensitive_bits[i];
+    const auto& b = got.sensitive_bits[i];
+    ASSERT_EQ(a.addr, b.addr) << tag << " sensitive bit " << i;
+    ASSERT_EQ(a.persistent, b.persistent) << tag << " sensitive bit " << i;
+    ASSERT_EQ(a.first_error_cycle, b.first_error_cycle)
+        << tag << " sensitive bit " << i;
+    ASSERT_EQ(a.error_output_mask_lo, b.error_output_mask_lo)
+        << tag << " sensitive bit " << i;
+  }
+}
+
+TEST(GangWide, AutoChunksMatchSmallChunksPerBitAndFillTheGangs) {
+  // The auto chunk floor (two 512-lane gangs) regroups which bits share a
+  // gang run; the verdicts must not notice. The served designs run on the
+  // served default device, as a daemon would compile them.
+  const auto run = [](const PlacedDesign& design, u64 sample, u64 seed,
+                      u64 chunk) {
+    return run_campaign(
+        design, CampaignOptions{}
+                    .with_sample(sample, seed)
+                    .with_chunk_size(chunk)
+                    .with_injection(InjectionOptions{}.with_gang_width(512)));
+  };
+  const PlacedDesign& mult = *request_design("mult", "campaign").design;
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    const std::string tag = "mult 8000 seed " + std::to_string(seed);
+    const CampaignResult small = run(mult, 8000, seed, 64);
+    const CampaignResult gang_sized = run(mult, 8000, seed, 0);
+    expect_same_verdict_map(small, gang_sized, tag);
+    // Filled gangs: a regression to underfilled runs (64-bit chunks give
+    // about 36 lanes per run here) fails this.
+    ASSERT_GT(gang_sized.phases.gang_runs, 0u) << tag;
+    EXPECT_GE(gang_sized.phases.gang_lanes,
+              256 * gang_sized.phases.gang_runs)
+        << tag << ": " << gang_sized.phases.gang_lanes << " lanes in "
+        << gang_sized.phases.gang_runs << " runs";
+  }
+  for (const char* name :
+       {"lfsrmult", "mult", "multadd", "vmult", "selfcheck", "lfsr"}) {
+    const PlacedDesign& design = *request_design(name, "campaign").design;
+    expect_same_verdict_map(run(design, 2000, 1, 64), run(design, 2000, 1, 0),
+                            std::string(name) + " 2000 seed 1");
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Width / ISA contract
 // ---------------------------------------------------------------------------
 

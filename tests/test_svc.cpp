@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/vscrub.h"
+#include "seu/cache_key.h"
 #include "sim/simd.h"
 #include "svc/client.h"
 #include "svc/config.h"
@@ -872,6 +873,105 @@ TEST(ServiceSessionApi, WaitForTimesOutWithoutConsumingTheJob) {
   const auto reply = job.wait_for(std::chrono::milliseconds(60000));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->kind, FrameKind::kResult) << reply->payload;
+}
+
+// ---------------------------------------------------------------------------
+// The key-plan memo: one cache-key plan per (design, device, persistence)
+// ---------------------------------------------------------------------------
+
+void expect_same_plan(const CacheKeyPlan& want, const CacheKeyPlan& got) {
+  EXPECT_EQ(want.arch_fingerprint, got.arch_fingerprint);
+  EXPECT_EQ(want.design_identity, got.design_identity);
+  EXPECT_EQ(want.stimulus_hash, got.stimulus_hash);
+  EXPECT_EQ(want.frame_hashes, got.frame_hashes);
+  EXPECT_EQ(want.tile_influence, got.tile_influence);
+  EXPECT_EQ(want.whole_design_influence, got.whole_design_influence);
+  EXPECT_EQ(want.whole_design_hash, got.whole_design_hash);
+}
+
+TEST(KeyPlanMemo, MemoizedPlanEqualsAFreshBuildAndIsSharedPerPersistence) {
+  const RequestDesign plain = request_design("mult", "campaign", false);
+  ASSERT_NE(plain.key_plan, nullptr);
+  expect_same_plan(
+      build_cache_key_plan(*plain.design,
+                           InjectionOptions{}.with_persistence(false)),
+      *plain.key_plan);
+
+  // A later request for the same (design, device, persistence) gets the
+  // same compiled design and the same plan object, not a rebuild.
+  const RequestDesign again = request_design("mult", "campaign", false);
+  EXPECT_EQ(again.design, plain.design);
+  EXPECT_EQ(again.key_plan, plain.key_plan);
+
+  // Persistence changes the arch fingerprint: its own plan, built once.
+  const RequestDesign persistent = request_design("mult", "campaign", true);
+  ASSERT_NE(persistent.key_plan, nullptr);
+  EXPECT_EQ(persistent.design, plain.design);
+  EXPECT_NE(persistent.key_plan, plain.key_plan);
+  EXPECT_NE(persistent.key_plan->arch_fingerprint,
+            plain.key_plan->arch_fingerprint);
+  expect_same_plan(
+      build_cache_key_plan(*plain.design,
+                           InjectionOptions{}.with_persistence(true)),
+      *persistent.key_plan);
+  EXPECT_EQ(request_design("mult", "campaign", true).key_plan,
+            persistent.key_plan);
+
+  // No plan unless one is asked for.
+  EXPECT_EQ(request_design("mult", "campaign").key_plan, nullptr);
+}
+
+TEST(KeyPlanMemo, CampaignWithTheMemoizedPlanMatchesItsOwnPlan) {
+  const RequestDesign rd = request_design("lfsrmult", "campaign", false);
+  const auto run = [&](const CacheKeyPlan* plan, const char* name) {
+    const std::string dir = fresh_dir(name);
+    const CampaignResult r = run_campaign(*rd.design, CampaignOptions{}
+                                                          .with_sample(1500, 5)
+                                                          .with_cache(dir)
+                                                          .with_key_plan(plan));
+    std::filesystem::remove_all(dir);
+    return r;
+  };
+  const CampaignResult own = run(nullptr, "plan_own");
+  const CampaignResult memo = run(rd.key_plan.get(), "plan_memo");
+  EXPECT_EQ(memo.sensitive_digest(*rd.design), own.sensitive_digest(*rd.design));
+  EXPECT_EQ(memo.failures, own.failures);
+  EXPECT_EQ(memo.cache_stores, own.cache_stores);
+}
+
+TEST(KeyPlanMemo, MismatchedPlanIsATypedErrorNotACampaign) {
+  const RequestDesign mult = request_design("mult", "campaign", false);
+  const RequestDesign lfsrmult = request_design("lfsrmult", "campaign", false);
+  const std::string dir = fresh_dir("plan_mismatch");
+  const auto options = [&](const CacheKeyPlan* plan, bool persistence) {
+    return CampaignOptions{}
+        .with_sample(200, 3)
+        .with_cache(dir)
+        .with_key_plan(plan)
+        .with_injection(InjectionOptions{}.with_persistence(persistence));
+  };
+  // Another design's plan.
+  EXPECT_THROW(run_campaign(*lfsrmult.design, options(mult.key_plan.get(), false)),
+               KeyPlanMismatchError);
+  // The right design, other injection options.
+  EXPECT_THROW(run_campaign(*mult.design, options(mult.key_plan.get(), true)),
+               KeyPlanMismatchError);
+  // Another stimulus seed.
+  CampaignOptions reseeded = options(mult.key_plan.get(), false);
+  reseeded.injection.stim_seed += 1;
+  EXPECT_THROW(run_campaign(*mult.design, reseeded), KeyPlanMismatchError);
+  // Checked even when no store would read the plan.
+  EXPECT_THROW(run_campaign(*lfsrmult.design,
+                            CampaignOptions{}.with_sample(200, 3).with_key_plan(
+                                mult.key_plan.get())),
+               KeyPlanMismatchError);
+  // Nothing ran: no store was opened, no manifest written.
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  // The matching plan runs.
+  EXPECT_EQ(run_campaign(*mult.design, options(mult.key_plan.get(), false))
+                .injections,
+            200u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ inline CoordinatorConfig coordinator_config_from(const CliArgs& args) {
   config.shards_per_worker = args.option_u64("--shards-per-worker", 2);
   config.lease_ms = args.option_u64("--lease-ms", 10000);
   config.checkpoint_every_chunks =
-      args.option_u64("--checkpoint-every-chunks", 2);
+      args.option_u64("--checkpoint-every-chunks", 1);
   config.max_concurrent =
       static_cast<unsigned>(args.option_u64("--max-concurrent", 2));
   config.validate();
