@@ -52,16 +52,21 @@ void RecordWriter::write(const std::string& path) const {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<u8>(crc32(buf_) >> (8 * i)));
   }
+  write_file_atomic(path, out.data(), out.size());
+}
+
+void write_file_atomic(const std::string& path, const void* data,
+                       std::size_t size) {
   const std::string tmp = path + ".tmp";
-  {
-    const File f(std::fopen(tmp.c_str(), "wb"));
-    VSCRUB_CHECK(f != nullptr, "cannot open " + tmp + " for writing");
-    VSCRUB_CHECK(std::fwrite(out.data(), 1, out.size(), f.get()) == out.size(),
-                 "short write to " + tmp);
-    VSCRUB_CHECK(std::fflush(f.get()) == 0, "flush failed for " + tmp);
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  VSCRUB_CHECK(f != nullptr, "cannot open " + tmp + " for writing");
+  const bool wrote = size == 0 || std::fwrite(data, 1, size, f) == size;
+  // fclose flushes: a full disk surfaces here, not at fwrite.
+  const bool closed = std::fclose(f) == 0;
+  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw Error("cannot write " + path);
   }
-  VSCRUB_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot rename " + tmp + " to " + path);
 }
 
 RecordReader::RecordReader(const std::string& path, const std::string& magic)

@@ -61,6 +61,12 @@ class RecordReader {
   std::string path_;  ///< for error messages
 };
 
+/// Writes `size` bytes to `path`.tmp, then renames it into place, so a
+/// reader never sees a half-written file. Throws Error when the open, the
+/// write, the close or the rename fails, leaving no `.tmp` behind.
+void write_file_atomic(const std::string& path, const void* data,
+                       std::size_t size);
+
 /// True when `path` exists and carries the given magic tag (cheap sniff; no
 /// CRC verification).
 bool record_exists(const std::string& path, const std::string& magic);

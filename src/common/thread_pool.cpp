@@ -53,35 +53,6 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::parallel_for(u64 n,
-                              const std::function<void(u64, u64)>& fn) {
-  if (n == 0) return;
-  const u64 shards = std::min<u64>(n, thread_count());
-  const u64 chunk = (n + shards - 1) / shards;
-  Latch latch;
-  latch.remaining = static_cast<unsigned>(shards);
-  unsigned queued = 0;
-  for (u64 s = 0; s < shards; ++s) {
-    const u64 begin = s * chunk;
-    const u64 end = std::min(n, begin + chunk);
-    if (begin >= end) {
-      latch.arrive();
-      continue;
-    }
-    if (submit([&fn, &latch, begin, end] {
-          fn(begin, end);
-          latch.arrive();
-        })) {
-      ++queued;
-    } else {
-      // Stopped pool: keep the caller's work correct by running inline.
-      fn(begin, end);
-      latch.arrive();
-    }
-  }
-  if (queued > 0) latch.wait();
-}
-
 unsigned ThreadPool::chunk_workers(u64 n, u64 chunk_size) const {
   if (n == 0) return 0;
   chunk_size = std::max<u64>(1, chunk_size);

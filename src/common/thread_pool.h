@@ -1,12 +1,11 @@
 // Minimal work-stealing-free thread pool for injection campaigns. The
 // campaign engine pulls fixed-size chunks from a shared cursor
-// (parallel_chunks); parallel_for keeps the legacy static sharding for
-// workloads with uniform per-item cost.
+// (parallel_chunks).
 //
 // Since the serving layer landed, one pool is shared by concurrent
-// campaigns: parallel_for/parallel_chunks wait on a per-call completion
-// latch, not on the pool going globally idle, so two callers interleave
-// their chunks fairly instead of each blocking until the other drains.
+// campaigns: parallel_chunks waits on a per-call completion latch, not on
+// the pool going globally idle, so two callers interleave their chunks
+// fairly instead of each blocking until the other drains.
 #pragma once
 
 #include <atomic>
@@ -48,17 +47,11 @@ class ThreadPool {
   /// Blocks until all submitted tasks have finished.
   void wait_idle();
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Each worker processes a contiguous shard for cache friendliness.
-  /// Safe to call from several threads at once: each call waits only for its
-  /// own shards. On a stopped pool the work runs inline on the caller.
-  void parallel_for(u64 n, const std::function<void(u64 begin, u64 end)>& fn);
-
   /// Chunked work-queue scheduling: [0, n) is cut into `chunk_size`-sized
   /// ranges and workers claim the next unclaimed chunk from a shared atomic
-  /// cursor until none remain. Unlike parallel_for's static shards, a chunk
-  /// that happens to be expensive (a column dense with sensitive routing
-  /// bits) delays only its own worker — everyone else keeps pulling.
+  /// cursor until none remain, so a chunk that happens to be expensive (a
+  /// column dense with sensitive routing bits) delays only its own worker —
+  /// everyone else keeps pulling.
   /// `worker` identifies the claiming task, 0 <= worker < chunk_workers(n,
   /// chunk_size), so callers can keep per-worker scratch state.
   /// Safe to call concurrently from several threads (each call waits on its
@@ -71,7 +64,7 @@ class ThreadPool {
   unsigned chunk_workers(u64 n, u64 chunk_size) const;
 
  private:
-  /// Per-call completion latch for the parallel_* helpers.
+  /// Per-call completion latch for parallel_chunks.
   struct Latch {
     std::mutex mutex;
     std::condition_variable cv;

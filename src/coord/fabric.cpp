@@ -3,12 +3,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/log.h"
+#include "seu/report.h"
+#include "svc/campaign_spec.h"
+#include "svc/requests.h"
 #include "svc/session.h"
 
 namespace vscrub {
@@ -28,22 +33,6 @@ constexpr u64 kRangeErrorBudget = 3;
 /// the driver would spin through the queue stealing ranges from a link
 /// that is down for good.
 constexpr u64 kLinkFailureBudget = 3;
-
-/// The campaign parameters a fabric request forwards to its workers.
-/// Allow-listed by name and type: the coordinator re-renders them into each
-/// shard's request, so an unknown or transport-level field can never leak
-/// into a worker campaign and skew its fingerprint.
-struct ParamSpec {
-  const char* name;
-  char type;  // 's'tring / 'u'64 / 'b'ool
-};
-constexpr ParamSpec kForwarded[] = {
-    {"design", 's'},   {"device", 's'},       {"gang_isa", 's'},
-    {"tenant", 's'},   {"sample", 'u'},       {"seed", 'u'},
-    {"chunk", 'u'},    {"gang_width", 'u'},   {"exhaustive", 'b'},
-    {"no_gang", 'b'},  {"no_gang_plan", 'b'}, {"no_prune", 'b'},
-    {"persistence", 'b'},
-};
 
 struct RangeState {
   BitRange range;
@@ -163,38 +152,7 @@ void run_driver(const FabricOptions& options, Shared& shared,
     }
     RangeState& rs = shared.ranges[index];
 
-    // The shard request: the allow-listed campaign parameters plus this
-    // range, checkpoint shipping, and the fleet's remote verdict tier.
-    JsonReport request("campaign_shard");
-    for (const ParamSpec& spec : kForwarded) {
-      if (!options.params.has(spec.name)) continue;
-      switch (spec.type) {
-        case 's':
-          request.set_string(spec.name, options.params.get_string(spec.name));
-          break;
-        case 'u':
-          request.set_u64(spec.name, options.params.get_u64(spec.name));
-          break;
-        default:
-          request.set_bool(spec.name, options.params.get_bool(spec.name));
-      }
-    }
-    request.set_u64("range_begin", rs.range.begin);
-    request.set_u64("range_end", rs.range.end);
-    request.set_bool("ship_checkpoints", true);
-    request.set_bool("progress", true);
-    request.set_u64("progress_every_chunks",
-                    options.params.get_u64("progress_every_chunks", 4));
-    if (options.checkpoint_every_chunks > 0) {
-      request.set_u64("checkpoint_every_chunks",
-                      options.checkpoint_every_chunks);
-    }
-    if (!options.remote_store_socket.empty()) {
-      request.set_string("remote_store_socket", options.remote_store_socket);
-    }
-    if (!resume_hex.empty()) {
-      request.set_string("resume_checkpoint", resume_hex);
-    }
+    const JsonReport request = shard_request(options, rs.range, resume_hex);
 
     // Event stream: every frame is a lease heartbeat; checkpoints update
     // the range's restart point (current attempt only — a zombie's blob
@@ -359,12 +317,42 @@ void run_driver(const FabricOptions& options, Shared& shared,
 
 }  // namespace
 
+JsonReport shard_request(const FabricOptions& options, const BitRange& range,
+                         const std::string& resume_hex) {
+  JsonReport request("campaign_shard");
+  for (const SpecRow& row : campaign_spec()) {
+    if ((row.scope & kSpecForward) != 0 && options.params.has(row.name)) {
+      spec_set(request, row, options.params.get_string(row.name));
+    }
+  }
+  request.set_u64("range_begin", range.begin);
+  request.set_u64("range_end", range.end);
+  request.set_bool("ship_checkpoints", true);
+  request.set_bool("progress", true);
+  request.set_u64("progress_every_chunks",
+                  options.params.get_u64("progress_every_chunks", 4));
+  if (options.checkpoint_every_chunks > 0) {
+    request.set_u64("checkpoint_every_chunks", options.checkpoint_every_chunks);
+  }
+  if (!options.remote_store_socket.empty()) {
+    request.set_string("remote_store_socket", options.remote_store_socket);
+  }
+  if (!resume_hex.empty()) {
+    request.set_string("resume_checkpoint", resume_hex);
+  }
+  return request;
+}
+
 FabricResult run_fabric_campaign(const FabricOptions& options) {
   VSCRUB_CHECK(!options.workers.empty(), "fabric: no workers configured");
   VSCRUB_CHECK(options.shards_per_worker > 0,
                "fabric: shards_per_worker must be positive");
   const auto started = Clock::now();
-  const u64 universe = campaign_universe_size(options.params);
+  // Sized from the options every worker builds; a bad engine selection is
+  // rejected here, once.
+  const u64 universe = campaign_universe_size(
+      spec_string(options.params, Param::kDevice),
+      campaign_options_from(options.params, RequestContext{}));
   const std::vector<BitRange> ranges = partition_universe(
       universe, options.workers.size() * options.shards_per_worker);
   VSCRUB_CHECK(!ranges.empty(), "fabric: empty injection universe");
@@ -402,77 +390,51 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     // The exact merge: counters sum, the order-independent sensitive-set
     // digest XOR-folds. Disjoint covering ranges therefore reproduce the
     // one-shot campaign's report field-for-field.
-    u64 injections = 0, failures = 0, persistent = 0, pruned = 0;
-    u64 gang_runs = 0, gang_lanes = 0, gang_fallbacks = 0;
-    u64 cache_hits = 0, cache_misses = 0, cache_stores = 0;
-    u64 sensitive_bits = 0, digest = 0, device_bits = 0;
+    std::map<std::string_view, u64> sums;
+    u64 digest = 0;
     double modeled_s = 0.0;
     bool cache_enabled = false;
-    std::string design_name, device_name;
+    const FlatJson* first = nullptr;
     for (const RangeState& rs : shared.ranges) {
       if (!rs.done) continue;
       const FlatJson& r = rs.report;
-      if (design_name.empty()) {
-        design_name = r.get_string("design");
-        device_name = r.get_string("device");
-        device_bits = r.get_u64("device_bits");
+      if (first == nullptr) first = &r;
+      for (const char* name : kSummedCampaignCounters) {
+        sums[name] += r.get_u64(name);
       }
-      injections += r.get_u64("injections");
-      failures += r.get_u64("failures");
-      persistent += r.get_u64("persistent");
-      pruned += r.get_u64("pruned");
-      gang_runs += r.get_u64("gang_runs");
-      gang_lanes += r.get_u64("gang_lanes");
-      gang_fallbacks += r.get_u64("gang_fallbacks");
-      cache_hits += r.get_u64("cache_hits");
-      cache_misses += r.get_u64("cache_misses");
-      cache_stores += r.get_u64("cache_stores");
-      sensitive_bits += r.get_u64("sensitive_bits");
       digest ^= r.get_u64("sensitive_digest");
       modeled_s += r.get_double("modeled_hardware_s");
       cache_enabled = cache_enabled || r.get_bool("cache_enabled");
-      result.resumed_injections += r.get_u64("resumed_injections");
-      result.remote_hits += r.get_u64("remote_hits");
-      result.remote_publishes += r.get_u64("remote_publishes");
     }
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - started).count();
-    result.merged.set_string("design", design_name);
-    result.merged.set_string("device", device_name);
-    result.merged.set_u64("device_bits", device_bits);
-    result.merged.set_u64("injections", injections);
-    result.merged.set_u64("failures", failures);
-    result.merged.set_u64("persistent", persistent);
-    result.merged.set_u64("pruned", pruned);
-    result.merged.set_u64("resumed_injections", result.resumed_injections);
-    result.merged.set_u64("gang_runs", gang_runs);
-    result.merged.set_u64("gang_lanes", gang_lanes);
-    result.merged.set_u64("gang_fallbacks", gang_fallbacks);
-    result.merged.set("sensitivity",
-                      injections ? static_cast<double>(failures) /
-                                       static_cast<double>(injections)
-                                 : 0.0);
-    result.merged.set("persistence_ratio",
-                      failures ? static_cast<double>(persistent) /
-                                     static_cast<double>(failures)
-                               : 0.0);
-    result.merged.set("modeled_hardware_s", modeled_s);
-    result.merged.set("wall_seconds", wall);
-    result.merged.set_bool("interrupted", result.interrupted);
-    result.merged.set_bool("cache_enabled", cache_enabled);
-    result.merged.set_u64("cache_hits", cache_hits);
-    result.merged.set_u64("cache_misses", cache_misses);
-    result.merged.set_u64("cache_stores", cache_stores);
-    result.merged.set_u64("remote_hits", result.remote_hits);
-    result.merged.set_u64("remote_publishes", result.remote_publishes);
-    result.merged.set_u64("sensitive_bits", sensitive_bits);
-    result.merged.set_u64("sensitive_digest", digest);
-    result.merged.set_u64("fabric_workers", options.workers.size());
-    result.merged.set_u64("fabric_workers_lost", result.workers_lost);
-    result.merged.set_u64("fabric_ranges", result.ranges);
-    result.merged.set_u64("fabric_reassignments", result.reassignments);
-    result.merged.set_u64("fabric_duplicate_completions",
-                          result.duplicate_completions);
+    result.resumed_injections = sums["resumed_injections"];
+    result.remote_hits = sums["remote_hits"];
+    result.remote_publishes = sums["remote_publishes"];
+    const auto ratio = [](u64 part, u64 whole) {
+      return whole ? static_cast<double>(part) / static_cast<double>(whole)
+                   : 0.0;
+    };
+    JsonReport& merged = result.merged;
+    merged.set_string("design", first ? first->get_string("design") : "");
+    merged.set_string("device", first ? first->get_string("device") : "");
+    merged.set_u64("device_bits", first ? first->get_u64("device_bits") : 0);
+    for (const char* name : kSummedCampaignCounters) {
+      merged.set_u64(name, sums[name]);
+    }
+    merged.set("sensitivity", ratio(sums["failures"], sums["injections"]));
+    merged.set("persistence_ratio",
+               ratio(sums["persistent"], sums["failures"]));
+    merged.set("modeled_hardware_s", modeled_s);
+    merged.set("wall_seconds",
+               std::chrono::duration<double>(Clock::now() - started).count());
+    merged.set_bool("interrupted", result.interrupted);
+    merged.set_bool("cache_enabled", cache_enabled);
+    merged.set_u64("sensitive_digest", digest);
+    merged.set_u64("fabric_workers", options.workers.size());
+    merged.set_u64("fabric_workers_lost", result.workers_lost);
+    merged.set_u64("fabric_ranges", result.ranges);
+    merged.set_u64("fabric_reassignments", result.reassignments);
+    merged.set_u64("fabric_duplicate_completions",
+                   result.duplicate_completions);
   }
   return result;
 }

@@ -35,15 +35,15 @@
 
 #include "coord/partition.h"
 #include "report/json.h"
+#include "svc/protocol.h"
 
 namespace vscrub {
 
 struct FabricOptions {
   /// Worker endpoints (vscrubd Unix-socket paths), one driver each.
   std::vector<std::string> workers;
-  /// Campaign parameters, served request names (design, device, sample,
-  /// seed, exhaustive, chunk, gang_*, ...). Range and fabric parameters are
-  /// added per shard; anything unrecognized is not forwarded.
+  /// Campaign parameters, served request names. Shards get only the
+  /// campaign spec's forwarded rows (see shard_request).
   FlatJson params;
   /// Ranges per worker. Over-sharding (> 1) is what makes reassignment
   /// cheap: a lost worker forfeits a shard, not 1/Nth of the campaign.
@@ -83,6 +83,11 @@ struct FabricResult {
 
   FabricResult() : merged("campaign") {}
 };
+
+/// One range's worker request: the forwarded campaign-spec rows of
+/// `options.params` plus the range and the fabric's transport fields.
+JsonReport shard_request(const FabricOptions& options, const BitRange& range,
+                         const std::string& resume_hex);
 
 /// Runs one sharded campaign over the fleet. Blocks until every range
 /// completed (or the campaign was cancelled). Throws Error when no worker

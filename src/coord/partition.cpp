@@ -8,16 +8,10 @@
 
 namespace vscrub {
 
-u64 campaign_universe_size(const FlatJson& params) {
-  const ConfigSpace space(device_by_name(params.get_string("device",
-                                                           "campaign")));
-  const u64 total = space.total_bits();
-  if (params.get_bool("exhaustive")) return total;
-  // Same default and clamp as the served campaign_options_from /
-  // build_universe pair: sample 0 (or >= total) means every bit.
-  const u64 sample = params.get_u64("sample", 20000);
-  if (sample == 0 || sample >= total) return total;
-  return sample;
+u64 campaign_universe_size(const std::string& device,
+                           const CampaignOptions& options) {
+  return universe_size(ConfigSpace(device_by_name(device)).total_bits(),
+                       options);
 }
 
 std::vector<BitRange> partition_universe(u64 universe, u64 shards) {

@@ -10,10 +10,11 @@
 // digest XORs across ranges to the one-shot digest.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "svc/protocol.h"
+#include "seu/campaign.h"
 
 namespace vscrub {
 
@@ -25,12 +26,9 @@ struct BitRange {
   u64 size() const { return end - begin; }
 };
 
-/// The number of universe positions the campaign described by `params`
-/// (served request parameter names and defaults) will inject: the device's
-/// total configuration bits for an exhaustive run, else the sample size
-/// clamped to the device. Mirrors build_universe's sizing exactly. Throws
-/// Error on an unknown device name.
-u64 campaign_universe_size(const FlatJson& params);
+/// universe_size on the named device (throws Error on an unknown name).
+u64 campaign_universe_size(const std::string& device,
+                           const CampaignOptions& options);
 
 /// Splits [0, universe) into at most `shards` contiguous near-equal ranges
 /// (the first `universe % shards` ranges are one position larger). Fewer

@@ -1,9 +1,12 @@
 #include "core/cli.h"
 
 #include <cstdlib>
+#include <initializer_list>
 
 #include "common/types.h"
+#include "svc/campaign_spec.h"
 #include "svc/config.h"
+#include "svc/requests.h"
 
 namespace vscrub {
 
@@ -18,32 +21,35 @@ CliFlag bool_flag(const char* name, const char* help) {
   return CliFlag{name, false, "", help};
 }
 
-CliFlag device_flag() {
-  return value_flag("--device", "D",
-                    "device geometry (see `vscrubctl devices`)");
+CliFlag spec_flag(const SpecRow& row) {
+  return CliFlag{row.flag(), row.type != SpecType::kBool, row.value_name,
+                 row.help};
+}
+
+/// The campaign-spec rows of `scope` as flags, then `local` — the
+/// command's own settings, which never travel in a request. Wire-only rows
+/// (tenant) appear on `served` commands alone.
+std::vector<CliFlag> spec_flags(unsigned scope, bool served,
+                                std::initializer_list<CliFlag> local) {
+  const unsigned skip = kSpecPositional | (served ? 0u : kSpecServed);
+  std::vector<CliFlag> flags;
+  for (const SpecRow& row : campaign_spec()) {
+    if ((row.scope & scope) != 0 && (row.scope & skip) == 0) {
+      flags.push_back(spec_flag(row));
+    }
+  }
+  flags.insert(flags.end(), local);
+  return flags;
 }
 
 std::vector<CliFlag> campaign_flags() {
-  return {
-      device_flag(),
-      value_flag("--sample", "N", "sample N random bits (default 20000)"),
-      bool_flag("--exhaustive", "inject every configuration bit"),
-      bool_flag("--persistence", "classify persistent vs transient failures"),
-      value_flag("--threads", "N", "worker threads (0 = hardware)"),
-      value_flag("--chunk", "N", "bits per scheduler chunk (0 = auto)"),
-      value_flag("--checkpoint", "FILE", "checkpoint/resume file"),
-      bool_flag("--progress", "live progress line on stderr"),
-      bool_flag("--no-prune", "disable influence-set pruning"),
-      value_flag("--gang-width", "N",
-                 "bit-sliced gang lanes: 1..64, 256, 512 (default 64)"),
-      bool_flag("--no-gang", "scalar injections only (gang width 1)"),
-      value_flag("--gang-isa", "T",
-                 "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)"),
-      bool_flag("--no-gang-plan",
-                "interpret gang settles (skip the compiled eval plan)"),
-      value_flag("--cache-dir", "DIR", "content-addressed verdict store"),
-      value_flag("--json", "FILE", "write a versioned campaign report"),
-  };
+  return spec_flags(
+      kSpecCampaign, false,
+      {value_flag("--threads", "N", "worker threads (0 = hardware)"),
+       value_flag("--checkpoint", "FILE", "checkpoint/resume file"),
+       bool_flag("--progress", "live progress line on stderr"),
+       value_flag("--cache-dir", "DIR", "content-addressed verdict store"),
+       value_flag("--json", "FILE", "write a versioned campaign report")});
 }
 
 std::vector<CliCommand> build_commands() {
@@ -51,54 +57,37 @@ std::vector<CliCommand> build_commands() {
   commands.push_back(
       {"compile", "<design>", "place, route and emit a configuration image",
        {
-           device_flag(),
+           spec_flag(spec_row(Param::kDevice)),
            bool_flag("--raddrc", "route LUT-ROM constants (half-latch DRC)"),
            bool_flag("--tmr", "apply triple modular redundancy first"),
            value_flag("-o", "FILE", "write the bitstream image"),
        }});
   commands.push_back({"campaign", "<design>",
                       "run a fault-injection campaign", campaign_flags()});
-  {
-    CliCommand recampaign{"recampaign", "<design>",
-                          "delta re-campaign against a verdict store",
-                          campaign_flags()};
-    commands.push_back(std::move(recampaign));
-  }
+  commands.push_back({"recampaign", "<design>",
+                      "delta re-campaign against a verdict store",
+                      campaign_flags()});
   commands.push_back(
       {"beam", "<design>", "virtual beam-test correlation run",
        {
-           device_flag(),
+           spec_flag(spec_row(Param::kDevice)),
            value_flag("--observations", "N", "beam observations (default 1000)"),
        }});
   commands.push_back(
       {"mission", "", "single on-orbit mission simulation",
-       {
-           device_flag(),
-           value_flag("--hours", "H", "mission duration (default 24)"),
-           bool_flag("--flare", "solar-flare environment"),
-           value_flag("--seed", "S", "mission random seed"),
-           bool_flag("--scrub-faults", "enable scrub-datapath fault models"),
-           value_flag("--scrub-policy", "NAME",
-                      "scrub policy (see `vscrubctl policies`)"),
-           value_flag("--trace", "FILE", "write a JSONL event trace"),
-           value_flag("--json", "FILE", "write a versioned mission report"),
-       }});
+       spec_flags(kSpecMission, false,
+                  {value_flag("--trace", "FILE", "write a JSONL event trace"),
+                   value_flag("--json", "FILE",
+                              "write a versioned mission report")})});
   commands.push_back(
       {"fleet", "", "Monte-Carlo fleet of seeded missions",
-       {
-           device_flag(),
-           value_flag("--missions", "N", "missions in the sweep (default 8)"),
-           value_flag("--hours", "H", "per-mission duration (default 24)"),
-           bool_flag("--flare", "solar-flare environment"),
-           value_flag("--seed", "S", "base seed (mission i uses seed+i)"),
-           value_flag("--threads", "N", "worker threads (0 = hardware)"),
-           bool_flag("--scrub-faults", "enable scrub-datapath fault models"),
-           value_flag("--scrub-policy", "NAME",
-                      "scrub policy, comma list, or 'all' to race them"),
-           value_flag("--json", "FILE", "write a versioned fleet report"),
-       }});
+       spec_flags(kSpecFleet, false,
+                  {value_flag("--threads", "N",
+                              "worker threads (0 = hardware)"),
+                   value_flag("--json", "FILE",
+                              "write a versioned fleet report")})});
   commands.push_back({"bist", "", "built-in self-test of the fabric model",
-                      {device_flag()}});
+                      {spec_flag(spec_row(Param::kDevice))}});
   {
     // The serve surface is declared once, in svc/config.h — the CLI table
     // here is derived from it so a knob cannot exist without its flag.
@@ -113,34 +102,12 @@ std::vector<CliCommand> build_commands() {
   commands.push_back(
       {"submit", "<op> [design]",
        "submit ping|stats|campaign|recampaign|mission|fleet to a vscrubd",
-       {
-           value_flag("--socket", "PATH",
-                      "unix socket path (default /tmp/vscrubd.sock)"),
-           device_flag(),
-           value_flag("--sample", "N", "sample N random bits (default 20000)"),
-           bool_flag("--exhaustive", "inject every configuration bit"),
-           bool_flag("--persistence",
-                     "classify persistent vs transient failures"),
-           value_flag("--gang-width", "N",
-                      "bit-sliced gang lanes: 1..64, 256, 512 (default 64)"),
-           bool_flag("--no-gang", "scalar injections only (gang width 1)"),
-           value_flag("--gang-isa", "T",
-                      "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)"),
-           bool_flag("--no-gang-plan",
-                     "interpret gang settles (skip the compiled eval plan)"),
-           value_flag("--seed", "S", "sample / mission seed"),
-           value_flag("--hours", "H", "mission duration (default 24)"),
-           value_flag("--missions", "N", "fleet missions (default 8)"),
-           bool_flag("--flare", "solar-flare environment"),
-           bool_flag("--scrub-faults", "enable scrub-datapath fault models"),
-           value_flag("--scrub-policy", "NAME",
-                      "scrub policy for mission/fleet (fleet: list or 'all')"),
-           value_flag("--tenant", "NAME",
-                      "fair-share tenant identity for this submission "
-                      "(default: per-connection)"),
-           bool_flag("--progress", "stream progress frames to stderr"),
-           value_flag("--json", "FILE", "write the returned report JSON"),
-       }});
+       spec_flags(kSpecCampaign | kSpecMission | kSpecFleet, true,
+                  {value_flag("--socket", "PATH",
+                              "unix socket path (default /tmp/vscrubd.sock)"),
+                   bool_flag("--progress", "stream progress frames to stderr"),
+                   value_flag("--json", "FILE",
+                              "write the returned report JSON")})});
   commands.push_back(
       {"fleet-serve", "",
        "run the campaign-fabric coordinator (VSRP1 socket)",
@@ -166,27 +133,14 @@ std::vector<CliCommand> build_commands() {
   commands.push_back(
       {"fleet-submit", "<design>",
        "submit a sharded campaign to a fleet coordinator",
-       {
-           value_flag("--socket", "PATH",
-                      "coordinator socket (default /tmp/vscrub-coord.sock)"),
-           device_flag(),
-           value_flag("--sample", "N", "sample N random bits (default 20000)"),
-           bool_flag("--exhaustive", "inject every configuration bit"),
-           bool_flag("--persistence",
-                     "classify persistent vs transient failures"),
-           value_flag("--seed", "S", "sample seed"),
-           value_flag("--chunk", "N", "bits per scheduler chunk (0 = auto)"),
-           value_flag("--gang-width", "N",
-                      "bit-sliced gang lanes: 1..64, 256, 512 (default 64)"),
-           bool_flag("--no-gang", "scalar injections only (gang width 1)"),
-           value_flag("--gang-isa", "T",
-                      "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)"),
-           bool_flag("--no-gang-plan",
-                     "interpret gang settles (skip the compiled eval plan)"),
-           bool_flag("--no-prune", "disable influence-set pruning"),
-           bool_flag("--progress", "stream merged fabric progress to stderr"),
-           value_flag("--json", "FILE", "write the merged campaign report"),
-       }});
+       spec_flags(kSpecForward, true,
+                  {value_flag("--socket", "PATH",
+                              "coordinator socket (default "
+                              "/tmp/vscrub-coord.sock)"),
+                   bool_flag("--progress",
+                             "stream merged fabric progress to stderr"),
+                   value_flag("--json", "FILE",
+                              "write the merged campaign report")})});
   commands.push_back(
       {"info", "<image.vsb>", "describe a saved configuration image", {}});
   commands.push_back({"designs", "", "list built-in design generators", {}});
@@ -234,19 +188,43 @@ u64 CliArgs::option_u64(const std::string& name, u64 dflt) const {
   return dflt;
 }
 
-double CliArgs::option_double(const std::string& name, double dflt) const {
-  for (const auto& [k, v] : options) {
-    if (k == name) return std::atof(v.c_str());
-  }
-  return dflt;
-}
-
 std::vector<std::string> CliArgs::option_all(const std::string& name) const {
   std::vector<std::string> values;
   for (const auto& [k, v] : options) {
     if (k == name) values.push_back(v);
   }
   return values;
+}
+
+JsonReport cli_request(const CliArgs& args, const std::string& kind,
+                       const std::string& design) {
+  JsonReport request(kind);
+  if (!design.empty()) spec_set(request, spec_row(Param::kDesign), design);
+  for (const SpecRow& row : campaign_spec()) {
+    const std::string flag = row.flag();
+    if (args.flag(flag)) {
+      spec_set(request, row,
+               row.type == SpecType::kBool ? "true" : args.option(flag, ""));
+    }
+  }
+  return request;
+}
+
+CliCampaign cli_campaign(const CliArgs& args) {
+  VSCRUB_CHECK(!args.positional.empty(), "campaign needs a design name");
+  const FlatJson params = FlatJson::parse(
+      cli_request(args, "campaign_request", args.positional[0]).to_json());
+  CliCampaign out{request_design(spec_string(params, Param::kDesign),
+                                 spec_string(params, Param::kDevice))
+                      .design,
+                  campaign_options_from(params, RequestContext{})};
+  out.options.with_threads(
+      static_cast<unsigned>(args.option_u64("--threads", 0)));
+  const std::string checkpoint = args.option("--checkpoint", "");
+  if (!checkpoint.empty()) out.options.with_checkpoint(checkpoint);
+  const std::string cache_dir = args.option("--cache-dir", "");
+  if (!cache_dir.empty()) out.options.with_cache(cache_dir);
+  return out;
 }
 
 CliArgs cli_parse(const CliCommand& cmd,

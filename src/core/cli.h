@@ -1,21 +1,25 @@
 // Declarative command-line surface for vscrubctl. The command table — every
 // subcommand, its positionals and its flags — lives here in the library
-// rather than in the tool so the test suite can enforce the CLI contract:
+// rather than in the tool so the test suite can enforce the CLI contract
+// (campaign parameter flags are generated from svc/campaign_spec.h):
 // one flag-naming convention (long flags are lowercase `--kebab-case`), no
 // undeclared flags accepted, and `--help` output that lists every declared
 // flag of every subcommand.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "report/json.h"
+#include "seu/campaign.h"
 
 namespace vscrub {
 
 struct CliFlag {
-  std::string name;        ///< "--gang-width", "--json", "-o", ...
+  std::string name;        ///< "--json", "-o", ...
   bool takes_value = false;
   std::string value_name;  ///< "N", "FILE", ... (empty for boolean flags)
   std::string help;
@@ -44,7 +48,6 @@ struct CliArgs {
   bool flag(const std::string& name) const;
   std::string option(const std::string& name, const std::string& dflt) const;
   u64 option_u64(const std::string& name, u64 dflt) const;
-  double option_double(const std::string& name, double dflt) const;
   /// Every value of a repeatable flag, in command-line order (repeated
   /// flags accumulate in `options` — e.g. fleet-serve's --worker).
   std::vector<std::string> option_all(const std::string& name) const;
@@ -54,6 +57,21 @@ struct CliArgs {
 /// flags. Throws Error on an undeclared flag or a value flag with no value.
 CliArgs cli_parse(const CliCommand& cmd,
                   const std::vector<std::string>& argv);
+
+/// The served request a command line stands for: every campaign-spec flag
+/// the user gave, typed, plus `design` when non-empty. Flags not given are
+/// left out, so every path runs on the spec's defaults.
+JsonReport cli_request(const CliArgs& args, const std::string& kind,
+                       const std::string& design);
+
+/// A one-shot `campaign`/`recampaign` line run as its rendered request runs
+/// served (request_design, campaign_options_from), plus the local-only
+/// --threads, --checkpoint and --cache-dir.
+struct CliCampaign {
+  std::shared_ptr<const PlacedDesign> design;
+  CampaignOptions options;
+};
+CliCampaign cli_campaign(const CliArgs& args);
 
 /// Help text for one command: usage line plus one line per declared flag.
 std::string cli_help(const CliCommand& cmd);

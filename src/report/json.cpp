@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "bitstream/record_io.h"
+
 namespace vscrub {
 namespace {
 
@@ -102,15 +104,14 @@ std::string JsonReport::to_json() const {
 }
 
 bool JsonReport::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "report: cannot write %s\n", path.c_str());
+  const std::string json = to_json();
+  try {
+    write_file_atomic(path, json.data(), json.size());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "report: %s\n", e.what());
     return false;
   }
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return true;
 }
 
 }  // namespace vscrub

@@ -39,8 +39,8 @@ class JsonReport {
 
   /// The serialized object, `{\n  "name": value,\n ...}\n`.
   std::string to_json() const;
-  /// Writes to_json() to `path`. Returns false (with a warning on stderr)
-  /// when the file cannot be written; callers keep going.
+  /// Writes to_json() to `path` (write_file_atomic). Returns false (with a
+  /// warning on stderr) when the file cannot be written; callers keep going.
   bool write(const std::string& path) const;
 
  private:

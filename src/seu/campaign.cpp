@@ -37,16 +37,17 @@ u64 resolve_chunk_size(u64 requested, u64 n) {
 std::vector<u64> build_universe(const ConfigSpace& space,
                                 const CampaignOptions& options) {
   const u64 total_bits = space.total_bits();
+  const u64 n = universe_size(total_bits, options);
   std::vector<u64> bits;
-  if (options.sample_bits == 0 || options.sample_bits >= total_bits) {
+  if (n == total_bits) {
     bits.resize(total_bits);
     for (u64 i = 0; i < total_bits; ++i) bits[i] = i;
   } else {
     Rng rng(options.sample_seed);
-    bits.reserve(options.sample_bits);
+    bits.reserve(n);
     std::unordered_map<u64, u64> swapped;
-    swapped.reserve(options.sample_bits);
-    for (u64 i = 0; i < options.sample_bits; ++i) {
+    swapped.reserve(n);
+    for (u64 i = 0; i < n; ++i) {
       const u64 j = i + rng.uniform(total_bits - i);
       // Reserved above, so the emplace cannot rehash and `itj` stays valid.
       const auto itj = swapped.find(j);
@@ -105,6 +106,11 @@ CampaignCheckpoint to_checkpoint(const Aggregates& agg,
 }
 
 }  // namespace
+
+u64 universe_size(u64 total_bits, const CampaignOptions& options) {
+  const u64 n = options.sample_bits;
+  return n == 0 || n >= total_bits ? total_bits : n;
+}
 
 std::unordered_set<u64> CampaignResult::sensitive_set(
     const PlacedDesign& design) const {

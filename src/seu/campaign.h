@@ -279,6 +279,10 @@ struct CampaignResult {
   u64 sensitive_digest(const PlacedDesign& design) const;
 };
 
+/// Positions in the campaign's injection universe on a device of
+/// `total_bits`: the sample size, clamped to the device (0 = every bit).
+u64 universe_size(u64 total_bits, const CampaignOptions& options);
+
 /// Runs an injection campaign for a compiled design.
 CampaignResult run_campaign(const PlacedDesign& design,
                             const CampaignOptions& options);

@@ -1,7 +1,8 @@
 #include "seu/report.h"
 
-#include <cstdio>
 #include <sstream>
+
+#include "bitstream/record_io.h"
 
 namespace vscrub {
 
@@ -36,10 +37,7 @@ std::string campaign_summary(const CampaignResult& result) {
 }
 
 void write_text_file(const std::string& text, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  VSCRUB_CHECK(f != nullptr, "cannot open " + path + " for writing");
-  std::fputs(text.c_str(), f);
-  std::fclose(f);
+  write_file_atomic(path, text.data(), text.size());
 }
 
 JsonReport campaign_report_json(const PlacedDesign& design,

@@ -12,6 +12,7 @@
 #include "seu/report.h"
 #include "sim/simd.h"
 #include "store/verdict_store.h"
+#include "svc/campaign_spec.h"
 #include "system/fleet.h"
 
 namespace vscrub {
@@ -109,39 +110,34 @@ RequestDesign request_design(const std::string& design,
   return out;
 }
 
-namespace {
-
-/// Mirrors vscrubctl's campaign_options_from: same parameter names (with the
-/// CLI's dashes as underscores), same defaults, so a served request and the
-/// one-shot command run the identical campaign.
 CampaignOptions campaign_options_from(const FlatJson& params,
                                       const RequestContext& ctx) {
   const u32 gang_width =
-      params.get_bool("no_gang")
+      spec_bool(params, Param::kNoGang)
           ? 1u
-          : static_cast<u32>(
-                params.get_u64("gang_width", served_gang_width_default()));
+          : static_cast<u32>(spec_u64(params, Param::kGangWidth));
   // Validate the engine selection at submission: GangWidthError / SimdIsaError
   // (listing the widths/tiers this binary supports) surface as typed VSRP1
   // error frames here instead of aborting the campaign mid-run.
   if (gang_width >= 2) validate_gang_width(gang_width);
-  const std::string gang_isa = params.get_string("gang_isa", "auto");
+  const std::string gang_isa = spec_string(params, Param::kGangIsa);
   const SimdIsa requested_isa = parse_simd_isa(gang_isa);
   if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
   CampaignOptions options =
       CampaignOptions{}
-          .with_injection(InjectionOptions{}
-                              .with_persistence(params.get_bool("persistence"))
-                              .with_pruning(!params.get_bool("no_prune"))
-                              .with_gang_width(gang_width)
-                              .with_gang_isa(gang_isa)
-                              .with_gang_plan(!params.get_bool("no_gang_plan")))
-          .with_chunk_size(params.get_u64("chunk", 0));
-  if (params.get_bool("exhaustive")) {
+          .with_injection(
+              InjectionOptions{}
+                  .with_persistence(spec_bool(params, Param::kPersistence))
+                  .with_pruning(!spec_bool(params, Param::kNoPrune))
+                  .with_gang_width(gang_width)
+                  .with_gang_isa(gang_isa)
+                  .with_gang_plan(!spec_bool(params, Param::kNoGangPlan)))
+          .with_chunk_size(spec_u64(params, Param::kChunk));
+  if (spec_bool(params, Param::kExhaustive)) {
     options.with_exhaustive();
   } else {
-    options.with_sample(params.get_u64("sample", 20000),
-                        params.get_u64("seed", 99));
+    options.with_sample(spec_u64(params, Param::kSample),
+                        spec_u64(params, Param::kSeed));
   }
   if (ctx.store != nullptr) options.with_shared_store(ctx.store);
   if (ctx.pool != nullptr) options.with_shared_pool(ctx.pool);
@@ -177,53 +173,42 @@ CampaignOptions campaign_options_from(const FlatJson& params,
   return options;
 }
 
-}  // namespace
-
 u32 served_gang_width_default() { return preferred_gang_width(); }
 
 namespace {
 
-/// The request's design from the memo, with the memoized key plan when the
-/// campaign will key verdicts (a store or remote tier is attached).
-RequestDesign campaign_request_design(const FlatJson& params,
-                                      const RequestContext& ctx) {
-  const bool keyed = ctx.store != nullptr || ctx.remote_store != nullptr;
-  return request_design(
-      params.get_string("design", "lfsrmult"),
-      params.get_string("device", "campaign"),
-      keyed ? std::optional<bool>(params.get_bool("persistence"))
-            : std::nullopt);
-}
-
+/// A campaign or (`delta`) recampaign request on the memoized design, with
+/// the memoized key plan when the campaign will key verdicts (a store or
+/// remote tier is attached).
 JsonReport run_campaign_request(const FlatJson& params,
-                                const RequestContext& ctx) {
-  const RequestDesign rd = campaign_request_design(params, ctx);
-  const CampaignResult r = run_campaign(
-      *rd.design,
-      campaign_options_from(params, ctx).with_key_plan(rd.key_plan.get()));
-  return campaign_report_json(*rd.design, r);
-}
-
-JsonReport run_recampaign_request(const FlatJson& params,
-                                  const RequestContext& ctx) {
-  VSCRUB_CHECK(ctx.store != nullptr,
+                                const RequestContext& ctx, bool delta) {
+  VSCRUB_CHECK(!delta || ctx.store != nullptr,
                "recampaign requests need a server started with --cache-dir");
-  const RequestDesign rd = campaign_request_design(params, ctx);
-  const RecampaignResult rr = run_recampaign(
-      *rd.design,
-      campaign_options_from(params, ctx).with_key_plan(rd.key_plan.get()));
-  return recampaign_report_json(*rd.design, rr);
+  const bool keyed = ctx.store != nullptr || ctx.remote_store != nullptr;
+  const RequestDesign rd = request_design(
+      spec_string(params, Param::kDesign), spec_string(params, Param::kDevice),
+      keyed ? std::optional<bool>(spec_bool(params, Param::kPersistence))
+            : std::nullopt);
+  const CampaignOptions options =
+      campaign_options_from(params, ctx).with_key_plan(rd.key_plan.get());
+  if (delta) {
+    return recampaign_report_json(*rd.design,
+                                  run_recampaign(*rd.design, options));
+  }
+  return campaign_report_json(*rd.design, run_campaign(*rd.design, options));
 }
 
-/// Mirrors vscrubctl's apply_mission_flags (same environment scaling).
+/// The environment (scaled from the paper's XCV1000 rate to this device)
+/// and the scrub-datapath fault models of a mission or fleet request.
 void apply_mission_params(const FlatJson& params, PayloadOptions& options,
                           u64 total_bits) {
-  options.environment = params.get_bool("flare")
+  options.environment = spec_bool(params, Param::kFlare)
                             ? OrbitEnvironment::leo_solar_flare()
                             : OrbitEnvironment::leo_quiet();
   options.environment.upset_rate_per_bit_s *=
       static_cast<double>(kXcv1000PaperBits) / static_cast<double>(total_bits);
-  if (params.get_bool("scrub_faults")) {
+  if (spec_bool(params, Param::kScrubFaults)) {
+    // Paper-plausible fault rates for the scrub datapath and golden store.
     options.scrub.link_faults = ScrubLinkFaults::leo_profile();
     options.flash_faults = FlashFaultModel::leo_profile();
   }
@@ -235,7 +220,7 @@ void apply_mission_params(const FlatJson& params, PayloadOptions& options,
 RequestDesign mission_request_design(const FlatJson& params,
                                      const RequestContext& ctx) {
   return request_design(
-      "lfsrmult", params.get_string("device", "campaign"),
+      "lfsrmult", spec_string(params, Param::kDevice),
       ctx.store != nullptr ? std::optional<bool>(false) : std::nullopt);
 }
 
@@ -258,58 +243,71 @@ CampaignResult mission_sensitivity_campaign(const RequestDesign& rd,
 
 JsonReport run_mission_request(const FlatJson& params,
                                const RequestContext& ctx) {
-  const RequestDesign rd = mission_request_design(params, ctx);
-  const PlacedDesign& design = *rd.design;
-  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
-  PayloadOptions options;
-  apply_mission_params(params, options, design.space->total_bits());
-  const std::string policy = params.get_string("scrub_policy", "");
-  if (!policy.empty()) options.scrub.policy = make_scrub_policy(policy);
-  options.seed = params.get_u64("seed", 4242);
   MetricsRegistry metrics;
+  PayloadOptions options;
   options.metrics = &metrics;
-  Payload payload(design, options, camp.sensitive_set(design));
-  payload.run_mission(SimTime::hours(params.get_double("hours", 24)));
+  fly_mission(params, ctx, options);
   return mission_report_json(metrics);
 }
 
 JsonReport run_fleet_request(const FlatJson& params,
                              const RequestContext& ctx) {
-  const RequestDesign rd = mission_request_design(params, ctx);
-  const PlacedDesign& design = *rd.design;
-  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
-  FleetOptions options;
-  options.missions = static_cast<u32>(params.get_u64("missions", 8));
-  options.base_seed = params.get_u64("seed", 1);
-  options.threads = static_cast<u32>(params.get_u64("threads", 0));
-  options.duration = SimTime::hours(params.get_double("hours", 24));
-  apply_mission_params(params, options.payload, design.space->total_bits());
-  // Same spec grammar as `vscrubctl fleet --scrub-policy`: one name sets the
-  // sweep's policy; a comma list or "all" races them and returns the
-  // policy_race report, bit-identical to the one-shot CLI run.
-  const std::vector<std::string> policies =
-      parse_scrub_policy_list(params.get_string("scrub_policy", ""));
-  if (policies.size() > 1) {
-    PolicyRaceOptions ro;
-    ro.policies = policies;
-    ro.fleet = options;
-    return policy_race_report_json(
-        run_policy_race(design, camp.sensitive_set(design), ro));
-  }
-  if (policies.size() == 1) {
-    options.payload.scrub.policy = make_scrub_policy(policies[0]);
-  }
-  return fleet_report_json(
-      run_fleet(design, camp.sensitive_set(design), options));
+  const FleetRun run =
+      fly_fleet(params, ctx, static_cast<u32>(params.get_u64("threads", 0)));
+  return run.race.entries.empty() ? fleet_report_json(run.fleet)
+                                  : policy_race_report_json(run.race);
 }
 
 }  // namespace
 
+MissionReport fly_mission(const FlatJson& params, const RequestContext& ctx,
+                          PayloadOptions& options) {
+  const RequestDesign rd = mission_request_design(params, ctx);
+  const PlacedDesign& design = *rd.design;
+  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
+  apply_mission_params(params, options, design.space->total_bits());
+  const std::string policy = spec_string(params, Param::kScrubPolicy);
+  if (!policy.empty()) options.scrub.policy = make_scrub_policy(policy);
+  options.seed = spec_u64(params, Param::kSeed, 4242);
+  Payload payload(design, options, camp.sensitive_set(design));
+  return payload.run_mission(SimTime::hours(spec_double(params, Param::kHours)));
+}
+
+FleetRun fly_fleet(const FlatJson& params, const RequestContext& ctx,
+                   u32 threads) {
+  const RequestDesign rd = mission_request_design(params, ctx);
+  const PlacedDesign& design = *rd.design;
+  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
+  FleetRun run;
+  FleetOptions& options = run.options;
+  options.missions = static_cast<u32>(spec_u64(params, Param::kMissions));
+  options.base_seed = spec_u64(params, Param::kSeed, 1);
+  options.threads = threads;
+  options.duration = SimTime::hours(spec_double(params, Param::kHours));
+  apply_mission_params(params, options.payload, design.space->total_bits());
+  // Same grammar as `vscrubctl fleet --scrub-policy`: one name sets the
+  // sweep's policy; a comma list or "all" races them.
+  const std::vector<std::string> policies =
+      parse_scrub_policy_list(spec_string(params, Param::kScrubPolicy));
+  if (policies.size() > 1) {
+    PolicyRaceOptions ro;
+    ro.policies = policies;
+    ro.fleet = options;
+    run.race = run_policy_race(design, camp.sensitive_set(design), ro);
+    return run;
+  }
+  if (policies.size() == 1) {
+    options.payload.scrub.policy = make_scrub_policy(policies[0]);
+  }
+  run.fleet = run_fleet(design, camp.sensitive_set(design), options);
+  return run;
+}
+
 JsonReport execute_request(FrameKind kind, const FlatJson& params,
                            const RequestContext& ctx) {
   switch (kind) {
-    case FrameKind::kCampaign: return run_campaign_request(params, ctx);
-    case FrameKind::kRecampaign: return run_recampaign_request(params, ctx);
+    case FrameKind::kCampaign: return run_campaign_request(params, ctx, false);
+    case FrameKind::kRecampaign: return run_campaign_request(params, ctx, true);
     case FrameKind::kMission: return run_mission_request(params, ctx);
     case FrameKind::kFleet: return run_fleet_request(params, ctx);
     default:

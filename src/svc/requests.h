@@ -17,6 +17,7 @@
 #include "report/json.h"
 #include "seu/campaign.h"
 #include "svc/protocol.h"
+#include "system/fleet.h"
 
 namespace vscrub {
 
@@ -82,12 +83,36 @@ struct RequestContext {
   RemoteVerdictClient* remote_store = nullptr;
 };
 
-/// The gang width served work defaults to when a request does not pick one:
-/// the widest lane width the auto-resolved SIMD tier runs natively (512 on
-/// AVX-512, 256 on AVX2, 64 on scalar). Width never changes verdicts or
-/// digests — the differential suite proves that — so the service defaults to
-/// the fastest engine while `vscrubctl campaign` keeps its historical 64.
+/// The gang width a campaign defaults to on every path (the campaign spec's
+/// gang_width default): the widest lane width the auto-resolved SIMD tier
+/// runs natively (512 on AVX-512, 256 on AVX2, 64 on scalar). Width never
+/// changes verdicts — the differential suite proves that.
 u32 served_gang_width_default();
+
+/// A campaign/recampaign request's options: its campaign-spec parameters
+/// with the row defaults, its fabric range, and the context's wiring. The
+/// one-shot commands build theirs here too. Throws GangWidthError /
+/// SimdIsaError on an unsupported engine selection.
+CampaignOptions campaign_options_from(const FlatJson& params,
+                                      const RequestContext& ctx);
+
+/// Flies a mission request: lfsrmult on the request's device, judged
+/// against its sensitivity campaign (on the context's pool and store), with
+/// the request's payload settings. `options` brings the caller's metrics and
+/// trace sinks and returns the settings the mission flew with.
+MissionReport fly_mission(const FlatJson& params, const RequestContext& ctx,
+                          PayloadOptions& options);
+
+/// A fleet request's seed sweep over `threads` workers: run_fleet, or —
+/// when scrub_policy names several policies (or "all") — run_policy_race,
+/// whose entries are then non-empty.
+struct FleetRun {
+  FleetOptions options;
+  FleetResult fleet;
+  PolicyRaceResult race;
+};
+FleetRun fly_fleet(const FlatJson& params, const RequestContext& ctx,
+                   u32 threads);
 
 /// Executes one work request and returns its report (the same JSON the
 /// corresponding `vscrubctl <op> --json` writes). `kind` must be one of

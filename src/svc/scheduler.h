@@ -1,7 +1,7 @@
 // Weighted fair-share admission scheduling for the campaign service: stride
 // scheduling over per-tenant lanes.
 //
-// Each tenant (a client identity or an explicit "tenant" request parameter)
+// Each tenant (a client identity or an explicit tenant request parameter)
 // owns one FIFO lane with a virtual-time `pass`. pop() always dispatches the
 // non-empty lane with the smallest pass (lexicographic tenant order breaks
 // ties, so the schedule is deterministic for a given arrival order), then

@@ -6,7 +6,9 @@
 #include <optional>
 #include <utility>
 
+#include "bitstream/record_io.h"
 #include "common/log.h"
+#include "svc/campaign_spec.h"
 #include "svc/requests.h"
 #include "svc/store_wire.h"
 
@@ -127,7 +129,7 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
   try {
     const FlatJson params = FlatJson::parse(
         request.payload.empty() ? "{}" : request.payload);
-    tenant = params.get_string("tenant", "");
+    tenant = spec_string(params, Param::kTenant);
   } catch (const Error& e) {
     {
       std::lock_guard mlock(metrics_mutex_);
@@ -438,8 +440,9 @@ bool CampaignService::run_job(Job& job) {
     }
     if (params.has("resume_checkpoint")) {
       try {
-        write_file_bytes(ctx.checkpoint_path,
-                         hex_decode(params.get_string("resume_checkpoint")));
+        const std::vector<u8> blob =
+            hex_decode(params.get_string("resume_checkpoint"));
+        write_file_atomic(ctx.checkpoint_path, blob.data(), blob.size());
       } catch (const Error& e) {
         reply(job.emit, FrameKind::kError, id,
               error_report("bad_request", e.what()));

@@ -5,7 +5,7 @@
 // around this; the loopback tests drive it directly.
 //
 // Admission is weighted fair-share, not FIFO: every job lands in its
-// tenant's lane (an explicit "tenant" request parameter, else the issuing
+// tenant's lane (an explicit tenant request parameter, else the issuing
 // connection) and executors dispatch lanes by stride scheduling
 // (svc/scheduler.h), so one client flooding the queue cannot starve
 // everyone else — it can only fill its own share.
@@ -153,7 +153,7 @@ class CampaignService : public FrameService {
     /// bookkeeping and checkpoint filenames, immune to request-id collisions
     /// between connections.
     u64 job_id = 0;
-    /// Scheduler lane: the request's "tenant" parameter when given, else
+    /// Scheduler lane: the request's tenant parameter when given, else
     /// the issuing connection's identity.
     std::string tenant;
     /// False until the first dispatch. A cancel that lands on a never-run

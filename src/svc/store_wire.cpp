@@ -116,19 +116,6 @@ bool read_file_bytes(const std::string& path, std::vector<u8>* out) {
   return ok;
 }
 
-void write_file_bytes(const std::string& path, std::span<const u8> bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  VSCRUB_CHECK(f != nullptr, "cannot open for write: " + tmp);
-  const bool wrote =
-      bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                           bytes.size();
-  const bool closed = std::fclose(f) == 0;
-  VSCRUB_CHECK(wrote && closed, "short write: " + tmp);
-  VSCRUB_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot rename into place: " + path);
-}
-
 std::string encode_store_keys(const std::vector<VerdictKey>& keys) {
   std::string out;
   out.reserve(keys.size() * 34);

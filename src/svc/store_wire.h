@@ -23,11 +23,10 @@ namespace vscrub {
 std::string hex_encode(std::span<const u8> bytes);
 std::vector<u8> hex_decode(const std::string& text);
 
-/// Whole-file byte IO for checkpoint shipping. Reading returns false when
-/// the file is missing or unreadable; writing is atomic (tmp + rename, like
-/// every record writer) and throws Error on failure.
+/// Whole-file read for checkpoint shipping: false when the file is missing
+/// or unreadable. (Writes go through bitstream/record_io's
+/// write_file_atomic.)
 bool read_file_bytes(const std::string& path, std::vector<u8>* out);
-void write_file_bytes(const std::string& path, std::span<const u8> bytes);
 
 /// "hi:lo,hi:lo,..." (hex). Empty string = no keys.
 std::string encode_store_keys(const std::vector<VerdictKey>& keys);

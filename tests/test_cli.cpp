@@ -7,6 +7,7 @@
 #include <cctype>
 
 #include "core/cli.h"
+#include "svc/protocol.h"
 #include "sim/simd.h"
 
 namespace vscrub {
@@ -164,6 +165,54 @@ TEST(Cli, GangWidthAndIsaValuesRejectWithTypedErrors) {
     const std::string what = e.what();
     EXPECT_NE(what.find("sse9"), std::string::npos) << what;
     EXPECT_NE(what.find("scalar"), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, OneShotCampaignTakesTheSubmitSeed) {
+  // One-shot campaigns used to hard-wire the sample seed; now --seed is a
+  // campaign flag everywhere, with submit's default of 99.
+  const CliCommand* campaign = cli_find("campaign");
+  ASSERT_NE(campaign, nullptr);
+  const CliArgs seeded =
+      cli_parse(*campaign, {"lfsrmult", "--seed", "7", "--sample", "500"});
+  EXPECT_EQ(cli_campaign(seeded).options.sample_seed, 7u);
+  const CliArgs bare = cli_parse(*campaign, {"lfsrmult"});
+  EXPECT_EQ(cli_campaign(bare).options.sample_seed, 99u);
+  EXPECT_NO_THROW(
+      cli_parse(*cli_find("recampaign"), {"lfsrmult", "--seed", "7"}));
+}
+
+TEST(Cli, SubmitTakesChunkAndNoPrune) {
+  const CliCommand* submit = cli_find("submit");
+  ASSERT_NE(submit, nullptr);
+  const CliArgs args = cli_parse(
+      *submit, {"campaign", "lfsrmult", "--chunk", "64", "--no-prune"});
+  const FlatJson request = FlatJson::parse(
+      cli_request(args, "campaign_request", "lfsrmult").to_json());
+  EXPECT_EQ(request.get_u64("chunk"), 64u);
+  EXPECT_TRUE(request.get_bool("no_prune"));
+}
+
+TEST(Cli, FleetSubmitTakesTenant) {
+  const CliCommand* fleet_submit = cli_find("fleet-submit");
+  ASSERT_NE(fleet_submit, nullptr);
+  const CliArgs args =
+      cli_parse(*fleet_submit, {"lfsrmult", "--tenant", "alice"});
+  EXPECT_EQ(args.option("--tenant", ""), "alice");
+}
+
+TEST(Cli, OneShotGangWidthDefaultIsTheServedDefault) {
+  const CliArgs args = cli_parse(*cli_find("campaign"), {"lfsrmult"});
+  EXPECT_EQ(cli_campaign(args).options.injection.gang_width,
+            preferred_gang_width());
+  const std::string dflt =
+      "default " + std::to_string(preferred_gang_width());
+  for (const char* name :
+       {"campaign", "recampaign", "submit", "fleet-submit"}) {
+    for (const CliFlag& f : cli_find(name)->flags) {
+      if (f.name != "--gang-width") continue;
+      EXPECT_NE(f.help.find(dflt), std::string::npos) << name << ": " << f.help;
+    }
   }
 }
 

@@ -181,10 +181,10 @@ TEST(SimTime, ArithmeticAndConversions) {
   EXPECT_NEAR(acc.ms(), 214.0, 1e-9);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
+TEST(ThreadPool, ParallelChunksCoverRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](u64 begin, u64 end) {
+  pool.parallel_chunks(1000, 37, [&](u64 begin, u64 end, unsigned) {
     for (u64 i = begin; i < end; ++i) hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -225,7 +225,7 @@ TEST(ThreadPool, ParallelWorkRunsInlineOnStoppedPool) {
   // A drained daemon must still complete parallel work (inline on the
   // caller) rather than deadlock waiting on workers that are gone.
   std::vector<int> hits(100, 0);
-  pool.parallel_for(100, [&](u64 begin, u64 end) {
+  pool.parallel_chunks(100, 1, [&](u64 begin, u64 end, unsigned) {
     for (u64 i = begin; i < end; ++i) ++hits[i];
   });
   std::atomic<u64> total{0};

@@ -16,6 +16,7 @@
 #include "sim/simd.h"
 #include "fleet_common.h"
 #include "serve_common.h"
+#include "svc/campaign_spec.h"
 #include "svc/client.h"
 #include "svc/requests.h"
 
@@ -23,17 +24,25 @@ using namespace vscrub;
 
 namespace {
 
-// The name catalogs live in svc/requests so the serving layer resolves the
-// exact same designs and devices this CLI does.
-Netlist make_design(const std::string& name) { return design_by_name(name); }
+/// The --device geometry (svc/requests' catalog, shared with the service).
+DeviceGeometry device_of(
+    const CliArgs& args,
+    const std::string& dflt = spec_row(Param::kDevice).dflt) {
+  return device_by_name(args.option(spec_row(Param::kDevice).flag(), dflt));
+}
 
-DeviceGeometry make_device(const std::string& name) {
-  return device_by_name(name);
+/// Writes the --json report; a failed write throws, so the command exits 1.
+void write_json(const JsonReport& report, const CliArgs& args,
+                const char* what) {
+  const std::string path = args.option("--json", "");
+  if (path.empty()) return;
+  write_text_file(report.to_json(), path);
+  std::printf("wrote %s report to %s\n", what, path.c_str());
 }
 
 int cmd_compile(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "compile needs a design name");
-  Netlist nl = make_design(args.positional[0]);
+  Netlist nl = design_by_name(args.positional[0]);
   if (args.flag("--tmr")) nl = apply_tmr(nl);
   PnrOptions options;
   if (args.flag("--raddrc")) {
@@ -41,9 +50,7 @@ int cmd_compile(const CliArgs& args) {
   }
   const auto design =
       compile(std::make_shared<const Netlist>(std::move(nl)),
-              std::make_shared<const ConfigSpace>(
-                  make_device(args.option("--device", "campaign"))),
-              options);
+              std::make_shared<const ConfigSpace>(device_of(args)), options);
   std::printf("compiled %-22s %5zu slices (%.1f%%), %zu wires, %d router "
               "iterations\n",
               design.netlist->name().c_str(), design.stats.slices_used,
@@ -59,55 +66,6 @@ int cmd_compile(const CliArgs& args) {
                 design.bitstream.frame_count());
   }
   return 0;
-}
-
-CampaignOptions campaign_options_from(const CliArgs& args) {
-  // --no-gang forces every injection down the scalar path (gang width 1);
-  // --gang-width picks the lanes packed per bit-sliced run (default 64);
-  // --gang-isa pins the SIMD tier; --no-gang-plan interprets settles.
-  const u32 gang_width =
-      args.flag("--no-gang")
-          ? 1u
-          : static_cast<u32>(args.option_u64("--gang-width", 64));
-  // Reject unsupported widths/tiers before any work starts: GangWidthError /
-  // SimdIsaError carry the full supported list in their message.
-  if (gang_width >= 2) validate_gang_width(gang_width);
-  const std::string gang_isa = args.option("--gang-isa", "auto");
-  const SimdIsa requested_isa = parse_simd_isa(gang_isa);
-  if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
-  CampaignOptions options =
-      CampaignOptions{}
-          .with_injection(InjectionOptions{}
-                              .with_persistence(args.flag("--persistence"))
-                              .with_pruning(!args.flag("--no-prune"))
-                              .with_gang_width(gang_width)
-                              .with_gang_isa(gang_isa)
-                              .with_gang_plan(!args.flag("--no-gang-plan")))
-          .with_threads(static_cast<unsigned>(args.option_u64("--threads", 0)))
-          .with_chunk_size(args.option_u64("--chunk", 0));
-  if (args.flag("--exhaustive")) {
-    options.with_exhaustive();
-  } else {
-    options.with_sample(args.option_u64("--sample", 20000));
-  }
-  const std::string checkpoint = args.option("--checkpoint", "");
-  if (!checkpoint.empty()) options.with_checkpoint(checkpoint);
-  const std::string cache_dir = args.option("--cache-dir", "");
-  if (!cache_dir.empty()) options.with_cache(cache_dir);
-  if (args.flag("--progress")) {
-    options.with_progress([](const CampaignProgress& p) {
-      std::fprintf(stderr,
-                   "\r%llu/%llu bits  %llu failures  %llu cached  "
-                   "%.0f bits/s  ETA %.0f s   ",
-                   static_cast<unsigned long long>(p.injections_done),
-                   static_cast<unsigned long long>(p.injections_total),
-                   static_cast<unsigned long long>(p.failures),
-                   static_cast<unsigned long long>(p.cache_hits), p.bits_per_s,
-                   p.eta_s);
-      return true;
-    });
-  }
-  return options;
 }
 
 void print_campaign_result(const CampaignResult& r, bool persistence) {
@@ -146,31 +104,38 @@ void print_campaign_result(const CampaignResult& r, bool persistence) {
   if (r.interrupted) std::printf("campaign interrupted; checkpoint saved\n");
 }
 
-int cmd_campaign(const CliArgs& args) {
-  VSCRUB_CHECK(!args.positional.empty(), "campaign needs a design name");
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(make_design(args.positional[0]));
-  const CampaignOptions options = campaign_options_from(args);
-  const auto r = bench.campaign(design, options);
-  if (args.flag("--progress")) std::fprintf(stderr, "\n");
-  print_campaign_result(r, options.injection.classify_persistence);
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty() && campaign_report_json(design, r).write(json_path)) {
-    std::printf("wrote campaign report to %s\n", json_path.c_str());
-  }
-  return 0;
-}
-
-int cmd_recampaign(const CliArgs& args) {
-  VSCRUB_CHECK(!args.positional.empty(), "recampaign needs a design name");
+/// One-shot `campaign` and (`delta`) `recampaign`, run as served.
+int cmd_campaign(const CliArgs& args, bool delta) {
   const std::string cache_dir = args.option("--cache-dir", "");
-  VSCRUB_CHECK(!cache_dir.empty(), "recampaign needs --cache-dir DIR");
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(make_design(args.positional[0]));
-  const CampaignOptions options = campaign_options_from(args);
-  const auto r = bench.recampaign(design, cache_dir, options);
-  if (args.flag("--progress")) std::fprintf(stderr, "\n");
-  print_campaign_result(r.result, options.injection.classify_persistence);
+  VSCRUB_CHECK(!delta || !cache_dir.empty(),
+               "recampaign needs --cache-dir DIR");
+  CliCampaign c = cli_campaign(args);
+  const bool progress = args.flag("--progress");
+  if (progress) {
+    c.options.with_progress([](const CampaignProgress& p) {
+      std::fprintf(stderr,
+                   "\r%llu/%llu bits  %llu failures  %llu cached  "
+                   "%.0f bits/s  ETA %.0f s   ",
+                   static_cast<unsigned long long>(p.injections_done),
+                   static_cast<unsigned long long>(p.injections_total),
+                   static_cast<unsigned long long>(p.failures),
+                   static_cast<unsigned long long>(p.cache_hits), p.bits_per_s,
+                   p.eta_s);
+      return true;
+    });
+  }
+  const PlacedDesign& design = *c.design;
+  const bool persistence = c.options.injection.classify_persistence;
+  if (!delta) {
+    const CampaignResult r = run_campaign(design, c.options);
+    if (progress) std::fprintf(stderr, "\n");
+    print_campaign_result(r, persistence);
+    write_json(campaign_report_json(design, r), args, "campaign");
+    return 0;
+  }
+  const RecampaignResult r = run_recampaign(design, c.options);
+  if (progress) std::fprintf(stderr, "\n");
+  print_campaign_result(r.result, persistence);
   if (r.had_prior) {
     std::printf("delta: %llu/%llu frames changed, reuse %.1f%%, "
                 "speedup vs prior %.1fx, sensitive set %s\n",
@@ -182,17 +147,14 @@ int cmd_recampaign(const CliArgs& args) {
     std::printf("no prior manifest in %s; ran cold and seeded the store\n",
                 cache_dir.c_str());
   }
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty() && recampaign_report_json(design, r).write(json_path)) {
-    std::printf("wrote recampaign report to %s\n", json_path.c_str());
-  }
+  write_json(recampaign_report_json(design, r), args, "recampaign");
   return 0;
 }
 
 int cmd_beam(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "beam needs a design name");
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(make_design(args.positional[0]));
+  Workbench bench(device_of(args));
+  const auto design = bench.compile(design_by_name(args.positional[0]));
   CampaignOptions copts;
   copts.sample_bits = 15000;
   copts.record_sampled_bits = true;
@@ -210,20 +172,6 @@ int cmd_beam(const CliArgs& args) {
   return 0;
 }
 
-void apply_mission_flags(const CliArgs& args, PayloadOptions& options,
-                         u64 total_bits) {
-  options.environment = args.flag("--flare")
-                            ? OrbitEnvironment::leo_solar_flare()
-                            : OrbitEnvironment::leo_quiet();
-  options.environment.upset_rate_per_bit_s *=
-      static_cast<double>(kXcv1000PaperBits) / static_cast<double>(total_bits);
-  if (args.flag("--scrub-faults")) {
-    // Paper-plausible fault rates for the scrub datapath and golden store.
-    options.scrub.link_faults = ScrubLinkFaults::leo_profile();
-    options.flash_faults = FlashFaultModel::leo_profile();
-  }
-}
-
 void print_fleet_line(const std::string& label, const FleetResult& r) {
   std::printf("%-14s availability %.6f +/- %.6f  mttr %8.1f ms  "
               "bw %8.0f B/s  repaired %llu\n",
@@ -233,25 +181,16 @@ void print_fleet_line(const std::string& label, const FleetResult& r) {
 }
 
 int cmd_mission(const CliArgs& args) {
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(designs::lfsr_multiplier(10));
-  CampaignOptions copts;
-  copts.sample_bits = 10000;
-  const auto camp = bench.campaign(design, copts);
-  PayloadOptions options;
-  apply_mission_flags(args, options, design.space->total_bits());
-  options.seed = args.option_u64("--seed", 4242);
-  const std::string policy = args.option("--scrub-policy", "");
-  if (!policy.empty()) options.scrub.policy = make_scrub_policy(policy);
+  const FlatJson params =
+      FlatJson::parse(cli_request(args, "mission_request", "").to_json());
   MetricsRegistry metrics;
   EventTrace trace;
   const std::string trace_path = args.option("--trace", "");
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty()) options.metrics = &metrics;
+  PayloadOptions options;
+  if (args.flag("--json")) options.metrics = &metrics;
   if (!trace_path.empty()) options.trace = &trace;
-  Payload payload(design, options, camp.sensitive_set(design));
-  const double hours = args.option_double("--hours", 24);
-  const auto r = payload.run_mission(SimTime::hours(hours));
+  const auto r = fly_mission(params, RequestContext{}, options);
+  const double hours = spec_double(params, Param::kHours);
   std::printf("%.0f h mission (%s): %llu upsets, %llu detected, %llu "
               "repaired, availability %.5f\n",
               hours, options.environment.name.c_str(),
@@ -274,50 +213,30 @@ int cmd_mission(const CliArgs& args) {
     std::printf("wrote %zu trace events to %s\n", trace.size(),
                 trace_path.c_str());
   }
-  if (!json_path.empty() && mission_report_json(metrics).write(json_path)) {
-    std::printf("wrote mission report to %s\n", json_path.c_str());
-  }
+  write_json(mission_report_json(metrics), args, "mission");
   return 0;
 }
 
 int cmd_fleet(const CliArgs& args) {
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(designs::lfsr_multiplier(10));
-  CampaignOptions copts;
-  copts.sample_bits = 10000;
-  const auto camp = bench.campaign(design, copts);
-  FleetOptions options;
-  options.missions = static_cast<u32>(args.option_u64("--missions", 8));
-  options.base_seed = args.option_u64("--seed", 1);
-  options.threads = static_cast<u32>(args.option_u64("--threads", 0));
-  options.duration = SimTime::hours(args.option_double("--hours", 24));
-  apply_mission_flags(args, options.payload, design.space->total_bits());
-  const std::vector<std::string> policies =
-      parse_scrub_policy_list(args.option("--scrub-policy", ""));
-  if (policies.size() > 1) {
+  const FlatJson params =
+      FlatJson::parse(cli_request(args, "fleet_request", "").to_json());
+  const FleetRun run = fly_fleet(
+      params, RequestContext{},
+      static_cast<u32>(args.option_u64("--threads", 0)));
+  const FleetOptions& options = run.options;
+  if (!run.race.entries.empty()) {
     // Race mode: the same seed sweep once per policy.
-    PolicyRaceOptions ro;
-    ro.policies = policies;
-    ro.fleet = options;
-    const auto race = bench.policy_race(design, camp.sensitive_set(design), ro);
     std::printf("%u missions x %.0f h (%s), %zu policies:\n", options.missions,
                 options.duration.sec() / 3600.0,
                 options.payload.environment.name.c_str(),
-                race.entries.size());
-    for (const PolicyRaceEntry& e : race.entries) {
+                run.race.entries.size());
+    for (const PolicyRaceEntry& e : run.race.entries) {
       print_fleet_line(e.policy, e.fleet);
     }
-    const std::string json_path = args.option("--json", "");
-    if (!json_path.empty() &&
-        policy_race_report_json(race).write(json_path)) {
-      std::printf("wrote policy race report to %s\n", json_path.c_str());
-    }
+    write_json(policy_race_report_json(run.race), args, "policy race");
     return 0;
   }
-  if (policies.size() == 1) {
-    options.payload.scrub.policy = make_scrub_policy(policies[0]);
-  }
-  const auto r = bench.fleet(design, camp.sensitive_set(design), options);
+  const FleetResult& r = run.fleet;
   std::printf("%u missions x %.0f h (%s): %llu upsets, %llu detected, %llu "
               "repaired\n",
               options.missions, options.duration.sec() / 3600.0,
@@ -335,16 +254,13 @@ int cmd_fleet(const CliArgs& args) {
               static_cast<unsigned long long>(r.false_repairs),
               static_cast<unsigned long long>(r.scrub_transfer_timeouts),
               static_cast<unsigned long long>(r.flash_escalations));
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty() && fleet_report_json(r).write(json_path)) {
-    std::printf("wrote fleet report to %s\n", json_path.c_str());
-  }
+  write_json(fleet_report_json(r), args, "fleet");
   return 0;
 }
 
 int cmd_bist(const CliArgs& args) {
   auto space = std::make_shared<const ConfigSpace>(
-      make_device(args.option("--device", "tiny:8x12")));
+      device_of(args, "tiny:8x12"));
   FabricSim fabric(space);
   const auto wire = run_wire_test(space, fabric);
   std::printf("wire test: %s (%d reconfigs, %d readbacks, %.0f ms modeled)\n",
@@ -369,52 +285,58 @@ int cmd_version(const CliArgs&) {
 }
 
 FrameKind submit_kind(const std::string& op) {
-  if (op == "ping") return FrameKind::kPing;
-  if (op == "stats") return FrameKind::kStats;
-  if (op == "campaign") return FrameKind::kCampaign;
-  if (op == "recampaign") return FrameKind::kRecampaign;
-  if (op == "mission") return FrameKind::kMission;
-  if (op == "fleet") return FrameKind::kFleet;
+  for (const FrameKind kind :
+       {FrameKind::kPing, FrameKind::kStats, FrameKind::kCampaign,
+        FrameKind::kRecampaign, FrameKind::kMission, FrameKind::kFleet}) {
+    if (op == frame_kind_name(kind)) return kind;
+  }
   throw Error("unknown submit op '" + op +
               "' (ping stats campaign recampaign mission fleet)");
 }
 
-// Request parameters mirror the one-shot commands' flags (underscored), and
-// are only set when given on the command line — the server's defaults are
-// the CLI's defaults, so a bare submit equals a bare one-shot run.
-std::string submit_payload(const CliArgs& args, const std::string& op) {
-  JsonReport req(op + "_request");
-  if (args.positional.size() > 1) req.set_string("design", args.positional[1]);
-  req.set_string("device", args.option("--device", "campaign"));
-  if (args.flag("--exhaustive")) {
-    req.set_bool("exhaustive", true);
-  } else if (args.flag("--sample")) {
-    req.set_u64("sample", args.option_u64("--sample", 20000));
+unsigned long long field(const FlatJson& p, const char* name) {
+  return static_cast<unsigned long long>(p.get_u64(name));
+}
+
+/// Sends the rendered command line (ping and stats carry none) to `peer`
+/// and reports the reply: busy exits 3, an error 1; a result goes to stdout
+/// and --json. `print_progress` renders the --progress frames on stderr.
+int call_and_report(const CliArgs& args, const std::string& socket,
+                    FrameKind kind, const std::string& request_kind,
+                    const std::string& design, const char* peer,
+                    void (*print_progress)(const FlatJson&)) {
+  const bool progress = args.flag("--progress");
+  std::string payload;
+  if (kind != FrameKind::kPing && kind != FrameKind::kStats) {
+    JsonReport request = cli_request(args, request_kind, design);
+    if (progress) request.set_bool("progress", true);
+    payload = request.to_json();
   }
-  if (args.flag("--persistence")) req.set_bool("persistence", true);
-  if (args.flag("--no-gang")) req.set_bool("no_gang", true);
-  if (args.flag("--gang-width")) {
-    req.set_u64("gang_width", args.option_u64("--gang-width", 64));
+  ServiceClient client = ServiceClient::connect_unix(socket);
+  const Frame reply =
+      client.call(kind, payload, [progress, print_progress](const Frame& f) {
+        if (progress && f.kind == FrameKind::kProgress) {
+          print_progress(FlatJson::parse(f.payload));
+        }
+      });
+  if (progress) std::fprintf(stderr, "\n");
+  if (reply.kind == FrameKind::kBusy) {
+    const FlatJson busy = FlatJson::parse(reply.payload);
+    std::fprintf(stderr, "vscrubctl: %s busy (%s); retry in %llu ms\n", peer,
+                 busy.get_string("reason", "busy").c_str(),
+                 field(busy, "retry_after_ms"));
+    return 3;
   }
-  if (args.flag("--gang-isa")) {
-    req.set_string("gang_isa", args.option("--gang-isa", "auto"));
+  if (reply.kind == FrameKind::kError) {
+    std::fprintf(stderr, "vscrubctl: %s error: %s\n", peer,
+                 FlatJson::parse(reply.payload)
+                     .get_string("error", "unknown").c_str());
+    return 1;
   }
-  if (args.flag("--no-gang-plan")) req.set_bool("no_gang_plan", true);
-  if (args.flag("--seed")) req.set_u64("seed", args.option_u64("--seed", 0));
-  if (args.flag("--hours")) req.set("hours", args.option_double("--hours", 24));
-  if (args.flag("--missions")) {
-    req.set_u64("missions", args.option_u64("--missions", 8));
-  }
-  if (args.flag("--flare")) req.set_bool("flare", true);
-  if (args.flag("--scrub-faults")) req.set_bool("scrub_faults", true);
-  if (args.flag("--scrub-policy")) {
-    req.set_string("scrub_policy", args.option("--scrub-policy", ""));
-  }
-  if (args.flag("--progress")) req.set_bool("progress", true);
-  if (args.flag("--tenant")) {
-    req.set_string("tenant", args.option("--tenant", ""));
-  }
-  return req.to_json();
+  std::fputs(reply.payload.c_str(), stdout);
+  const std::string json_path = args.option("--json", "");
+  if (!json_path.empty()) write_text_file(reply.payload, json_path);
+  return 0;
 }
 
 int cmd_submit(const CliArgs& args) {
@@ -422,107 +344,28 @@ int cmd_submit(const CliArgs& args) {
                "submit needs an op (ping|stats|campaign|recampaign|mission|"
                "fleet)");
   const std::string op = args.positional[0];
-  const FrameKind kind = submit_kind(op);
-  ServiceClient client =
-      ServiceClient::connect_unix(args.option("--socket", "/tmp/vscrubd.sock"));
-  const bool progress = args.flag("--progress");
-  const auto event = [progress](const Frame& f) {
-    if (!progress || f.kind != FrameKind::kProgress) return;
-    const FlatJson p = FlatJson::parse(f.payload);
-    std::fprintf(stderr, "\r%llu/%llu bits  %llu failures  %llu cached   ",
-                 static_cast<unsigned long long>(p.get_u64("injections_done")),
-                 static_cast<unsigned long long>(p.get_u64("injections_total")),
-                 static_cast<unsigned long long>(p.get_u64("failures")),
-                 static_cast<unsigned long long>(p.get_u64("cache_hits")));
-  };
-  const bool immediate = kind == FrameKind::kPing || kind == FrameKind::kStats;
-  const Frame reply =
-      client.call(kind, immediate ? "" : submit_payload(args, op), event);
-  if (progress) std::fprintf(stderr, "\n");
-  if (reply.kind == FrameKind::kBusy) {
-    const FlatJson busy = FlatJson::parse(reply.payload);
-    std::fprintf(stderr, "vscrubctl: server busy (%s); retry in %llu ms\n",
-                 busy.get_string("reason", "busy").c_str(),
-                 static_cast<unsigned long long>(
-                     busy.get_u64("retry_after_ms", 0)));
-    return 3;
-  }
-  if (reply.kind == FrameKind::kError) {
-    std::fprintf(stderr, "vscrubctl: server error: %s\n",
-                 FlatJson::parse(reply.payload)
-                     .get_string("error", "unknown").c_str());
-    return 1;
-  }
-  std::fputs(reply.payload.c_str(), stdout);
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty()) write_text_file(reply.payload, json_path);
-  return 0;
+  return call_and_report(
+      args, args.option("--socket", "/tmp/vscrubd.sock"), submit_kind(op),
+      op + "_request", args.positional.size() > 1 ? args.positional[1] : "",
+      "server", [](const FlatJson& p) {
+        std::fprintf(stderr, "\r%llu/%llu bits  %llu failures  %llu cached   ",
+                     field(p, "injections_done"), field(p, "injections_total"),
+                     field(p, "failures"), field(p, "cache_hits"));
+      });
 }
 
 int cmd_fleet_submit(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "fleet-submit needs a design name");
-  // Same underscored parameter convention as cmd_submit: only flags given
-  // on the command line are set, so the coordinator's (= worker's) defaults
-  // are the CLI's defaults.
-  JsonReport req("fleet_campaign_request");
-  req.set_string("design", args.positional[0]);
-  req.set_string("device", args.option("--device", "campaign"));
-  if (args.flag("--exhaustive")) {
-    req.set_bool("exhaustive", true);
-  } else if (args.flag("--sample")) {
-    req.set_u64("sample", args.option_u64("--sample", 20000));
-  }
-  if (args.flag("--persistence")) req.set_bool("persistence", true);
-  if (args.flag("--seed")) req.set_u64("seed", args.option_u64("--seed", 0));
-  if (args.flag("--chunk")) {
-    req.set_u64("chunk", args.option_u64("--chunk", 0));
-  }
-  if (args.flag("--no-gang")) req.set_bool("no_gang", true);
-  if (args.flag("--gang-width")) {
-    req.set_u64("gang_width", args.option_u64("--gang-width", 64));
-  }
-  if (args.flag("--gang-isa")) {
-    req.set_string("gang_isa", args.option("--gang-isa", "auto"));
-  }
-  if (args.flag("--no-gang-plan")) req.set_bool("no_gang_plan", true);
-  if (args.flag("--no-prune")) req.set_bool("no_prune", true);
-  const bool progress = args.flag("--progress");
-  if (progress) req.set_bool("progress", true);
-  ServiceClient client = ServiceClient::connect_unix(
-      args.option("--socket", "/tmp/vscrub-coord.sock"));
-  const auto event = [progress](const Frame& f) {
-    if (!progress || f.kind != FrameKind::kProgress) return;
-    const FlatJson p = FlatJson::parse(f.payload);
-    std::fprintf(stderr,
-                 "\r%llu/%llu bits  ranges %llu/%llu  %llu reassigned   ",
-                 static_cast<unsigned long long>(p.get_u64("injections_done")),
-                 static_cast<unsigned long long>(p.get_u64("injections_total")),
-                 static_cast<unsigned long long>(p.get_u64("ranges_done")),
-                 static_cast<unsigned long long>(p.get_u64("ranges_total")),
-                 static_cast<unsigned long long>(p.get_u64("reassignments")));
-  };
-  const Frame reply =
-      client.call(FrameKind::kCampaign, req.to_json(), event);
-  if (progress) std::fprintf(stderr, "\n");
-  if (reply.kind == FrameKind::kBusy) {
-    const FlatJson busy = FlatJson::parse(reply.payload);
-    std::fprintf(stderr,
-                 "vscrubctl: coordinator busy (%s); retry in %llu ms\n",
-                 busy.get_string("reason", "busy").c_str(),
-                 static_cast<unsigned long long>(
-                     busy.get_u64("retry_after_ms", 0)));
-    return 3;
-  }
-  if (reply.kind == FrameKind::kError) {
-    std::fprintf(stderr, "vscrubctl: coordinator error: %s\n",
-                 FlatJson::parse(reply.payload)
-                     .get_string("error", "unknown").c_str());
-    return 1;
-  }
-  std::fputs(reply.payload.c_str(), stdout);
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty()) write_text_file(reply.payload, json_path);
-  return 0;
+  return call_and_report(
+      args, args.option("--socket", "/tmp/vscrub-coord.sock"),
+      FrameKind::kCampaign, "fleet_campaign_request", args.positional[0],
+      "coordinator", [](const FlatJson& p) {
+        std::fprintf(stderr,
+                     "\r%llu/%llu bits  ranges %llu/%llu  %llu reassigned   ",
+                     field(p, "injections_done"), field(p, "injections_total"),
+                     field(p, "ranges_done"), field(p, "ranges_total"),
+                     field(p, "reassignments"));
+      });
 }
 
 int cmd_info(const CliArgs& args) {
@@ -574,8 +417,8 @@ int main(int argc, char** argv) {
   try {
     const CliArgs args = cli_parse(*cmd, rest);
     if (name == "compile") return cmd_compile(args);
-    if (name == "campaign") return cmd_campaign(args);
-    if (name == "recampaign") return cmd_recampaign(args);
+    if (name == "campaign") return cmd_campaign(args, false);
+    if (name == "recampaign") return cmd_campaign(args, true);
     if (name == "beam") return cmd_beam(args);
     if (name == "mission") return cmd_mission(args);
     if (name == "fleet") return cmd_fleet(args);
