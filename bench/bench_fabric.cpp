@@ -2,7 +2,7 @@
 // single-threaded vscrubd workers.
 //
 // Not a paper experiment: this bench characterizes the coordinator subsystem
-// (coord/fabric.h) the way E-service characterizes the serving layer. It
+// (svc/fabric.h) the way E-service characterizes the serving layer. It
 // reports (a) the scale-out curve — the identical sampled campaign served
 // one-shot by one worker, then sharded over 1/2/4 workers, every merged
 // digest bit-identical; (b) the cross-worker reuse tier — a cold fleet run
@@ -26,11 +26,10 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "coord/coordinator.h"
-#include "coord/fabric.h"
-#include "coord/partition.h"
 #include "svc/client.h"
 #include "svc/config.h"
+#include "svc/fabric.h"
+#include "svc/partition.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
 #include "svc/service.h"
@@ -205,13 +204,11 @@ void run_report() {
   FabricResult warm;
   double warm_seconds = 0.0;
   {
-    CoordinatorConfig coord;
+    ServiceConfig coord;
     coord.socket_path = hub_socket;
     coord.workers = sockets;
     coord.cache_dir = hub_dir;
-    ServiceConfig transport;
-    transport.socket_path = hub_socket;
-    RunningServer hub(transport, std::make_unique<CoordinatorService>(coord));
+    RunningServer hub(coord);
 
     FabricOptions hub_options = fabric_options(sockets, hub_sample);
     hub_options.remote_store_socket = hub_socket;

@@ -21,6 +21,13 @@ CliFlag bool_flag(const char* name, const char* help) {
   return CliFlag{name, false, "", help};
 }
 
+/// A client's --socket: the daemon default every `serve` starts on.
+CliFlag socket_flag(const char* what) {
+  return CliFlag{"--socket", true, "PATH",
+                 std::string(what) + " (default " +
+                     ServiceConfig{}.socket_path + ")"};
+}
+
 CliFlag spec_flag(const SpecRow& row) {
   return CliFlag{row.flag(), row.type != SpecType::kBool, row.value_name,
                  row.help};
@@ -103,40 +110,15 @@ std::vector<CliCommand> build_commands() {
       {"submit", "<op> [design]",
        "submit ping|stats|campaign|recampaign|mission|fleet to a vscrubd",
        spec_flags(kSpecCampaign | kSpecMission | kSpecFleet, true,
-                  {value_flag("--socket", "PATH",
-                              "unix socket path (default /tmp/vscrubd.sock)"),
+                  {socket_flag("daemon unix socket"),
                    bool_flag("--progress", "stream progress frames to stderr"),
                    value_flag("--json", "FILE",
                               "write the returned report JSON")})});
   commands.push_back(
-      {"fleet-serve", "",
-       "run the campaign-fabric coordinator (VSRP1 socket)",
-       {
-           value_flag("--socket", "PATH",
-                      "coordinator unix socket (default /tmp/vscrub-coord.sock)"),
-           value_flag("--worker", "PATH",
-                      "register a vscrubd worker socket (repeatable)"),
-           value_flag("--cache-dir", "DIR",
-                      "verdict hub store — the fleet-wide reuse tier"),
-           value_flag("--shards-per-worker", "N",
-                      "contiguous bit ranges per worker (default 2)"),
-           value_flag("--lease-ms", "MS",
-                      "reassign a range after this long without a worker "
-                      "frame (default 10000)"),
-           value_flag("--checkpoint-every-chunks", "N",
-                      "worker checkpoint-shipping cadence (default 1)"),
-           value_flag("--max-concurrent", "N",
-                      "concurrent sharded campaigns (default 2)"),
-           value_flag("--stats-json", "FILE",
-                      "write coordinator stats after the drain"),
-       }});
-  commands.push_back(
       {"fleet-submit", "<design>",
-       "submit a sharded campaign to a fleet coordinator",
+       "submit a sharded campaign to a coordinator (serve --worker ...)",
        spec_flags(kSpecForward, true,
-                  {value_flag("--socket", "PATH",
-                              "coordinator socket (default "
-                              "/tmp/vscrub-coord.sock)"),
+                  {socket_flag("coordinator unix socket"),
                    bool_flag("--progress",
                              "stream merged fabric progress to stderr"),
                    value_flag("--json", "FILE",
@@ -186,14 +168,6 @@ u64 CliArgs::option_u64(const std::string& name, u64 dflt) const {
     if (k == name) return std::strtoull(v.c_str(), nullptr, 10);
   }
   return dflt;
-}
-
-std::vector<std::string> CliArgs::option_all(const std::string& name) const {
-  std::vector<std::string> values;
-  for (const auto& [k, v] : options) {
-    if (k == name) values.push_back(v);
-  }
-  return values;
 }
 
 JsonReport cli_request(const CliArgs& args, const std::string& kind,

@@ -42,15 +42,14 @@ const CliCommand* cli_find(const std::string& name);
 /// Parsed arguments of one invocation.
 struct CliArgs {
   std::vector<std::string> positional;
-  /// (flag name, value) pairs; boolean flags carry an empty value.
+  /// (flag name, value) pairs in command-line order, one per use of a flag
+  /// (so repeatable flags such as serve's --worker keep every value);
+  /// boolean flags carry an empty value.
   std::vector<std::pair<std::string, std::string>> options;
 
   bool flag(const std::string& name) const;
   std::string option(const std::string& name, const std::string& dflt) const;
   u64 option_u64(const std::string& name, u64 dflt) const;
-  /// Every value of a repeatable flag, in command-line order (repeated
-  /// flags accumulate in `options` — e.g. fleet-serve's --worker).
-  std::vector<std::string> option_all(const std::string& name) const;
 };
 
 /// Parses everything after the command word against the command's declared

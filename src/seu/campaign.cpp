@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -302,8 +303,11 @@ CampaignResult run_campaign(const PlacedDesign& design,
   }
   std::vector<std::unique_ptr<SeuInjector>> injectors(pool->thread_count());
 
-  pool->parallel_chunks(n, chunk_size, [&](u64 begin, u64 end,
-                                           unsigned worker) {
+  // A chunk that throws (a failed checkpoint write, say) must not unwind a
+  // pool worker: its error stops the campaign and is rethrown here, on the
+  // calling thread, once every claimed chunk has returned.
+  std::exception_ptr chunk_error;  // guarded by merge_mutex
+  const auto run_chunk = [&](u64 begin, u64 end, unsigned worker) {
     const u64 c = begin / chunk_size;
     if ((resumed_done[c >> 3] >> (c & 7)) & 1) return;
     if (stop.load(std::memory_order_relaxed)) return;
@@ -495,7 +499,18 @@ CampaignResult run_campaign(const PlacedDesign& design,
             std::max<u64>(1, options.checkpoint_every_chunks)) {
       save_checkpoint();
     }
+  };
+  pool->parallel_chunks(n, chunk_size, [&](u64 begin, u64 end,
+                                           unsigned worker) {
+    try {
+      run_chunk(begin, end, worker);
+    } catch (...) {
+      stop.store(true, std::memory_order_relaxed);
+      std::lock_guard lock(merge_mutex);
+      if (!chunk_error) chunk_error = std::current_exception();
+    }
   });
+  if (chunk_error) std::rethrow_exception(chunk_error);
 
   // Final checkpoint first: it reads `agg`, which the moves below gut. A
   // periodic save that already covers every merged chunk is not repeated.

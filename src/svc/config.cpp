@@ -66,10 +66,11 @@ std::map<std::string, u64> parse_sched_weights(const std::string& spec) {
 const std::vector<ServiceConfigFlag>& service_config_flags() {
   static const std::vector<ServiceConfigFlag> flags = {
       {"--socket", true, "PATH",
-       "unix socket path (default /tmp/vscrubd.sock)"},
+       "unix socket path (default " + ServiceConfig{}.socket_path + ")"},
       {"--tcp-port", true, "P", "also listen on TCP loopback port P"},
       {"--queue", true, "N", "admission queue capacity (default 16)"},
-      {"--executors", true, "N", "concurrent requests (default 2)"},
+      {"--executors", true, "N",
+       "concurrent requests, sharded campaigns included (default 2)"},
       {"--threads", true, "N",
        "shared injection pool workers (0 = hardware)"},
       {"--cache-dir", true, "DIR",
@@ -90,6 +91,12 @@ const std::vector<ServiceConfigFlag>& service_config_flags() {
        "checkpoint directory when --cache-dir is unset"},
       {"--stats-json", true, "FILE",
        "write service stats JSON after the drain"},
+      {"--worker", true, "PATH",
+       "shard campaigns over this vscrubd worker socket (repeatable; makes "
+       "this daemon a coordinator)"},
+      {"--lease-ms", true, "MS",
+       "reassign a sharded range after this long without a worker frame "
+       "(default 10000)"},
   };
   return flags;
 }
@@ -124,6 +131,10 @@ void ServiceConfig::set(const std::string& flag, const std::string& value) {
     spool_dir = value;
   } else if (flag == "--stats-json") {
     stats_json = value;
+  } else if (flag == "--worker") {
+    workers.push_back(value);
+  } else if (flag == "--lease-ms") {
+    lease_ms = parse_u64_or_throw(flag, value);
   } else {
     throw ServiceConfigError("serve: unknown flag " + flag);
   }
@@ -151,10 +162,18 @@ void ServiceConfig::validate() const {
   if (max_conn_backlog_bytes == 0) {
     throw ServiceConfigError("serve: connection backlog bound must be >= 1");
   }
+  if (!workers.empty() && preempt_chunks > 0) {
+    throw ServiceConfigError(
+        "serve: --preempt does not apply to sharded campaigns; drop it or "
+        "the --worker sockets");
+  }
   if (preempt_chunks > 0 && checkpoint_dir().empty()) {
     throw ServiceConfigError(
         "serve: --preempt needs a checkpoint directory; pass --cache-dir "
         "or --spool-dir");
+  }
+  if (lease_ms == 0) {
+    throw ServiceConfigError("serve: --lease-ms must be >= 1");
   }
   for (const auto& [name, weight] : sched_weights) {
     if (name.empty() || weight == 0) {

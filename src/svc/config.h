@@ -1,8 +1,10 @@
 // ServiceConfig — the ONE validated configuration object for the vscrubd
 // serving stack. Transport (socket, deadlines), engine (queue, executors,
-// store), and scheduler (tenant weights, preemption) settings live here
-// together, and every consumer — the `vscrubd` daemon, `vscrubctl serve`,
-// the loopback tests, and the service bench — builds the same struct.
+// store), scheduler (tenant weights, preemption) and fleet (worker roster,
+// leases) settings live here together, and every consumer — the `vscrubd`
+// daemon, `vscrubctl serve`, the loopback tests, and the service bench —
+// builds the same struct. A config that names workers is a coordinator's:
+// the same CampaignService then shards its campaigns over those daemons.
 //
 // The declarative flag table below (service_config_flags()) is the single
 // source of truth for the `serve` CLI surface: core/cli builds the serve
@@ -38,7 +40,7 @@ struct ServiceConfigFlag {
   const char* name;        ///< "--queue"
   bool takes_value;        ///< false for boolean flags
   const char* value_name;  ///< "N", "PATH", ...
-  const char* help;
+  std::string help;
 };
 
 /// Every flag the `serve` command accepts, in display order.
@@ -97,14 +99,24 @@ struct ServiceConfig {
   /// (or should not hold scratch state). Empty = use cache_dir.
   std::string spool_dir;
 
+  // ---- fleet -----------------------------------------------------------
+  /// Worker daemons' Unix-socket paths ("--worker PATH", repeatable). When
+  /// non-empty this service is a coordinator: its campaigns are sharded
+  /// across these workers (svc/fabric.h), it runs no injection pool, and it
+  /// takes no recampaign, mission or fleet requests.
+  std::vector<std::string> workers;
+  /// A sharded range with no progress or checkpoint frame for this long is
+  /// declared lost and reassigned from its last shipped checkpoint.
+  u64 lease_ms = 10000;
+
   // ---- daemon ----------------------------------------------------------
   /// When nonempty, the daemon writes a service_stats report here after the
   /// drain completes.
   std::string stats_json;
 
   /// Applies one parsed CLI flag ("--queue", "8"). Throws ServiceConfigError
-  /// on an unknown flag or an unparsable value. "--sched-weight" merges, so
-  /// the flag may repeat.
+  /// on an unknown flag or an unparsable value. --sched-weight merges and
+  /// --worker appends, so both may repeat.
   void set(const std::string& flag, const std::string& value);
 
   /// Cross-field consistency check; call once after the last set(). Throws

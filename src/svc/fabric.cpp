@@ -1,4 +1,4 @@
-#include "coord/fabric.h"
+#include "svc/fabric.h"
 
 #include <chrono>
 #include <condition_variable>

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "coord/partition.h"
+#include "svc/partition.h"
 #include "report/json.h"
 #include "svc/protocol.h"
 

@@ -1,4 +1,4 @@
-#include "coord/partition.h"
+#include "svc/partition.h"
 
 #include <algorithm>
 

@@ -111,9 +111,10 @@ FrameDecoder::Status FrameDecoder::next(Frame* out) {
   const std::size_t have = buffer_.size() - consumed_;
 
   // Fail the magic as soon as any prefix of it mismatches — a garbage stream
-  // is rejected on its first bytes, not after a full header arrives.
+  // is rejected on its first bytes, not after a full header arrives. An
+  // empty buffer has no prefix to check (and `data` may be null).
   const std::size_t magic_check = have < sizeof kMagic ? have : sizeof kMagic;
-  if (std::memcmp(data, kMagic, magic_check) != 0) {
+  if (magic_check > 0 && std::memcmp(data, kMagic, magic_check) != 0) {
     return poison_ = Status::kBadMagic;
   }
   if (have < kFrameHeaderBytes) return Status::kNeedMore;

@@ -39,11 +39,11 @@ namespace vscrub {
 class SocketServer {
  public:
   /// Validates the config (throws ServiceConfigError) and builds the
-  /// default CampaignService engine; no sockets exist until start().
+  /// CampaignService engine; no sockets exist until start().
   explicit SocketServer(ServiceConfig config);
-  /// Same transport, caller-supplied engine: the coordinator daemon runs
-  /// its CoordinatorService over this exact event loop. Only the transport
-  /// fields of `config` (socket path, port, backlog, timeouts) apply.
+  /// Same transport, caller-supplied engine (tests wrap the engine in
+  /// fault-injecting fakes). Only the transport fields of `config` (socket
+  /// path, port, backlog, timeouts) apply.
   SocketServer(ServiceConfig config, std::unique_ptr<FrameService> service);
   ~SocketServer();
 

@@ -9,15 +9,28 @@
 #include "bitstream/record_io.h"
 #include "common/log.h"
 #include "svc/campaign_spec.h"
+#include "svc/fabric.h"
 #include "svc/requests.h"
 #include "svc/store_wire.h"
 
 namespace vscrub {
+namespace {
+
+/// A request refused before it ran: replied as a typed kError carrying
+/// `code`, not counted as a failed run.
+class RefusedRequest : public Error {
+ public:
+  RefusedRequest(const char* reply_code, const std::string& what)
+      : Error(what), code(reply_code) {}
+  const char* code;
+};
+
+}  // namespace
 
 CampaignService::CampaignService(const ServiceConfig& config)
-    : config_(config),
-      pool_(config.pool_threads) {
+    : config_(config) {
   config_.validate();
+  if (!coordinator()) pool_.emplace(config_.pool_threads);
   if (!config_.cache_dir.empty()) {
     store_ = std::make_unique<VerdictStore>(config_.cache_dir);
   }
@@ -33,6 +46,8 @@ CampaignService::CampaignService(const ServiceConfig& config)
     std::lock_guard lock(metrics_mutex_);
     metrics_.histogram("request_latency_ms", config_.latency_reservoir);
     metrics_.counter("preemptions");
+    metrics_.counter("reassignments_total");
+    metrics_.counter("resumed_injections_total");
     metrics_.set_gauge("queue_depth", 0.0);
     metrics_.set_gauge("queue_capacity",
                        static_cast<double>(config_.queue_capacity));
@@ -52,7 +67,7 @@ CampaignService::~CampaignService() {
   }
   work_cv_.notify_all();
   for (std::thread& t : executors_) t.join();
-  pool_.shutdown();
+  if (pool_) pool_->shutdown();
 }
 
 JsonReport CampaignService::error_report(const std::string& code,
@@ -81,7 +96,10 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
         metrics_.counter("pings").add();
       }
       reply(emit, FrameKind::kResult, request.request_id,
-            JsonReport("pong").set_u64("protocol_version", 1));
+            JsonReport("pong")
+                .set_u64("protocol_version", 1)
+                .set_string("role", coordinator() ? "coordinator" : "worker")
+                .set_u64("workers", config_.workers.size()));
       return;
     }
     case FrameKind::kStats:
@@ -109,11 +127,19 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
       // vscrubd can serve as a fleet's verdict hub.
       handle_store_request(request, emit);
       return;
-    case FrameKind::kCampaign:
     case FrameKind::kRecampaign:
     case FrameKind::kMission:
     case FrameKind::kFleet:
+      if (coordinator()) {
+        reply(emit, FrameKind::kError, request.request_id,
+              error_report("bad_request",
+                           std::string("not a coordinator request kind: ") +
+                               frame_kind_name(request.kind)));
+        return;
+      }
       break;  // work request: admission control below
+    case FrameKind::kCampaign:
+      break;  // local or sharded: admission control below
     default:
       reply(emit, FrameKind::kError, request.request_id,
             error_report("bad_request",
@@ -355,9 +381,82 @@ bool CampaignService::run_job(Job& job) {
   }
   job.started = true;
 
+  FlatJson params;
+  try {
+    params = FlatJson::parse(job.request.payload.empty() ? "{}"
+                                                         : job.request.payload);
+  } catch (const Error& e) {
+    // Unreachable in practice — admission already parsed the payload — but
+    // a defect here must degrade to a typed reply, not a crash.
+    {
+      std::lock_guard mlock(metrics_mutex_);
+      metrics_.counter("bad_requests").add();
+    }
+    reply(job.emit, FrameKind::kError, id, error_report("bad_request", e.what()));
+    return true;
+  }
+
+  // Every reply happens outside metrics_mutex_: emit can block on a slow
+  // client socket, and one stalled connection must not stall the metrics of
+  // every other executor and admission.
+  bool preempted = false;
+  std::string checkpoint_path;
+  try {
+    const JsonReport report =
+        coordinator() ? run_sharded(job, params)
+                      : run_local(job, params, &preempted, &checkpoint_path);
+    if (preempted && !job.cancelled->load(std::memory_order_relaxed)) {
+      // The campaign stopped at a chunk boundary and wrote its VSCK
+      // checkpoint; the interrupted report is discarded and the job parks
+      // at its lane's head. The next dispatch resumes from the checkpoint
+      // and the eventual report is bit-identical to an uninterrupted run.
+      {
+        std::lock_guard mlock(metrics_mutex_);
+        metrics_.counter("preemptions").add();
+      }
+      {
+        const std::string tenant = job.tenant;  // job is moved below
+        std::lock_guard lock(mutex_);
+        sched_.push_front(tenant, std::move(job));
+      }
+      work_cv_.notify_one();
+      return false;
+    }
+    reply(job.emit, FrameKind::kResult, id, report);
+    // A finished (non-cancelled) campaign's checkpoint is scratch state:
+    // remove it. Cancelled campaigns keep theirs — the resumable trail is
+    // the documented point of cancel-at-chunk-boundary.
+    if (!checkpoint_path.empty() &&
+        !job.cancelled->load(std::memory_order_relaxed)) {
+      std::error_code ec;
+      std::filesystem::remove(checkpoint_path, ec);
+    }
+    const double latency_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - job.enqueued).count();
+    std::lock_guard mlock(metrics_mutex_);
+    metrics_.counter("results").add();
+    metrics_.histogram("request_latency_ms", config_.latency_reservoir)
+        .record(latency_ms);
+  } catch (const RefusedRequest& e) {
+    reply(job.emit, FrameKind::kError, id, error_report(e.code, e.what()));
+  } catch (const std::exception& e) {
+    {
+      std::lock_guard mlock(metrics_mutex_);
+      metrics_.counter("failed_requests").add();
+    }
+    reply(job.emit, FrameKind::kError, id, error_report("failed", e.what()));
+  }
+  return true;
+}
+
+JsonReport CampaignService::run_local(Job& job, const FlatJson& params,
+                                      bool* preempted,
+                                      std::string* checkpoint_path) {
+  const u64 id = job.request.request_id;
   RequestContext ctx;
   ctx.store = store_.get();
-  ctx.pool = &pool_;
+  ctx.pool = &*pool_;
   ctx.cancelled = job.cancelled.get();
   const bool campaign_kind = job.request.kind == FrameKind::kCampaign ||
                              job.request.kind == FrameKind::kRecampaign;
@@ -370,49 +469,33 @@ bool CampaignService::run_job(Job& job) {
   // progress callback. The quantum is measured from the first boundary seen
   // in THIS dispatch, so a resumed campaign gets a full quantum after every
   // preemption instead of being instantly re-preempted.
-  bool preempted = false;
   if (campaign_kind && config_.preempt_chunks > 0) {
-    ctx.preempt_poll = [this, &job, &preempted,
+    ctx.preempt_poll = [this, &job, preempted,
                         base = std::optional<u64>()](u64 chunks_done) mutable {
-      if (preempted) return true;
+      if (*preempted) return true;
       if (!base.has_value()) base = chunks_done;
       if (chunks_done - *base < config_.preempt_chunks) return false;
-      if (should_preempt(job, chunks_done)) preempted = true;
-      return preempted;
+      if (should_preempt(job, chunks_done)) *preempted = true;
+      return *preempted;
     };
   }
-  const Emit emit = job.emit;
-  ctx.on_progress = [this, emit, id](const CampaignProgress& p) {
-    reply(emit, FrameKind::kProgress, id,
-          JsonReport("progress")
-              .set_u64("injections_done", p.injections_done)
-              .set_u64("injections_total", p.injections_total)
-              .set_u64("failures", p.failures)
-              .set_u64("cache_hits", p.cache_hits)
-              .set_u64("chunks_done", p.chunks_done)
-              .set_u64("chunks_total", p.chunks_total)
-              .set("bits_per_s", p.bits_per_s)
-              .set("eta_s", p.eta_s));
-  };
   // Progress frames stream only when asked for: every chunk-telemetry frame
   // is a socket write the client must drain.
-  bool want_progress = false;
-  FlatJson params;
-  try {
-    params = FlatJson::parse(job.request.payload.empty() ? "{}"
-                                                         : job.request.payload);
-    want_progress = params.get_bool("progress", false);
-  } catch (const Error& e) {
-    // Unreachable in practice — admission already parsed the payload — but
-    // a defect here must degrade to a typed reply, not a crash.
-    {
-      std::lock_guard mlock(metrics_mutex_);
-      metrics_.counter("bad_requests").add();
-    }
-    reply(job.emit, FrameKind::kError, id, error_report("bad_request", e.what()));
-    return true;
+  const Emit emit = job.emit;
+  if (params.get_bool("progress", false)) {
+    ctx.on_progress = [this, emit, id](const CampaignProgress& p) {
+      reply(emit, FrameKind::kProgress, id,
+            JsonReport("progress")
+                .set_u64("injections_done", p.injections_done)
+                .set_u64("injections_total", p.injections_total)
+                .set_u64("failures", p.failures)
+                .set_u64("cache_hits", p.cache_hits)
+                .set_u64("chunks_done", p.chunks_done)
+                .set_u64("chunks_total", p.chunks_total)
+                .set("bits_per_s", p.bits_per_s)
+                .set("eta_s", p.eta_s));
+    };
   }
-  if (!want_progress) ctx.on_progress = nullptr;
 
   // Fabric wiring (campaign kinds only): a worker job may ship each VSCK
   // checkpoint to its coordinator as a kCheckpoint frame, resume from a
@@ -424,11 +507,9 @@ bool CampaignService::run_job(Job& job) {
     const bool needs_dir = ship || params.has("resume_checkpoint");
     if (needs_dir && ctx.checkpoint_path.empty()) {
       if (config_.checkpoint_dir().empty()) {
-        reply(job.emit, FrameKind::kError, id,
-              error_report("no_checkpoint_dir",
-                           "checkpoint shipping needs a daemon started "
-                           "with a spool directory"));
-        return true;
+        throw RefusedRequest("no_checkpoint_dir",
+                             "checkpoint shipping needs a daemon started "
+                             "with a spool directory");
       }
       // The constructor only creates the directory when the daemon's own
       // preemption/periodic cadence needs it; a fabric request may be the
@@ -444,14 +525,12 @@ bool CampaignService::run_job(Job& job) {
             hex_decode(params.get_string("resume_checkpoint"));
         write_file_atomic(ctx.checkpoint_path, blob.data(), blob.size());
       } catch (const Error& e) {
-        reply(job.emit, FrameKind::kError, id,
-              error_report("bad_request", e.what()));
-        return true;
+        throw RefusedRequest("bad_request", e.what());
       }
     }
     if (ship) {
       // The coordinator picks the shipping cadence per range; the daemon's
-      // own --checkpoint-every-chunks is only the fallback, so a plain
+      // own --checkpoint-every is only the fallback, so a plain
       // worker (started without it) still checkpoints when the fabric asks.
       const u64 range_cadence = params.get_u64("checkpoint_every_chunks", 0);
       if (range_cadence > 0) ctx.checkpoint_every_chunks = range_cadence;
@@ -476,53 +555,37 @@ bool CampaignService::run_job(Job& job) {
       }
     }
   }
+  *checkpoint_path = ctx.checkpoint_path;
+  return execute_request(job.request.kind, params, ctx);
+}
 
-  // Every reply happens outside metrics_mutex_: emit can block on a slow
-  // client socket, and one stalled connection must not stall the metrics of
-  // every other executor and admission.
-  try {
-    const JsonReport report = execute_request(job.request.kind, params, ctx);
-    if (preempted && !job.cancelled->load(std::memory_order_relaxed)) {
-      // The campaign stopped at a chunk boundary and wrote its VSCK
-      // checkpoint; the interrupted report is discarded and the job parks
-      // at its lane's head. The next dispatch resumes from the checkpoint
-      // and the eventual report is bit-identical to an uninterrupted run.
-      {
-        std::lock_guard mlock(metrics_mutex_);
-        metrics_.counter("preemptions").add();
-      }
-      {
-        const std::string tenant = job.tenant;  // job is moved below
-        std::lock_guard lock(mutex_);
-        sched_.push_front(tenant, std::move(job));
-      }
-      work_cv_.notify_one();
-      return false;
-    }
-    reply(job.emit, FrameKind::kResult, id, report);
-    // A finished (non-cancelled) campaign's checkpoint is scratch state:
-    // remove it. Cancelled campaigns keep theirs — the resumable trail is
-    // the documented point of cancel-at-chunk-boundary.
-    if (!ctx.checkpoint_path.empty() &&
-        !job.cancelled->load(std::memory_order_relaxed)) {
-      std::error_code ec;
-      std::filesystem::remove(ctx.checkpoint_path, ec);
-    }
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - job.enqueued).count();
-    std::lock_guard mlock(metrics_mutex_);
-    metrics_.counter("results").add();
-    metrics_.histogram("request_latency_ms", config_.latency_reservoir)
-        .record(latency_ms);
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard mlock(metrics_mutex_);
-      metrics_.counter("failed_requests").add();
-    }
-    reply(job.emit, FrameKind::kError, id, error_report("failed", e.what()));
+JsonReport CampaignService::run_sharded(const Job& job,
+                                        const FlatJson& params) {
+  const u64 id = job.request.request_id;
+  FabricOptions options;
+  options.workers = config_.workers;
+  options.params = params;
+  options.lease_ms = config_.lease_ms;
+  // Every chunk is shipped: auto chunks are at least 1024 bits, so a
+  // sampled range holds only a few, and a lost worker's range should
+  // restart at most one chunk behind.
+  options.checkpoint_every_chunks = 1;
+  // With a store this daemon is the fleet's verdict hub.
+  if (store_ != nullptr) options.remote_store_socket = config_.socket_path;
+  options.cancelled = job.cancelled.get();
+  if (params.get_bool("progress", false)) {
+    options.on_progress = [this, emit = job.emit, id](const JsonReport& p) {
+      reply(emit, FrameKind::kProgress, id, p);
+    };
   }
-  return true;
+  const FabricResult result = run_fabric_campaign(options);
+  {
+    std::lock_guard mlock(metrics_mutex_);
+    metrics_.counter("reassignments_total").add(result.reassignments);
+    metrics_.counter("resumed_injections_total")
+        .add(result.resumed_injections);
+  }
+  return result.merged;
 }
 
 JsonReport CampaignService::stats_report() const {
@@ -538,7 +601,8 @@ JsonReport CampaignService::stats_report() const {
   JsonReport report("service_stats");
   report.set_u64("protocol_version", 1)
       .set_u64("executors", executors_.size())
-      .set_u64("pool_threads", pool_.thread_count())
+      .set_u64("pool_threads", pool_ ? pool_->thread_count() : 0)
+      .set_u64("workers", config_.workers.size())
       .set_u64("queue_depth_now", depth)
       .set_u64("live_requests", live)
       .set_u64("sched_tenants_waiting", tenants)

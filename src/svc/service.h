@@ -4,6 +4,14 @@
 // injection thread pool. The socket server (svc/server.h) is a thin shell
 // around this; the loopback tests drive it directly.
 //
+// One engine serves both daemon roles. A worker runs campaigns itself; a
+// coordinator (ServiceConfig::workers non-empty) shards each campaign over
+// its worker daemons through the fabric (svc/fabric.h), answers the
+// workers' verdict-store requests as the fleet's hub, and starts no
+// injection pool. Admission, tenancy, cancel, drain, backpressure and
+// metrics below are the same for both; only the executor a job runs on
+// differs.
+//
 // Admission is weighted fair-share, not FIFO: every job lands in its
 // tenant's lane (an explicit tenant request parameter, else the issuing
 // connection) and executors dispatch lanes by stride scheduling
@@ -17,6 +25,7 @@
 // campaign resumes from its checkpoint, so the final report — including the
 // order-independent sensitive-set digest — is bit-identical to an
 // uninterrupted run. Restart-from-checkpoint is the scheduler primitive.
+// Sharded campaigns do not preempt.
 //
 // Concurrency shape: executor threads are dedicated — they block on the
 // queue and on campaign completion, and only the campaign's *chunks* run on
@@ -37,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,10 +62,8 @@
 namespace vscrub {
 
 /// What the socket transport (svc/server.h) needs from a request engine —
-/// nothing more. CampaignService (the worker daemon's engine) and the
-/// fabric's CoordinatorService (coord/coordinator.h) both implement this,
-/// so one epoll event loop serves either role; which engine a daemon runs
-/// is a construction-time choice, not a transport fork.
+/// nothing more. CampaignService implements it for both daemon roles; the
+/// interface stays so tests can wrap the engine in fault-injecting fakes.
 class FrameService {
  public:
   /// Reply sink for one request. Called from executor threads (and inline
@@ -88,8 +96,9 @@ class CampaignService : public FrameService {
   using Emit = FrameService::Emit;
 
   /// Validates `config` (throws ServiceConfigError) and starts the
-  /// executors. The checkpoint directory is created when preemption or
-  /// periodic checkpointing needs one.
+  /// executors, plus the injection pool unless `config` names workers. The
+  /// checkpoint directory is created when preemption or periodic
+  /// checkpointing needs one.
   explicit CampaignService(const ServiceConfig& config);
   /// Drains (queued and running requests finish) and joins the executors.
   ~CampaignService() override;
@@ -136,7 +145,8 @@ class CampaignService : public FrameService {
 
   /// Snapshot of the server-side metrics as a versioned JSON report
   /// ("kind": "service_stats"): queue depth, admission rejects, request
-  /// latency p50/p99, per-kind counters, preemptions, store size.
+  /// latency p50/p99, per-kind counters, preemptions, store size, and the
+  /// fleet's roster size, range reassignments and resumed injections.
   JsonReport stats_report() const override;
 
   VerdictStore* store() { return store_.get(); }
@@ -179,6 +189,14 @@ class CampaignService : public FrameService {
   /// reply (its live entry must be released); false when it was preempted
   /// and requeued for a later quantum.
   bool run_job(Job& job);
+  /// The two executors run_job chooses between. run_local runs the request
+  /// in this process; it reports a preemption through `preempted` and the
+  /// scratch checkpoint it wrote through `checkpoint_path`. run_sharded
+  /// runs a campaign across config_.workers. Both throw on failure.
+  JsonReport run_local(Job& job, const FlatJson& params, bool* preempted,
+                       std::string* checkpoint_path);
+  JsonReport run_sharded(const Job& job, const FlatJson& params);
+  bool coordinator() const { return !config_.workers.empty(); }
   /// Preemption predicate, polled at chunk boundaries from the campaign's
   /// progress callback.
   bool should_preempt(const Job& job, u64 chunks_done);
@@ -191,7 +209,8 @@ class CampaignService : public FrameService {
 
   ServiceConfig config_;
   std::unique_ptr<VerdictStore> store_;  ///< null when cache_dir is empty
-  ThreadPool pool_;                      ///< shared injection compute pool
+  /// Shared injection compute pool; empty on a coordinator.
+  std::optional<ThreadPool> pool_;
 
   mutable std::mutex mutex_;             ///< guards sched_/live_/counters
   std::condition_variable work_cv_;      ///< executors wait here

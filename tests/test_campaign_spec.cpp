@@ -13,11 +13,11 @@
 #include "bitstream/record_io.h"
 #include "core/cli.h"
 #include "core/vscrub.h"
-#include "coord/fabric.h"
 #include "seu/checkpoint.h"
 #include "seu/report.h"
 #include "sim/simd.h"
 #include "svc/campaign_spec.h"
+#include "svc/fabric.h"
 #include "svc/requests.h"
 
 namespace vscrub {

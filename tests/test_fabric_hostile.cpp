@@ -5,8 +5,10 @@
 // through a shipped VSCK checkpoint proved by resumed_injections. A fleet
 // with no live workers is a *typed* error, never a hang or a crash. The
 // VSRP1 fuzz battery is extended over the fabric's new frame kinds
-// (kStoreLookup / kStorePublish / kCheckpoint), at the decoder, the
-// CoordinatorService, and a live coordinator socket.
+// (kStoreLookup / kStorePublish / kCheckpoint), at the decoder, a
+// coordinator's CampaignService, and a live coordinator socket. A
+// coordinator is the ordinary CampaignService with worker sockets in its
+// config, so fleet campaigns queue by fair share like local ones.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -26,11 +28,10 @@
 #include <vector>
 
 #include "common/crc.h"
-#include "coord/coordinator.h"
-#include "coord/fabric.h"
-#include "coord/partition.h"
 #include "svc/client.h"
 #include "svc/config.h"
+#include "svc/fabric.h"
+#include "svc/partition.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
 #include "svc/service.h"
@@ -145,13 +146,15 @@ ServiceConfig worker_config(const char* socket_name, const std::string& spool) {
   return config;
 }
 
-std::string campaign_payload(const char* design, u64 sample) {
-  return JsonReport("campaign_request")
-      .set_string("design", design)
+std::string campaign_payload(const char* design, u64 sample,
+                             const char* tenant = nullptr) {
+  JsonReport request("campaign_request");
+  request.set_string("design", design)
       .set_string("device", "campaign")
       .set_u64("sample", sample)
-      .set_u64("chunk", 64)
-      .to_json();
+      .set_u64("chunk", 64);
+  if (tenant != nullptr) request.set_string("tenant", tenant);
+  return request.to_json();
 }
 
 /// The ground truth: the identical campaign served one-shot (no range) by a
@@ -184,6 +187,21 @@ void expect_merged_matches(const JsonReport& merged_report,
   EXPECT_GT(merged.get_u64("gang_runs"), 0u);
   EXPECT_FALSE(merged.get_bool("interrupted"));
 }
+
+/// Thread-safe frame sink for driving FrameService::handle directly.
+struct FrameLog {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<Frame> frames;
+
+  FrameService::Emit emit() {
+    return [this](const Frame& f) {
+      std::lock_guard lock(mutex);
+      frames.push_back(f);
+      cv.notify_all();
+    };
+  }
+};
 
 FabricOptions fabric_options(const std::vector<std::string>& workers,
                              const char* design, u64 sample, u64 lease_ms) {
@@ -308,18 +326,12 @@ TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
   ServerBox worker_a(ca);
   ServerBox worker_b(cb);
 
-  CoordinatorConfig coord;
+  ServiceConfig coord;
   coord.socket_path = ::testing::TempDir() + "fab_coord.sock";
   std::filesystem::remove(coord.socket_path);
   coord.workers = {ca.socket_path, cb.socket_path};
   coord.cache_dir = hub;
-  coord.shards_per_worker = 2;
-  coord.lease_ms = 10000;
-  coord.checkpoint_every_chunks = 2;
-  ServiceConfig transport;
-  transport.socket_path = coord.socket_path;
-  ServerBox coordinator(transport,
-                        std::make_unique<CoordinatorService>(coord));
+  ServerBox coordinator(coord);
 
   ServiceClient client = ServiceClient::connect_unix(coord.socket_path);
   const FlatJson pong = FlatJson::parse(client.ping().payload);
@@ -356,14 +368,75 @@ TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
             expected.get_u64("sensitive_digest"));
 
   const FlatJson stats = FlatJson::parse(client.stats().payload);
-  EXPECT_EQ(stats.get_string("kind"), "coordinator_stats");
-  EXPECT_EQ(stats.get_u64("campaigns_total"), 2u);
+  EXPECT_EQ(stats.get_string("kind"), "service_stats");
+  EXPECT_EQ(stats.get_u64("workers"), 2u);
+  EXPECT_EQ(stats.get_u64("requests_total"), 2u);
+  EXPECT_EQ(stats.get_u64("pool_threads"), 0u);
   EXPECT_GT(stats.get_u64("store_publishes"), 0u);
-  EXPECT_GT(stats.get_u64("store_hits"), 0u);
+  EXPECT_GT(stats.get_u64("store_lookup_hits"), 0u);
 
   std::filesystem::remove_all(spool_a);
   std::filesystem::remove_all(spool_b);
   std::filesystem::remove_all(hub);
+}
+
+TEST(FabricHostile, CoordinatorQueuesFleetCampaignsInStrideOrder) {
+  const std::string spool = fresh_dir("fab_fair_w");
+  ServiceConfig cw = worker_config("fab_fair_w.sock", spool);
+  ServerBox worker(cw);
+
+  ServiceConfig coord;
+  coord.socket_path = ::testing::TempDir() + "fab_fair_coord.sock";
+  coord.workers = {cw.socket_path};
+  coord.executors = 1;
+
+  // Preempting a sharded campaign would need the fabric to park and resume
+  // ranges; the combination is refused at configuration time.
+  ServiceConfig preempting = coord;
+  preempting.preempt_chunks = 2;
+  preempting.spool_dir = spool;
+  EXPECT_THROW(preempting.validate(), ServiceConfigError);
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<u64> finished;
+  u64 accepted = 0;
+  const auto emit = [&](const Frame& f) {
+    std::lock_guard lock(mutex);
+    if (f.kind == FrameKind::kAccepted) ++accepted;
+    if (!terminal(f.kind)) return;
+    EXPECT_EQ(f.kind, FrameKind::kResult) << f.payload;
+    finished.push_back(f.request_id);
+    cv.notify_all();
+  };
+  FrameLog refused;
+  CampaignService svc(coord);
+  svc.handle({FrameKind::kRecampaign, 9, campaign_payload("lfsr", 300)},
+             refused.emit(), 0);
+  ASSERT_EQ(refused.frames.size(), 1u);
+  EXPECT_EQ(FlatJson::parse(refused.frames[0].payload).get_string("code"),
+            "bad_request");
+
+  // One executor, five fleet campaigns from two tenants, submitted back to
+  // back. The long first one runs; the rest queue (kAccepted, never kBusy)
+  // and leave in stride order — tenants alternate — not in arrival order.
+  const std::pair<u64, const char*> jobs[] = {
+      {1, "alice"}, {2, "alice"}, {3, "alice"}, {4, "bob"}, {5, "bob"}};
+  for (const auto& [id, tenant] : jobs) {
+    svc.handle({FrameKind::kCampaign, id,
+                campaign_payload("lfsr", id == 1 ? 4000 : 300, tenant)},
+               emit, 0);
+  }
+  {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return finished.size() == 5; });
+    EXPECT_EQ(accepted, 5u);
+    EXPECT_EQ(finished, (std::vector<u64>{1, 4, 2, 5, 3}));
+  }
+  EXPECT_EQ(FlatJson::parse(svc.stats_report().to_json())
+                .get_u64("admission_rejects", 0),
+            0u);
+  std::filesystem::remove_all(spool);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,29 +484,14 @@ TEST(FabricFuzz, NewKindsRoundTripAndInvalidNeighborsAreRejected) {
   EXPECT_FALSE(decoder.poisoned());
 }
 
-/// Thread-safe frame sink for driving FrameService::handle directly.
-struct FrameLog {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<Frame> frames;
-
-  FrameService::Emit emit() {
-    return [this](const Frame& f) {
-      std::lock_guard lock(mutex);
-      frames.push_back(f);
-      cv.notify_all();
-    };
-  }
-};
-
 TEST(FabricFuzz, StoreRequestsDegradeToTypedErrorsNeverCrash) {
   const std::string hub = fresh_dir("fab_fuzz_hub");
-  CoordinatorConfig no_store;
+  ServiceConfig no_store;
   no_store.socket_path = "/tmp/fab_fuzz_unused.sock";
   no_store.workers = {"/tmp/fab_fuzz_worker_unused.sock"};
   {
     // Without a cache dir the store verbs fail typed, not null-deref.
-    CoordinatorService svc(no_store);
+    CampaignService svc(no_store);
     FrameLog log;
     svc.handle({FrameKind::kStoreLookup, 1, R"({"keys": "1:2"})"},
                log.emit(), 0);
@@ -443,10 +501,10 @@ TEST(FabricFuzz, StoreRequestsDegradeToTypedErrorsNeverCrash) {
               "no_store");
   }
 
-  CoordinatorConfig with_store = no_store;
+  ServiceConfig with_store = no_store;
   with_store.cache_dir = hub;
   {
-    CoordinatorService svc(with_store);
+    CampaignService svc(with_store);
 
     // Hostile payloads against the verb whose field they corrupt (a missing
     // field is a valid empty batch, so a keys attack must ride a lookup):
@@ -554,14 +612,11 @@ std::vector<Frame> drain_replies(int fd) {
 }
 
 TEST(FabricFuzz, GarbageAtALiveCoordinatorSocketGetsTypedErrorThenClose) {
-  CoordinatorConfig coord;
+  ServiceConfig coord;
   coord.socket_path = ::testing::TempDir() + "fab_fuzz_coord.sock";
   std::filesystem::remove(coord.socket_path);
   coord.workers = {"/tmp/fab_fuzz_worker_unused.sock"};
-  ServiceConfig transport;
-  transport.socket_path = coord.socket_path;
-  ServerBox coordinator(transport,
-                        std::make_unique<CoordinatorService>(coord));
+  ServerBox coordinator(coord);
 
   const int fd = raw_connect(coord.socket_path);
   const char garbage[] = "GET /fleet HTTP/1.1\r\n\r\n";

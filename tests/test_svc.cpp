@@ -10,10 +10,12 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/vscrub.h"
 #include "seu/cache_key.h"
 #include "sim/simd.h"
@@ -112,6 +114,15 @@ TEST(Protocol, EmptyPayloadAndByteAtATimeFeed) {
   EXPECT_TRUE(out.payload.empty());
 }
 
+TEST(Protocol, FreshDecoderNeedsMore) {
+  // Nothing fed yet: the buffer is empty (its data pointer may be null),
+  // and there is no magic prefix to check.
+  FrameDecoder decoder;
+  Frame out;
+  EXPECT_EQ(decoder.next(&out), FrameDecoder::Status::kNeedMore);
+  EXPECT_FALSE(decoder.poisoned());
+}
+
 TEST(Protocol, BackToBackFramesInOneFeed) {
   std::vector<u8> wire;
   for (u64 id = 1; id <= 3; ++id) {
@@ -163,6 +174,34 @@ TEST(Protocol, FlatJsonRejectsMalformedInput) {
 // ServiceConfig: the one validated flag surface
 // ---------------------------------------------------------------------------
 
+/// Every ServiceConfig field, rendered as text, so a test can see which
+/// field one set() call changed.
+std::vector<std::string> config_fields(const ServiceConfig& c) {
+  std::string weights;
+  for (const auto& [name, weight] : c.sched_weights) {
+    weights += name + "=" + std::to_string(weight) + ",";
+  }
+  std::string workers;
+  for (const std::string& w : c.workers) workers += w + ",";
+  return {c.socket_path,
+          std::to_string(c.tcp_port),
+          std::to_string(c.send_timeout_ms),
+          std::to_string(c.max_conn_backlog_bytes),
+          std::to_string(c.queue_capacity),
+          std::to_string(c.executors),
+          std::to_string(c.pool_threads),
+          c.cache_dir,
+          std::to_string(c.retry_after_ms),
+          std::to_string(c.latency_reservoir),
+          std::to_string(c.checkpoint_every_chunks),
+          weights,
+          std::to_string(c.preempt_chunks),
+          c.spool_dir,
+          workers,
+          std::to_string(c.lease_ms),
+          c.stats_json};
+}
+
 TEST(ServiceConfigTest, FlagTableDrivesSetAndRejectsJunk) {
   ServiceConfig config;
   config.set("--queue", "8");
@@ -189,14 +228,48 @@ TEST(ServiceConfigTest, FlagTableDrivesSetAndRejectsJunk) {
   EXPECT_THROW(config.set("--sched-weight", "alice"), ServiceConfigError);
   EXPECT_THROW(parse_sched_weights("a=1,,b=2"), ServiceConfigError);
 
-  // Every row of the serve flag table round-trips through set() — the CLI
-  // cannot offer a flag the config rejects.
+  // Every row of the serve flag table round-trips through set() into a
+  // field of its own — the CLI cannot offer a flag the config rejects, and
+  // no two flags drive one knob.
+  const std::vector<std::string> defaults = config_fields(ServiceConfig{});
+  std::set<std::size_t> claimed;
   for (const ServiceConfigFlag& flag : service_config_flags()) {
     ServiceConfig fresh;
     const std::string value =
         std::string(flag.name) == "--sched-weight" ? "t=1" : "1";
-    EXPECT_NO_THROW(fresh.set(flag.name, flag.takes_value ? value : ""))
+    ASSERT_NO_THROW(fresh.set(flag.name, flag.takes_value ? value : ""))
         << flag.name;
+    const std::vector<std::string> fields = config_fields(fresh);
+    std::vector<std::size_t> changed;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (fields[i] != defaults[i]) changed.push_back(i);
+    }
+    ASSERT_EQ(changed.size(), 1u) << flag.name;
+    EXPECT_TRUE(claimed.insert(changed[0]).second)
+        << flag.name << " sets a field another row already sets";
+  }
+
+  // The fleet rows: --worker repeats and appends, --lease-ms is strict.
+  ServiceConfig fleet;
+  fleet.set("--worker", "/tmp/w1.sock");
+  fleet.set("--worker", "/tmp/w2.sock");
+  fleet.set("--lease-ms", "250");
+  EXPECT_EQ(fleet.workers,
+            (std::vector<std::string>{"/tmp/w1.sock", "/tmp/w2.sock"}));
+  EXPECT_EQ(fleet.lease_ms, 250u);
+  EXPECT_THROW(fleet.set("--lease-ms", "soon"), ServiceConfigError);
+
+  // The `serve` command (vscrubd and vscrubctl serve) is the table, row for
+  // row.
+  const CliCommand* serve = cli_find("serve");
+  ASSERT_NE(serve, nullptr);
+  ASSERT_EQ(serve->flags.size(), service_config_flags().size());
+  for (std::size_t i = 0; i < serve->flags.size(); ++i) {
+    const ServiceConfigFlag& row = service_config_flags()[i];
+    EXPECT_EQ(serve->flags[i].name, row.name);
+    EXPECT_EQ(serve->flags[i].takes_value, row.takes_value) << row.name;
+    EXPECT_EQ(serve->flags[i].value_name, row.value_name) << row.name;
+    EXPECT_EQ(serve->flags[i].help, row.help) << row.name;
   }
 }
 
@@ -212,6 +285,13 @@ TEST(ServiceConfigTest, ValidateNamesTheInconsistentCombo) {
   config.executors = 0;
   EXPECT_THROW(config.validate(), ServiceConfigError);
   config.executors = 2;
+  config.workers = {"/tmp/w1.sock"};  // sharded campaigns do not preempt
+  EXPECT_THROW(config.validate(), ServiceConfigError);
+  config.preempt_chunks = 0;
+  EXPECT_NO_THROW(config.validate());
+  config.lease_ms = 0;
+  EXPECT_THROW(config.validate(), ServiceConfigError);
+  config.lease_ms = 10000;
   config.socket_path.clear();
   EXPECT_THROW(config.validate(), ServiceConfigError);
 }
@@ -299,7 +379,10 @@ TEST(CampaignService, PingStatsAndCancelAnswerInline) {
   ASSERT_EQ(ping.frames.size(), 1u);
   EXPECT_EQ(ping.frames[0].kind, FrameKind::kResult);
   EXPECT_EQ(ping.frames[0].request_id, 5u);
-  EXPECT_EQ(FlatJson::parse(ping.frames[0].payload).get_string("kind"), "pong");
+  const FlatJson pong = FlatJson::parse(ping.frames[0].payload);
+  EXPECT_EQ(pong.get_string("kind"), "pong");
+  EXPECT_EQ(pong.get_string("role"), "worker");
+  EXPECT_EQ(pong.get_u64("workers"), 0u);
 
   FrameLog stats;
   svc.handle({FrameKind::kStats, 6, ""}, stats.emit());
@@ -715,6 +798,32 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
 
   loop.stop_and_join();
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceLoopback, FailedCheckpointWriteFailsTheRequestNotTheDaemon) {
+  const std::string spool = fresh_dir("svc_ckpt_fail");
+  ServiceConfig options = loopback_config("svc_ckpt_fail.sock");
+  options.spool_dir = spool;
+  options.checkpoint_every_chunks = 1;
+  LoopbackServer loop(options);
+  // The service made the spool directory; take it away so the campaign's
+  // first checkpoint write, on a pool worker, throws.
+  std::filesystem::remove_all(spool);
+
+  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
+  const Frame reply = client.call(
+      FrameKind::kCampaign,
+      R"({"design": "lfsr", "device": "campaign", "sample": 2000,)"
+      R"( "chunk": 64})");
+  ASSERT_EQ(reply.kind, FrameKind::kError) << reply.payload;
+  EXPECT_EQ(FlatJson::parse(reply.payload).get_string("code"), "failed");
+
+  // The same daemon still answers.
+  const Frame pong = client.ping();
+  ASSERT_EQ(pong.kind, FrameKind::kResult);
+  EXPECT_EQ(FlatJson::parse(pong.payload).get_string("role"), "worker");
+  EXPECT_EQ(FlatJson::parse(client.stats().payload).get_u64("failed_requests"),
+            1u);
 }
 
 TEST(ServiceLoopback, AcceptedAndProgressStreamBeforeResult) {

@@ -22,7 +22,8 @@ inline ServiceConfig service_config_from(const CliArgs& args) {
 
 /// Runs the daemon until SIGTERM/SIGINT: first signal drains gracefully
 /// (in-flight requests finish and deliver), a second cancels live work at
-/// the next chunk boundary. Returns 0 after a clean drain.
+/// the next chunk boundary. Returns 0 after a clean drain. With --worker
+/// sockets the daemon is a coordinator that shards its campaigns.
 inline int run_serve(const CliArgs& args) {
   const ServiceConfig config = service_config_from(args);
   SocketServer server(config);
@@ -36,6 +37,9 @@ inline int run_serve(const CliArgs& args) {
               config.queue_capacity, config.executors,
               config.cache_dir.empty() ? "disabled"
                                        : config.cache_dir.c_str());
+  if (!config.workers.empty()) {
+    std::printf(", sharding over %zu worker(s)", config.workers.size());
+  }
   if (config.preempt_chunks > 0) {
     std::printf(", preempt every %llu chunks",
                 static_cast<unsigned long long>(config.preempt_chunks));

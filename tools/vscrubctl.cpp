@@ -14,7 +14,6 @@
 #include "core/cli.h"
 #include "core/vscrub.h"
 #include "sim/simd.h"
-#include "fleet_common.h"
 #include "serve_common.h"
 #include "svc/campaign_spec.h"
 #include "svc/client.h"
@@ -345,7 +344,8 @@ int cmd_submit(const CliArgs& args) {
                "fleet)");
   const std::string op = args.positional[0];
   return call_and_report(
-      args, args.option("--socket", "/tmp/vscrubd.sock"), submit_kind(op),
+      args, args.option("--socket", ServiceConfig{}.socket_path),
+      submit_kind(op),
       op + "_request", args.positional.size() > 1 ? args.positional[1] : "",
       "server", [](const FlatJson& p) {
         std::fprintf(stderr, "\r%llu/%llu bits  %llu failures  %llu cached   ",
@@ -357,7 +357,7 @@ int cmd_submit(const CliArgs& args) {
 int cmd_fleet_submit(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "fleet-submit needs a design name");
   return call_and_report(
-      args, args.option("--socket", "/tmp/vscrub-coord.sock"),
+      args, args.option("--socket", ServiceConfig{}.socket_path),
       FrameKind::kCampaign, "fleet_campaign_request", args.positional[0],
       "coordinator", [](const FlatJson& p) {
         std::fprintf(stderr,
@@ -425,7 +425,6 @@ int main(int argc, char** argv) {
     if (name == "bist") return cmd_bist(args);
     if (name == "serve") return run_serve(args);
     if (name == "submit") return cmd_submit(args);
-    if (name == "fleet-serve") return run_fleet_serve(args);
     if (name == "fleet-submit") return cmd_fleet_submit(args);
     if (name == "version") return cmd_version(args);
     if (name == "info") return cmd_info(args);

@@ -2,49 +2,33 @@
 // same `serve` command implementation `vscrubctl serve` uses; exists so a
 // deployment can ship and supervise the daemon without the full CLI.
 //
-// `vscrubd --coordinator` runs the campaign-fabric coordinator instead
-// (the `vscrubctl fleet-serve` engine): same VSRP1 socket transport, but
-// the frames shard campaigns across a registered fleet of worker daemons.
+// `vscrubd --worker A --worker B ...` runs a coordinator: the same service,
+// sharding each campaign across those worker daemons.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/cli.h"
-#include "fleet_common.h"
 #include "serve_common.h"
 
 int main(int argc, char** argv) {
   using namespace vscrub;
-  bool coordinator = false;
-  std::vector<std::string> rest;
-  for (int i = 1; i < argc; ++i) {
-    const std::string word = argv[i];
-    if (word == "--coordinator") {
-      coordinator = true;
-      continue;
-    }
-    rest.push_back(word);
-  }
-  const CliCommand* cmd = cli_find(coordinator ? "fleet-serve" : "serve");
+  const CliCommand* cmd = cli_find("serve");
+  const std::vector<std::string> rest(argv + 1, argv + argc);
   for (const std::string& word : rest) {
     if (word == "--help" || word == "-h") {
       std::string help = cli_help(*cmd);
-      // The shared command table prints `vscrubctl <cmd>`; this binary is
-      // invoked as plain `vscrubd` (with --coordinator for fleet-serve).
-      const std::string from =
-          coordinator ? "vscrubctl fleet-serve" : "vscrubctl serve";
+      // The shared command table prints `vscrubctl serve`; this binary is
+      // invoked as plain `vscrubd`.
+      const std::string from = "vscrubctl serve";
       const auto at = help.find(from);
-      if (at != std::string::npos) {
-        help.replace(at, from.size(),
-                     coordinator ? "vscrubd --coordinator" : "vscrubd");
-      }
+      if (at != std::string::npos) help.replace(at, from.size(), "vscrubd");
       std::fputs(help.c_str(), stdout);
       return 0;
     }
   }
   try {
-    const CliArgs args = cli_parse(*cmd, rest);
-    return coordinator ? run_fleet_serve(args) : run_serve(args);
+    return run_serve(cli_parse(*cmd, rest));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "vscrubd: %s\n", e.what());
     return 1;
