@@ -48,8 +48,8 @@ const char* version();
 /// streaming events) and ServiceClient is a thin wrapper over it;
 /// ServerOptions/ServiceOptions merged into one validated ServiceConfig
 /// (svc/config.h) with fair-share scheduling (--sched-weight) and campaign
-/// preemption (--preempt) knobs; the served gang-width default follows the
-/// widest compiled SIMD tier. Served results stay bit-identical to v3 — the
+/// preemption (--preempt) knobs; the served gang width is the host
+/// engine's. Served results stay bit-identical to v3 — the
 /// wire protocol, report schemas and campaign semantics are unchanged.
 ///
 /// v3 (ScrubPolicy redesign): pluggable scrub policy objects, the

@@ -76,8 +76,9 @@ Netlist vmult(int width, int pipeline_rows) {
   const std::size_t lane_w = static_cast<std::size_t>(width) / 2;
   Bus acc;
   for (int lane = 0; lane < 4; ++lane) {
-    const Bus x = b.input_bus("x" + std::to_string(lane), lane_w);
-    const Bus y = b.input_bus("y" + std::to_string(lane), lane_w);
+    const std::string idx = std::to_string(lane);
+    const Bus x = b.input_bus("x" + idx, lane_w);
+    const Bus y = b.input_bus("y" + idx, lane_w);
     Bus p = b.multiply(x, y, pipeline_rows);
     p = b.register_bus(p);
     if (acc.empty()) {

@@ -121,9 +121,8 @@ u64 arch_fingerprint_of(const DeviceGeometry& geom,
   a = fnv1a(a, static_cast<u64>(eff.classify_persistence));
   a = fnv1a(a, eff.persistence_settle);
   a = fnv1a(a, eff.persistence_check);
-  // prune_unobservable, gang_width/gang_isa/gang_plan, threads and chunking
-  // are result-invariant (gang evaluation at any width, on any SIMD tier,
-  // with or without the compiled eval plan, is bit-for-bit identical to the
+  // prune_unobservable, gang_width, threads and chunking are
+  // result-invariant (either gang engine is bit-for-bit identical to the
   // scalar loop); clock_hz and timing only scale the modeled time, which is
   // recomputed from the live options rather than stored. None belong in the
   // key (same reasoning as the checkpoint fingerprint).

@@ -92,10 +92,9 @@ u64 campaign_fingerprint(const PlacedDesign& design,
   h = fnv1a(h, inj.persistence_check);
   h = fnv1a(h, std::bit_cast<u64>(inj.clock_hz));
   h = fnv1a(h, static_cast<u64>(inj.prune_unobservable));
-  // gang_width/gang_isa/gang_plan are deliberately NOT hashed: gang
-  // evaluation is result-invariant (bit-for-bit identical to scalar at any
-  // width, on any SIMD tier, plan compiled or interpreted), so checkpoints
-  // written with one engine configuration resume correctly under any other.
+  // gang_width is deliberately NOT hashed: gang evaluation is
+  // result-invariant (bit-for-bit identical to scalar on either engine), so
+  // checkpoints written on one host resume correctly on any other.
   // cache_dir is not
   // hashed for the same reason — verdict-store hits replay exactly what a
   // fresh injection would produce, so a checkpoint taken with one cache

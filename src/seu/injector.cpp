@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "sim/eval_plan.h"
 #include "sim/gang_sim.h"
 
 namespace vscrub {
@@ -30,13 +31,10 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
       options_(options),
       sim_(design.space),
       harness_(design, sim_, options.stim_seed) {
-  // Fail fast on unsupported gang options: a campaign should reject a bad
-  // width/ISA at submission, not after hours of scalar injections when the
-  // first gang batch finally dispatches. Width 0/1 means "gang off" and
-  // needs no validation.
-  if (options_.gang_width >= 2) validate_gang_width(options_.gang_width);
-  const SimdIsa requested_isa = parse_simd_isa(options_.gang_isa);
-  if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
+  // Fail fast on an unsupported gang width: a campaign should reject it at
+  // submission, not after hours of scalar injections when the first gang
+  // batch finally dispatches.
+  validate_gang_width(options_.gang_width);
   if (design.dynamic_lut_sites.empty()) {
     options_.warmup_cycles =
         std::min(options_.warmup_cycles, options_.warmup_cycles_no_dynamic);
@@ -60,8 +58,19 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
 SeuInjector::~SeuInjector() = default;
 
 bool SeuInjector::gang_capable() const {
-  return options_.gang_width >= 2 && design_->brams.empty() &&
-         design_->dynamic_lut_sites.empty();
+  if (options_.gang_width < 2 || !design_->brams.empty() ||
+      !design_->dynamic_lut_sites.empty() || gang_unplannable_) {
+    return false;
+  }
+  if (!gang_) {
+    try {
+      gang_ = std::make_unique<GangSim>(*design_);
+    } catch (const EvalPlanError&) {
+      gang_unplannable_ = true;  // a configured combinational loop
+      return false;
+    }
+  }
+  return true;
 }
 
 bool SeuInjector::gang_eligible(const BitAddress& addr) const {
@@ -80,13 +89,6 @@ std::vector<InjectionResult> SeuInjector::run_gang(
   if (!gang_capable()) {
     for (const BitAddress& addr : addrs) out.push_back(inject(addr));
     return out;
-  }
-  if (!gang_) {
-    gang_ = std::make_unique<GangSim>(*design_,
-                                      GangOptions{}
-                                          .with_width(options_.gang_width)
-                                          .with_isa(parse_simd_isa(options_.gang_isa))
-                                          .with_plan(options_.gang_plan));
   }
 
   GangSim::RunParams params;

@@ -12,6 +12,7 @@
 #include "bitstream/selectmap.h"
 #include "pnr/placed_design.h"
 #include "sim/harness.h"
+#include "sim/simd.h"
 
 namespace vscrub {
 
@@ -41,25 +42,16 @@ struct InjectionOptions {
   /// main host-side speedup on low-utilization devices. Disable to force
   /// every bit through the full corrupt/run/repair loop.
   bool prune_unobservable = true;
-  /// Bit-sliced gang evaluation: pack up to this many injection candidates
-  /// (including the golden reference lane) into one word-parallel simulation.
-  /// Results are bit-for-bit identical to the scalar loop regardless of
-  /// width; <= 1 disables ganging. Only designs without BRAM bindings or
-  /// legitimate dynamic LUT state are gang-capable; everything else falls
-  /// back to the scalar path automatically. Supported widths: 0/1 (gang
-  /// off), 2..64 (u64 engine) and the wide-word engines' 256/512; anything
-  /// else throws GangWidthError at injector construction.
-  u32 gang_width = 64;
-  /// SIMD tier for the wide gang engines, by name: "auto" (or empty),
-  /// "scalar", "avx2", "avx512". Performance-only — verdicts are identical
-  /// on every tier. Unknown names throw SimdIsaError at injector
-  /// construction; explicitly requesting a tier this binary/CPU cannot run
-  /// throws there too. Widths <= 64 always execute scalar u64 loops.
-  std::string gang_isa = "auto";
-  /// Run gang golden settles from the ahead-of-time compiled eval plan when
-  /// the design's active cone is acyclic (see sim/eval_plan.h). Scheduling
-  /// only: verdicts and verdict-cache keys are identical with it off.
-  bool gang_plan = true;
+  /// Bit-sliced gang evaluation: 0 or 1 runs every bit through the scalar
+  /// loop; the host engine's width (preferred_gang_width(): 512 on
+  /// AVX-512, 256 elsewhere) packs that many lanes, golden reference
+  /// included, into one word-parallel simulation. Results are bit-for-bit
+  /// identical to the scalar loop either way. Only designs without BRAM
+  /// bindings or legitimate dynamic LUT state, and whose golden cone
+  /// compiles to an eval plan, are gang-capable; everything else falls back
+  /// to the scalar path automatically. Any other width throws
+  /// GangWidthError at injector construction.
+  u32 gang_width = preferred_gang_width();
 
   // Fluent construction, so call sites can assemble options in one
   // expression instead of mutating an aggregate field-by-field.
@@ -80,11 +72,6 @@ struct InjectionOptions {
   InjectionOptions& with_timing(const SelectMapTiming& t) { timing = t; return *this; }
   InjectionOptions& with_pruning(bool on) { prune_unobservable = on; return *this; }
   InjectionOptions& with_gang_width(u32 w) { gang_width = w; return *this; }
-  InjectionOptions& with_gang_isa(std::string name) {
-    gang_isa = std::move(name);
-    return *this;
-  }
-  InjectionOptions& with_gang_plan(bool on) { gang_plan = on; return *this; }
 };
 
 /// Wall-clock telemetry accumulated across inject() calls; feeds the
@@ -151,8 +138,10 @@ class SeuInjector {
   /// observe -> log -> repair -> (persistence check) -> reset.
   InjectionResult inject(const BitAddress& addr);
 
-  /// Whether this design supports gang evaluation at all (no BRAM bindings,
-  /// no legitimate dynamic LUT state) with the current options.
+  /// Whether this design supports gang evaluation at all with the current
+  /// options: no BRAM bindings, no legitimate dynamic LUT state, and a
+  /// golden cone that compiles to an eval plan (checked by building the
+  /// engine on first ask).
   bool gang_capable() const;
   /// Whether `addr` may ride in a gang run. Bits the observability pruner
   /// would skip stay on the scalar path (which short-circuits them), as do
@@ -206,7 +195,9 @@ class SeuInjector {
   std::vector<u32> residual_frames_;
   // Lazily-constructed gang engine. Fully independent of sim_/harness_
   // (it owns its own fabric), so scalar fallback re-runs are safe mid-batch.
-  std::unique_ptr<GangSim> gang_;
+  // gang_unplannable_ records that the design's golden cone has no plan.
+  mutable std::unique_ptr<GangSim> gang_;
+  mutable bool gang_unplannable_ = false;
   InjectionPhases phases_;
 };
 

@@ -1,28 +1,25 @@
 // Ahead-of-time compiled evaluation plan for the gang engine.
 //
-// FabricSim (and the gang engine mirroring it) evaluates combinational logic
-// by interpreting the fabric graph per cycle: a dirty-tile worklist, per-tile
-// switches over resolved-source encodings, bounded re-passes for local
-// feedback. That is the right machinery for *corrupted* decodes — they can
-// form loops and oscillators — but the golden structure of a compiled design
-// is a fixed acyclic dataflow graph, re-discovered identically millions of
-// times per campaign.
+// FabricSim evaluates combinational logic by interpreting the fabric graph
+// per cycle: a dirty-tile worklist, per-tile switches over resolved-source
+// encodings, bounded re-passes for local feedback. That is the right
+// machinery for *corrupted* decodes — they can form loops and oscillators —
+// but the golden structure of a compiled design is a fixed acyclic dataflow
+// graph, re-discovered identically millions of times per campaign.
 //
 // compile_eval_plan() topologically sorts the active cone once per design
 // into a flat, branch-free op array: one op per live LUT output, per
 // harness-overridden output and per driven wire, each reading its inputs
-// from the same flat out/wire value arrays the interpreter uses (so the two
-// evaluators are interchangeable mid-run). The wide-word engine executes the
-// array front-to-back per settle; lanes whose configuration diverges from
-// golden are then re-evaluated by the interpreter sweep on top, confined to
-// their divergence cones.
+// from the same flat out/wire value arrays FabricSim uses. The gang engine
+// executes the array front-to-back per settle; lanes whose configuration
+// diverges from golden are then re-evaluated per lane on top, confined to
+// their own tiles.
 //
 // A plan is pure schedule, not behaviour: it never changes what any lane
-// computes, only the order in which the golden fixpoint is reached. Verdicts
-// — and therefore verdict-cache keys — are independent of whether a plan is
-// in use. Designs whose golden cone is *not* acyclic (a configured
-// combinational loop) are rejected with a typed error and the engine stays
-// on the interpreter.
+// computes, only the order in which the golden fixpoint is reached. Designs
+// whose golden cone is *not* acyclic (a configured combinational loop) are
+// rejected with a typed error; such a design is not gang-capable, and the
+// injector runs it on the scalar path.
 #pragma once
 
 #include <string>

@@ -1,61 +1,34 @@
-// Internal seam between the GangSim facade and the per-ISA engine
-// translation units. Each TU compiles the same engine template
-// (gang_engine.inc over wide_word.inc) inside its own namespace — distinct
-// symbols, no ODR merging across ISA tiers — and exports plain factory
-// functions the facade dispatches on after runtime feature detection.
+// Internal seam between the GangSim facade and the two engine translation
+// units. Each TU compiles the same engine template (gang_engine.inc over
+// wide_word.inc) inside its own namespace — distinct symbols, no ODR merging
+// across ISA tiers — and exports one factory the facade calls after runtime
+// feature detection.
 #pragma once
 
 #include <memory>
 
 #include "sim/eval_plan.h"
-#include "sim/gang_isa_support.h"
 #include "sim/gang_sim.h"
 
 namespace vscrub {
 
-struct GangEngineConfig {
-  bool use_plan = true;
-};
-
 class GangEngineBase {
  public:
   virtual ~GangEngineBase() = default;
-  virtual int lanes() const = 0;
-  virtual int max_variants() const = 0;
-  virtual bool plan_active() const = 0;
-  virtual const std::string& plan_note() const = 0;
   virtual void run(const BitAddress* addrs, std::size_t count,
                    const GangSim::RunParams& p, GangSim::LaneResult* results,
                    GangSim::RunStats* stats) = 0;
 };
 
-// One factory per (tier, width). The scalar tier carries every width — it is
-// the portable fallback the wide words reduce to limb-by-limb; the AVX tiers
-// carry only the widths their vectors accelerate.
+// The portable engine: 256 lanes in four u64 limbs at the baseline ISA.
 namespace gang_scalar {
-std::unique_ptr<GangEngineBase> make_engine_64(const PlacedDesign& design,
-                                               const GangEngineConfig& config);
-std::unique_ptr<GangEngineBase> make_engine_256(const PlacedDesign& design,
-                                                const GangEngineConfig& config);
-std::unique_ptr<GangEngineBase> make_engine_512(const PlacedDesign& design,
-                                                const GangEngineConfig& config);
+std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design);
 }  // namespace gang_scalar
 
-#if VSCRUB_HAVE_ISA_AVX2
-namespace gang_avx2 {
-std::unique_ptr<GangEngineBase> make_engine_256(const PlacedDesign& design,
-                                                const GangEngineConfig& config);
-std::unique_ptr<GangEngineBase> make_engine_512(const PlacedDesign& design,
-                                                const GangEngineConfig& config);
-}  // namespace gang_avx2
-#endif
-
 #if VSCRUB_HAVE_ISA_AVX512
+// The AVX-512 engine: 512 lanes, one vector per lane word.
 namespace gang_avx512 {
-std::unique_ptr<GangEngineBase> make_engine_256(const PlacedDesign& design,
-                                                const GangEngineConfig& config);
-std::unique_ptr<GangEngineBase> make_engine_512(const PlacedDesign& design,
-                                                const GangEngineConfig& config);
+std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design);
 }  // namespace gang_avx512
 #endif
 

@@ -1,7 +1,6 @@
-// Scalar (baseline-ISA) instantiation of the gang engine: every width, no
-// target pragma. This tier must run on any x86-64 (or non-x86) host — it is
-// both the portable fallback and the reference the differential tests pin
-// the AVX tiers against.
+// Portable (baseline-ISA) instantiation of the gang engine: 256 lanes, no
+// target pragma. It runs on any x86-64 (or non-x86) host, and is the engine
+// every host without AVX-512 uses.
 #include "sim/gang_engine_prelude.h"
 
 namespace vscrub {
@@ -10,17 +9,8 @@ namespace gang_scalar {
 #include "sim/wide_word.inc"
 #include "sim/gang_engine.inc"
 
-std::unique_ptr<GangEngineBase> make_engine_64(const PlacedDesign& design,
-                                               const GangEngineConfig& config) {
-  return std::make_unique<GangEngine<1>>(design, config);
-}
-std::unique_ptr<GangEngineBase> make_engine_256(
-    const PlacedDesign& design, const GangEngineConfig& config) {
-  return std::make_unique<GangEngine<4>>(design, config);
-}
-std::unique_ptr<GangEngineBase> make_engine_512(
-    const PlacedDesign& design, const GangEngineConfig& config) {
-  return std::make_unique<GangEngine<8>>(design, config);
+std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design) {
+  return std::make_unique<GangEngine<4>>(design);
 }
 
 }  // namespace gang_scalar

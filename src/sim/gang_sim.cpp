@@ -1,64 +1,29 @@
-// GangSim facade: validates the width/ISA options, runs CPU feature
-// detection, and dispatches to the per-tier engine factory. The engine
-// bodies live in gang_engine_{scalar,avx2,avx512}.cpp.
+// GangSim facade: resolves the host's SIMD tier and builds that tier's
+// engine. The engine bodies live in gang_engine_{scalar,avx512}.cpp.
 #include "sim/gang_sim.h"
-
-#include <algorithm>
 
 #include "sim/gang_engine.h"
 
 namespace vscrub {
 
-GangSim::GangSim(const PlacedDesign& design, const GangOptions& options) {
-  validate_gang_width(options.width);
-  width_ = options.width;
-
-  const GangEngineConfig config{options.use_plan};
-  if (width_ <= 64) {
-    // One limb leaves nothing to vectorize: the u64 engine is the widest
-    // sensible codegen regardless of what the CPU offers. Still resolve the
-    // requested ISA so an explicit unusable tier errors identically at
-    // every width.
-    if (options.isa != SimdIsa::kAuto) (void)resolve_simd_isa(options.isa);
-    isa_ = SimdIsa::kScalar;
-    engine_ = gang_scalar::make_engine_64(design, config);
-  } else {
-    isa_ = resolve_simd_isa(options.isa);
-    switch (isa_) {
-#if VSCRUB_HAVE_ISA_AVX2
-      case SimdIsa::kAvx2:
-        engine_ = width_ == 256 ? gang_avx2::make_engine_256(design, config)
-                                : gang_avx2::make_engine_512(design, config);
-        break;
-#endif
+GangSim::GangSim(const PlacedDesign& design)
+    : isa_(resolve_simd_isa(SimdIsa::kAuto)), width_(gang_width_of(isa_)) {
 #if VSCRUB_HAVE_ISA_AVX512
-      case SimdIsa::kAvx512:
-        engine_ = width_ == 256 ? gang_avx512::make_engine_256(design, config)
-                                : gang_avx512::make_engine_512(design, config);
-        break;
-#endif
-      default:
-        isa_ = SimdIsa::kScalar;
-        engine_ = width_ == 256 ? gang_scalar::make_engine_256(design, config)
-                                : gang_scalar::make_engine_512(design, config);
-        break;
-    }
+  if (isa_ == SimdIsa::kAvx512) {
+    engine_ = gang_avx512::make_engine(design);
+    return;
   }
-  max_variants_ = std::min(static_cast<int>(width_) - 1,
-                           engine_->max_variants());
+#endif
+  engine_ = gang_scalar::make_engine(design);
 }
 
 GangSim::~GangSim() = default;
 
 void GangSim::run(const BitAddress* addrs, std::size_t count,
                   const RunParams& p, LaneResult* results, RunStats* stats) {
-  VSCRUB_CHECK(count >= 1 && count <= static_cast<std::size_t>(max_variants_),
+  VSCRUB_CHECK(count >= 1 && count <= static_cast<std::size_t>(max_variants()),
                "gang lane count exceeds max_variants()");
   engine_->run(addrs, count, p, results, stats);
 }
-
-bool GangSim::plan_active() const { return engine_->plan_active(); }
-
-const std::string& GangSim::plan_note() const { return engine_->plan_note(); }
 
 }  // namespace vscrub

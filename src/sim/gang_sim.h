@@ -4,37 +4,33 @@
 // value (lane 0 is reserved for the uncorrupted golden design).
 //
 // The engine reuses FabricSim's decoded tile structures, resolved-source
-// encodings, dirty-queue event sweep and settle semantics — the word-level
-// pass is, per lane, exactly the scalar pass — so gang results are
+// encodings and settle semantics — the word-level pass is, per lane, exactly
+// the scalar pass — so gang results are
 // bit-for-bit identical to running SeuInjector::inject() per candidate.
 // Each lane's configuration delta is confined to one tile (a configuration
 // bit decodes into exactly one tile's field); that tile is re-evaluated
 // per-lane with the variant decode and its bits spliced back into the words,
 // while every other tile is evaluated once for all lanes.
 //
-// This class is a thin dispatching facade. The actual engine is a template
-// over the lane word — 64 lanes in one u64 limb, 256 in four, 512 in eight —
-// instantiated once per SIMD tier (scalar / AVX2 / AVX-512, see sim/simd.h)
-// in separate translation units so each tier's word loops compile to its
-// native vector width. Width and tier are pure performance knobs: every
-// combination produces identical verdicts, which tests/test_gang_wide
-// asserts differentially. On top of the word widening, the engine executes
-// golden combinational settles from an ahead-of-time compiled eval plan
-// (sim/eval_plan.h) when the design's active cone is acyclic, falling back
-// to the interpreted dirty-queue sweep otherwise.
+// This class is a thin facade over one of two engines, chosen by the host:
+// the engine is a template over the lane word, instantiated as 512 lanes in
+// the AVX-512 translation unit and as 256 portable lanes everywhere else
+// (see sim/simd.h). Both produce identical verdicts, which
+// tests/test_gang_wide asserts differentially. Golden combinational settles
+// run from an ahead-of-time compiled eval plan (sim/eval_plan.h); a design
+// whose golden cone does not compile to one is not gang-capable.
 //
 // Early exit: once a lane's configuration is repaired (the persistence
 // phase), its state is a pure function of state the golden lane also holds —
 // the cycle its divergence mask goes to zero with no pending FF delta it can
 // never diverge again, so the lane retires with a non-persistent verdict.
 // Lanes whose evaluation the engine cannot reproduce exactly (a corrupted
-// decode oscillating past the eval bound) come back flagged `fallback` and
+// decode oscillating past the settle bound) come back flagged `fallback` and
 // must be re-run through the scalar path.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "pnr/placed_design.h"
@@ -45,34 +41,8 @@ namespace vscrub {
 
 class GangEngineBase;
 
-/// Engine selection. Every combination is verdict-identical; see
-/// validate_gang_width() / resolve_simd_isa() for the legal values and the
-/// typed errors unsupported ones raise.
-struct GangOptions {
-  /// Lane-word width: 1..64 runs the u64 engine (lane-capped below 64),
-  /// 256/512 run the wide engines. Unsupported widths throw GangWidthError.
-  u32 width = 64;
-  /// SIMD tier for the wide engines (widths <= 64 always execute the scalar
-  /// u64 loops — one limb leaves nothing to vectorize). kAuto resolves to
-  /// the widest usable tier, honouring the VSCRUB_FORCE_ISA override.
-  SimdIsa isa = SimdIsa::kAuto;
-  /// Execute golden settles from the compiled eval plan when the design
-  /// admits one. Purely a scheduling choice — verdicts (and verdict-cache
-  /// keys) are identical either way.
-  bool use_plan = true;
-
-  GangOptions& with_width(u32 w) { width = w; return *this; }
-  GangOptions& with_isa(SimdIsa i) { isa = i; return *this; }
-  GangOptions& with_plan(bool on) { use_plan = on; return *this; }
-};
-
 class GangSim {
  public:
-  /// Word width of the baseline u64 engine (back-compat constants; the live
-  /// limits are width()/max_variants()).
-  static constexpr int kMaxLanes = 64;
-  static constexpr int kMaxVariants = kMaxLanes - 1;
-
   /// Verdict for one candidate lane; field meanings match InjectionResult.
   struct LaneResult {
     bool fallback = false;  ///< verdict unavailable: re-run the scalar path
@@ -102,11 +72,12 @@ class GangSim {
     bool early_exit = false;
   };
 
-  /// Requires a gang-capable design: no BRAM bindings and no legitimate
-  /// dynamic LUT state (flips may still *create* SRL16/RAM16 sites — those
-  /// are modeled per-lane). Throws GangWidthError / SimdIsaError on
-  /// unsupported options.width / options.isa.
-  explicit GangSim(const PlacedDesign& design, const GangOptions& options = {});
+  /// Requires a BRAM-free design with no legitimate dynamic LUT state
+  /// (flips may still *create* SRL16/RAM16 sites — those are modeled
+  /// per-lane). Runs the host's engine (resolve_simd_isa(kAuto)). Throws
+  /// EvalPlanError when the golden cone does not compile to a plan, and
+  /// SimdIsaError on an unusable VSCRUB_FORCE_ISA.
+  explicit GangSim(const PlacedDesign& design);
   ~GangSim();
 
   /// Evaluates `count` (<= max_variants()) candidate bit flips against one
@@ -115,21 +86,16 @@ class GangSim {
            LaneResult* results, RunStats* stats);
 
   /// Candidate lanes per run: width - 1 (one lane is the golden reference).
-  int max_variants() const { return max_variants_; }
+  int max_variants() const { return static_cast<int>(width_) - 1; }
+  /// Lanes per run: 512 on AVX-512, 256 on the portable engine.
   u32 width() const { return width_; }
-  /// The SIMD tier actually executing (kScalar for widths <= 64).
+  /// The SIMD tier executing.
   SimdIsa isa() const { return isa_; }
-  /// Whether golden settles run from the compiled plan (false when the
-  /// design's cone is cyclic, or when GangOptions::use_plan was off).
-  bool plan_active() const;
-  /// Why the plan is off ("" while it is on).
-  const std::string& plan_note() const;
 
  private:
+  SimdIsa isa_;
+  u32 width_;
   std::unique_ptr<GangEngineBase> engine_;
-  u32 width_ = 64;
-  SimdIsa isa_ = SimdIsa::kScalar;
-  int max_variants_ = kMaxVariants;
 };
 
 }  // namespace vscrub

@@ -1,89 +1,76 @@
-// Runtime SIMD instruction-set selection for the wide gang engine.
+// Runtime SIMD selection for the gang engine.
 //
-// The gang engine's word loops are compiled three times — once per ISA tier
-// (portable scalar u64 arrays, AVX2, AVX-512) — into separate translation
-// units whose engine namespaces sit under the matching `#pragma GCC target`
-// (see gang_engine_prelude.h for why that is SIGILL-safe). This header is
-// the dispatch
-// surface: which tiers the binary carries, which the host CPU can run, and
-// which one a run should use. Selection is a pure performance knob: every
-// tier executes the identical lane-for-lane algorithm, so verdicts are
-// bit-identical across ISAs (the differential suite in tests/test_gang_wide
-// enforces exactly that).
+// The engine is compiled twice: a portable build of 256 lanes (four u64
+// limbs at the baseline ISA) and a 512-lane build whose namespace sits under
+// `#pragma GCC target("avx512...")` (see gang_engine_prelude.h for why that
+// is SIGILL-safe). The host picks one: an AVX-512 CPU runs the 512-lane
+// engine, every other CPU the portable one. Both run the identical
+// lane-for-lane algorithm, so verdicts are bit-identical across them (the
+// differential suite in tests/test_gang_wide enforces exactly that).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/types.h"
+
+// Whether this build carries the AVX-512 engine. It is built by
+// target-annotating only the engine's own functions (#pragma GCC target
+// inside its translation unit) — shared inline code stays at the baseline
+// ISA, so nothing outside the runtime-dispatched engine can emit an
+// instruction the host might lack. That mechanism needs x86-64 plus a
+// GCC-compatible compiler; everywhere else only the portable engine exists.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define VSCRUB_HAVE_ISA_AVX512 1
+#else
+#define VSCRUB_HAVE_ISA_AVX512 0
+#endif
 
 namespace vscrub {
 
 enum class SimdIsa : u8 {
-  kAuto = 0,    ///< pick the best compiled-in tier the CPU supports
-  kScalar = 1,  ///< portable u64-array words (always available)
-  kAvx2 = 2,    ///< 256-bit words, one lane-op per 4 u64 limbs
-  kAvx512 = 3,  ///< 512-bit words, one lane-op per 8 u64 limbs
+  kAuto = 0,    ///< the host's tier (honours VSCRUB_FORCE_ISA)
+  kScalar = 1,  ///< portable u64-array words: the 256-lane engine
+  kAvx512 = 2,  ///< 512-bit words: the 512-lane engine
 };
 
 const char* simd_isa_name(SimdIsa isa);
 
-/// Typed error for unusable --gang-isa / gang_isa values: unknown names,
-/// tiers not compiled into this binary, tiers the host CPU lacks.
+/// Typed error for an unusable tier: a VSCRUB_FORCE_ISA value that names no
+/// tier, or a tier this binary or CPU cannot run.
 class SimdIsaError : public Error {
  public:
   explicit SimdIsaError(const std::string& what) : Error(what) {}
 };
 
-/// Parses "auto" | "scalar" | "avx2" | "avx512" (empty = auto).
-/// Throws SimdIsaError on anything else, listing the valid names.
-SimdIsa parse_simd_isa(const std::string& name);
-
-/// ISA tiers compiled into this binary (always contains kScalar).
-const std::vector<SimdIsa>& compiled_simd_isas();
-/// Whether `isa` is both compiled in and supported by the host CPU.
-bool simd_isa_usable(SimdIsa isa);
-
-/// Resolves a requested tier to the one a run will execute. kAuto picks the
-/// widest usable tier, unless the VSCRUB_FORCE_ISA environment variable
-/// names one (the test/CI override: a forced-scalar leg runs the identical
-/// binary with every auto-selected run pinned to the fallback). An explicit
-/// non-auto request beats the environment; requesting an unusable tier
-/// throws SimdIsaError naming the usable ones.
+/// Resolves a requested tier to the one a run will execute. kAuto picks
+/// AVX-512 when the binary carries it and the CPU runs it, else scalar —
+/// unless the VSCRUB_FORCE_ISA environment variable names a tier ("scalar"
+/// or "avx512"; the CI forced-scalar legs run the identical binary on the
+/// portable engine this way). An explicit non-auto request beats the
+/// environment; an unusable tier throws SimdIsaError naming the usable ones.
 SimdIsa resolve_simd_isa(SimdIsa requested);
 
-/// The widest gang lane word any tier is compiled for (the 512-lane engine).
-/// A constant of the build, not of the host: every tier, scalar included,
-/// carries it.
+/// The widest gang lane word this build carries (the AVX-512 engine). A
+/// constant of the build, not of the host.
 inline constexpr u32 kWidestGangWidth = 512;
 
-/// Gang lane widths this binary supports: 1..64 (the u64 engine, optionally
-/// lane-capped) plus each wide word width compiled in (256, 512).
-struct GangWidths {
-  u32 max_narrow = 64;      ///< every width in [1, max_narrow] is valid
-  std::vector<u32> wide;    ///< exact wide widths (256, 512)
-};
-const GangWidths& supported_gang_widths();
-bool gang_width_supported(u32 width);
-/// One-line human list, e.g. "1..64, 256, 512".
-std::string supported_gang_widths_list();
+/// Lanes of the engine a resolved tier runs: 512 for AVX-512, 256 for the
+/// portable engine.
+constexpr u32 gang_width_of(SimdIsa isa) {
+  return isa == SimdIsa::kAvx512 ? kWidestGangWidth : 256;
+}
 
-/// Typed error for unsupported --gang-width / gang_width values. Widths
-/// above the supported maximum (or in the gaps between wide words) are
-/// rejected here rather than silently clamped; the message lists the widths
-/// compiled into this binary.
+/// The host engine's width: gang_width_of(resolve_simd_isa(kAuto)). Honors
+/// VSCRUB_FORCE_ISA through the resolver, so a forced-scalar leg gets 256.
+u32 preferred_gang_width();
+
+/// Typed error for an unsupported gang width. The message lists the legal
+/// values: 0 and 1 (the scalar path) and the host engine's width.
 class GangWidthError : public Error {
  public:
   explicit GangWidthError(const std::string& what) : Error(what) {}
 };
-/// Throws GangWidthError unless gang_width_supported(width).
+/// Throws GangWidthError unless `width` is 0, 1 or preferred_gang_width().
 void validate_gang_width(u32 width);
-
-/// The widest gang width the auto-resolved SIMD tier runs natively: 512 when
-/// resolve_simd_isa(kAuto) picks AVX-512, 256 for AVX2, max_narrow (64) for
-/// scalar. Honors VSCRUB_FORCE_ISA through the resolver, so a forced-scalar
-/// leg prefers 64. This is a throughput default only — every width computes
-/// identical verdicts.
-u32 preferred_gang_width();
 
 }  // namespace vscrub

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "sim/simd.h"
-
 namespace vscrub {
 namespace {
 
@@ -11,7 +9,6 @@ constexpr unsigned kRun = kSpecCampaign | kSpecForward;
 constexpr unsigned kMissionKinds = kSpecMission | kSpecFleet;
 
 std::vector<SpecRow> build_spec() {
-  const std::string gang_width = std::to_string(preferred_gang_width());
   return {
       {Param::kDesign, "design", SpecType::kString, "lfsrmult", "<design>",
        "design generator (see `vscrubctl designs`)",
@@ -31,16 +28,8 @@ std::vector<SpecRow> build_spec() {
        "classify persistent vs transient failures", kRun},
       {Param::kNoPrune, "no_prune", SpecType::kBool, "", "",
        "disable influence-set pruning", kRun},
-      {Param::kGangWidth, "gang_width", SpecType::kU64, gang_width, "N",
-       "bit-sliced gang lanes: 1..64, 256, 512 (default " + gang_width +
-           ", the widest native tier)",
-       kRun},
       {Param::kNoGang, "no_gang", SpecType::kBool, "", "",
-       "scalar injections only (gang width 1)", kRun},
-      {Param::kGangIsa, "gang_isa", SpecType::kString, "auto", "T",
-       "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)", kRun},
-      {Param::kNoGangPlan, "no_gang_plan", SpecType::kBool, "", "",
-       "interpret gang settles (skip the compiled eval plan)", kRun},
+       "scalar injections only (no bit-sliced gang engine)", kRun},
       {Param::kHours, "hours", SpecType::kDouble, "24", "H",
        "mission duration (default 24)", kMissionKinds},
       {Param::kMissions, "missions", SpecType::kU64, "8", "N",

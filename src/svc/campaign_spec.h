@@ -34,7 +34,7 @@ enum SpecScope : unsigned {
 enum class Param {
   kDesign, kDevice, kSample, kExhaustive, kSeed, kChunk,  // the campaign
   kPersistence, kNoPrune,                                 // injection
-  kGangWidth, kNoGang, kGangIsa, kNoGangPlan,             // gang engine
+  kNoGang,                                                // gang engine
   kHours, kMissions, kFlare, kScrubFaults, kScrubPolicy,  // missions
   kTenant,                                                // scheduling
 };

@@ -13,7 +13,7 @@
 // adding one table row + one set() case — no flag can drift from its field.
 //
 // Every setter failure is a typed ServiceConfigError (same discipline as
-// GangWidthError / SimdIsaError): junk numbers, malformed weight specs and
+// GangWidthError): junk numbers, malformed weight specs and
 // inconsistent combinations are rejected at configuration time with a
 // message naming the flag, never discovered mid-serve.
 #pragma once

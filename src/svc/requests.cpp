@@ -112,26 +112,15 @@ RequestDesign request_design(const std::string& design,
 
 CampaignOptions campaign_options_from(const FlatJson& params,
                                       const RequestContext& ctx) {
-  const u32 gang_width =
-      spec_bool(params, Param::kNoGang)
-          ? 1u
-          : static_cast<u32>(spec_u64(params, Param::kGangWidth));
-  // Validate the engine selection at submission: GangWidthError / SimdIsaError
-  // (listing the widths/tiers this binary supports) surface as typed VSRP1
-  // error frames here instead of aborting the campaign mid-run.
-  if (gang_width >= 2) validate_gang_width(gang_width);
-  const std::string gang_isa = spec_string(params, Param::kGangIsa);
-  const SimdIsa requested_isa = parse_simd_isa(gang_isa);
-  if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
   CampaignOptions options =
       CampaignOptions{}
           .with_injection(
               InjectionOptions{}
                   .with_persistence(spec_bool(params, Param::kPersistence))
                   .with_pruning(!spec_bool(params, Param::kNoPrune))
-                  .with_gang_width(gang_width)
-                  .with_gang_isa(gang_isa)
-                  .with_gang_plan(!spec_bool(params, Param::kNoGangPlan)))
+                  .with_gang_width(spec_bool(params, Param::kNoGang)
+                                       ? 1u
+                                       : served_gang_width_default()))
           .with_chunk_size(spec_u64(params, Param::kChunk));
   if (spec_bool(params, Param::kExhaustive)) {
     options.with_exhaustive();

@@ -83,16 +83,14 @@ struct RequestContext {
   RemoteVerdictClient* remote_store = nullptr;
 };
 
-/// The gang width a campaign defaults to on every path (the campaign spec's
-/// gang_width default): the widest lane width the auto-resolved SIMD tier
-/// runs natively (512 on AVX-512, 256 on AVX2, 64 on scalar). Width never
+/// The gang width a campaign runs at on every path unless `no_gang` is set:
+/// the host engine's width (512 on AVX-512, 256 elsewhere). Width never
 /// changes verdicts — the differential suite proves that.
 u32 served_gang_width_default();
 
 /// A campaign/recampaign request's options: its campaign-spec parameters
 /// with the row defaults, its fabric range, and the context's wiring. The
-/// one-shot commands build theirs here too. Throws GangWidthError /
-/// SimdIsaError on an unsupported engine selection.
+/// one-shot commands build theirs here too.
 CampaignOptions campaign_options_from(const FlatJson& params,
                                       const RequestContext& ctx);
 

@@ -13,6 +13,11 @@
 // returning tenant is next in line but cannot claim credit for the time it
 // spent away, and a newly seen tenant cannot starve incumbents.
 //
+// A tenant that will never submit again (a closed connection's
+// per-connection lane) is retired: its lane is erased once empty, so a
+// long-lived daemon keeps no lane per connection it ever served. Erasing an
+// empty lane changes no later dispatch — pop() never looks at empty lanes.
+//
 // The scheduler is deliberately lock-free-of-its-own: CampaignService calls
 // it under its admission mutex, and the template is trivially unit-testable
 // with int payloads.
@@ -59,19 +64,38 @@ class FairScheduler {
 
   /// Dispatches the minimum-pass lane's head job; false when empty.
   bool pop(Job* out) {
-    Lane* best = nullptr;
-    for (auto& [tenant, l] : lanes_) {
-      if (l.queue.empty()) continue;
-      if (best == nullptr || l.pass < best->pass) best = &l;
+    auto best = lanes_.end();
+    for (auto it = lanes_.begin(); it != lanes_.end(); ++it) {
+      if (it->second.queue.empty()) continue;
+      if (best == lanes_.end() || it->second.pass < best->second.pass) {
+        best = it;
+      }
     }
-    if (best == nullptr) return false;
-    *out = std::move(best->queue.front());
-    best->queue.pop_front();
+    if (best == lanes_.end()) return false;
+    Lane& l = best->second;
+    *out = std::move(l.queue.front());
+    l.queue.pop_front();
     --size_;
-    vtime_ = best->pass;
-    best->pass += kStrideScale / best->weight;
+    vtime_ = l.pass;
+    l.pass += kStrideScale / l.weight;
+    if (l.retired && l.queue.empty()) lanes_.erase(best);
     return true;
   }
+
+  /// Forgets a tenant that will never submit again: its lane is erased now
+  /// if empty, else when its last queued job is popped.
+  void retire(const std::string& tenant) {
+    const auto it = lanes_.find(tenant);
+    if (it == lanes_.end()) return;
+    if (it->second.queue.empty()) {
+      lanes_.erase(it);
+    } else {
+      it->second.retired = true;
+    }
+  }
+
+  /// Number of lanes held, empty ones included (stats surface).
+  std::size_t lane_count() const { return lanes_.size(); }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -107,6 +131,7 @@ class FairScheduler {
   struct Lane {
     u64 pass = 0;
     u64 weight = 1;
+    bool retired = false;  ///< erase once the queue drains
     std::deque<Job> queue;
   };
 

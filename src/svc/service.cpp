@@ -25,6 +25,11 @@ class RefusedRequest : public Error {
   const char* code;
 };
 
+/// The fair-share lane of a request that names no tenant: its connection.
+std::string client_tenant(u64 client_id) {
+  return "client#" + std::to_string(client_id);
+}
+
 }  // namespace
 
 CampaignService::CampaignService(const ServiceConfig& config)
@@ -175,8 +180,7 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
   job.cancelled = std::make_shared<std::atomic<bool>>(false);
   job.enqueued = std::chrono::steady_clock::now();
   job.client_id = client_id;
-  job.tenant = tenant.empty() ? "client#" + std::to_string(client_id)
-                              : std::move(tenant);
+  job.tenant = tenant.empty() ? client_tenant(client_id) : std::move(tenant);
   std::size_t depth = 0;
   // Rejects reply only after BOTH locks are released: emit can block on a
   // stalled client socket, and neither admission (mutex_) nor metrics
@@ -285,6 +289,9 @@ void CampaignService::cancel_client(u64 client_id) {
       e.flag->store(true, std::memory_order_relaxed);
     }
   }
+  // Connection ids are never reused, so the per-connection lane will see no
+  // further admission: drop it once its queued (now cancelled) jobs are out.
+  sched_.retire(client_tenant(client_id));
 }
 
 void CampaignService::cancel_all() {
@@ -414,13 +421,22 @@ bool CampaignService::run_job(Job& job) {
         std::lock_guard mlock(metrics_mutex_);
         metrics_.counter("preemptions").add();
       }
+      // Re-read the cancel flag under the lock cancel_client() holds: a job
+      // whose connection closed meanwhile is never requeued into a lane that
+      // has been retired; it replies as cancelled instead.
+      bool requeued = false;
       {
         const std::string tenant = job.tenant;  // job is moved below
         std::lock_guard lock(mutex_);
-        sched_.push_front(tenant, std::move(job));
+        if (!job.cancelled->load(std::memory_order_relaxed)) {
+          sched_.push_front(tenant, std::move(job));
+          requeued = true;
+        }
       }
-      work_cv_.notify_one();
-      return false;
+      if (requeued) {
+        work_cv_.notify_one();
+        return false;
+      }
     }
     reply(job.emit, FrameKind::kResult, id, report);
     // A finished (non-cancelled) campaign's checkpoint is scratch state:
@@ -592,11 +608,13 @@ JsonReport CampaignService::stats_report() const {
   std::size_t depth;
   std::size_t live;
   std::size_t tenants;
+  std::size_t lanes;
   {
     std::lock_guard lock(mutex_);
     depth = sched_.size();
     live = live_.size();
     tenants = sched_.tenants_waiting();
+    lanes = sched_.lane_count();
   }
   JsonReport report("service_stats");
   report.set_u64("protocol_version", 1)
@@ -606,6 +624,7 @@ JsonReport CampaignService::stats_report() const {
       .set_u64("queue_depth_now", depth)
       .set_u64("live_requests", live)
       .set_u64("sched_tenants_waiting", tenants)
+      .set_u64("sched_lanes", lanes)
       .set_u64("preempt_chunks", config_.preempt_chunks)
       .set_bool("draining", draining())
       .set_bool("store_enabled", store_ != nullptr)

@@ -103,7 +103,7 @@ TEST(CampaignDeterminism, PruningMatchesUnprunedWithDynamicLutState) {
 
 TEST(CampaignDeterminism, GangWidthInvarianceExhaustive) {
   // The bit-sliced gang engine promises results bit-for-bit identical to the
-  // scalar loop at every lane width and thread count: sensitivity set,
+  // scalar loop at every thread count: sensitivity set,
   // persistence classification, first-error cycles, output masks, modeled
   // hardware time — everything expect_same_result checks.
   const auto design = compile(designs::counter_adder(4), device_tiny(4, 6));
@@ -119,14 +119,11 @@ TEST(CampaignDeterminism, GangWidthInvarianceExhaustive) {
   };
   const auto scalar = with_gang(1u, 1u);  // gang disabled: the reference
   EXPECT_GT(scalar.failures, 0u);
-  for (const u32 width : {8u, 64u}) {
-    for (const u32 threads : {1u, 4u}) {
-      const auto ganged = with_gang(width, threads);
-      SCOPED_TRACE("gang_width=" + std::to_string(width) +
-                   " threads=" + std::to_string(threads));
-      expect_same_result(scalar, ganged);
-      EXPECT_EQ(scalar.pruned, ganged.pruned);
-    }
+  for (const u32 threads : {1u, 4u}) {
+    const auto ganged = with_gang(preferred_gang_width(), threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_same_result(scalar, ganged);
+    EXPECT_EQ(scalar.pruned, ganged.pruned);
   }
 }
 
@@ -140,7 +137,7 @@ TEST(CampaignDeterminism, GangMatchesScalarWithPruningOff) {
                   InjectionOptions{}.with_pruning(false).with_gang_width(1)));
   const auto ganged = run_campaign(
       design, opts.with_injection(
-                  InjectionOptions{}.with_pruning(false).with_gang_width(64)));
+                  InjectionOptions{}.with_pruning(false)));
   expect_same_result(scalar, ganged);
 }
 

@@ -31,9 +31,6 @@ std::string test_value(const SpecRow& row) {
   switch (row.id) {
     case Param::kDesign: return "counter";
     case Param::kDevice: return "tiny:8x12";
-    case Param::kGangWidth:
-      return preferred_gang_width() == 32 ? "16" : "32";
-    case Param::kGangIsa: return "scalar";
     case Param::kScrubPolicy: return "blind";
     case Param::kTenant: return "alice";
     default: break;
@@ -143,8 +140,6 @@ void expect_same(const Built& a, const Built& b, const std::string& where) {
   EXPECT_EQ(i.timing.op_overhead, j.timing.op_overhead);
   EXPECT_EQ(i.prune_unobservable, j.prune_unobservable);
   EXPECT_EQ(i.gang_width, j.gang_width);
-  EXPECT_EQ(i.gang_isa, j.gang_isa);
-  EXPECT_EQ(i.gang_plan, j.gang_plan);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
 }
 
@@ -174,8 +169,7 @@ TEST(CampaignSpec, EveryCampaignRowBuildsTheSameCampaignOnEveryPath) {
     const InjectionOptions& o = oneshot.options.injection;
     const InjectionOptions& d = base.options.injection;
     EXPECT_TRUE(fingerprint(oneshot) != fingerprint(base) ||
-                o.gang_width != d.gang_width || o.gang_isa != d.gang_isa ||
-                o.gang_plan != d.gang_plan)
+                o.gang_width != d.gang_width)
         << "--" << row.name << " changed nothing";
   }
 }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 
 #include "core/cli.h"
-#include "svc/protocol.h"
 #include "sim/simd.h"
+#include "svc/protocol.h"
+#include "svc/requests.h"
 
 namespace vscrub {
 namespace {
@@ -72,7 +74,7 @@ TEST(Cli, NormalizedFlagsPresentWhereTheyApply) {
     return false;
   };
   for (const CliCommand* cmd : {campaign, recampaign}) {
-    EXPECT_TRUE(has(cmd, "--gang-width")) << cmd->name;
+    EXPECT_TRUE(has(cmd, "--no-gang")) << cmd->name;
     EXPECT_TRUE(has(cmd, "--cache-dir")) << cmd->name;
     EXPECT_TRUE(has(cmd, "--json")) << cmd->name;
   }
@@ -101,7 +103,7 @@ TEST(Cli, ParseAcceptsDeclaredFlagsOnly) {
   EXPECT_FALSE(args.flag("--exhaustive"));
   EXPECT_EQ(args.option_u64("--sample", 0), 500u);
   EXPECT_EQ(args.option("--cache-dir", ""), "d");
-  EXPECT_EQ(args.option_u64("--gang-width", 64), 64u);  // default passthrough
+  EXPECT_EQ(args.option_u64("--chunk", 64), 64u);  // default passthrough
 
   EXPECT_THROW(cli_parse(*cmd, {"--gangwidth", "8"}), Error);
   EXPECT_THROW(cli_parse(*cmd, {"--observations", "9"}), Error)
@@ -111,60 +113,61 @@ TEST(Cli, ParseAcceptsDeclaredFlagsOnly) {
 }
 
 TEST(Cli, GangEngineFlagsPresentWhereGangRuns) {
-  // The wide-engine knobs ride every command that can dispatch gang runs,
-  // with one spelling: --gang-width N, --gang-isa T, --no-gang-plan.
+  // The host picks the gang engine; the one knob is --no-gang, on every
+  // command that can dispatch gang runs. Width, ISA and plan are not flags.
   const auto has = [](const CliCommand* cmd, const char* name) {
     for (const CliFlag& f : cmd->flags) {
       if (f.name == name) return true;
     }
     return false;
   };
-  for (const char* name : {"campaign", "recampaign", "submit"}) {
+  for (const char* name :
+       {"campaign", "recampaign", "submit", "fleet-submit"}) {
     const CliCommand* cmd = cli_find(name);
     ASSERT_NE(cmd, nullptr) << name;
-    EXPECT_TRUE(has(cmd, "--gang-width")) << name;
-    EXPECT_TRUE(has(cmd, "--gang-isa")) << name;
-    EXPECT_TRUE(has(cmd, "--no-gang-plan")) << name;
+    EXPECT_TRUE(has(cmd, "--no-gang")) << name;
+    for (const char* gone : {"--gang-width", "--gang-isa", "--no-gang-plan"}) {
+      EXPECT_FALSE(has(cmd, gone)) << name << " " << gone;
+    }
   }
   const CliCommand* campaign = cli_find("campaign");
-  const CliArgs args = cli_parse(
-      *campaign, {"lfsrmult", "--gang-width", "256", "--gang-isa", "avx2",
-                  "--no-gang-plan"});
-  EXPECT_EQ(args.option_u64("--gang-width", 64), 256u);
-  EXPECT_EQ(args.option("--gang-isa", "auto"), "avx2");
-  EXPECT_TRUE(args.flag("--no-gang-plan"));
-  // The --gang-width help names the supported widths so an error message and
-  // the help screen never disagree.
-  for (const CliFlag& f : campaign->flags) {
-    if (f.name == "--gang-width") {
-      EXPECT_NE(f.help.find("256"), std::string::npos) << f.help;
-      EXPECT_NE(f.help.find("512"), std::string::npos) << f.help;
-    }
-    if (f.name == "--gang-isa") {
-      EXPECT_NE(f.help.find("avx512"), std::string::npos) << f.help;
-    }
-  }
+  EXPECT_TRUE(
+      cli_parse(*campaign, {"lfsrmult", "--no-gang"}).flag("--no-gang"));
+  EXPECT_THROW(cli_parse(*campaign, {"lfsrmult", "--gang-width", "256"}),
+               Error);
+  EXPECT_THROW(cli_parse(*campaign, {"lfsrmult", "--gang-isa", "avx2"}),
+               Error);
+  EXPECT_THROW(cli_parse(*campaign, {"lfsrmult", "--no-gang-plan"}), Error);
 }
 
 TEST(Cli, GangWidthAndIsaValuesRejectWithTypedErrors) {
-  // The errors vscrubctl surfaces for bad --gang-width / --gang-isa values:
-  // typed, and self-describing enough to fix the command line from.
+  // The errors vscrubctl surfaces for a bad library gang width or a bad
+  // VSCRUB_FORCE_ISA: typed, and self-describing enough to fix from.
   try {
     validate_gang_width(100);
     FAIL() << "width 100 accepted";
   } catch (const GangWidthError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("100"), std::string::npos) << what;
-    EXPECT_NE(what.find(supported_gang_widths_list()), std::string::npos)
+    EXPECT_NE(what.find(std::to_string(preferred_gang_width())),
+              std::string::npos)
         << what;
   }
+  const char* old = std::getenv("VSCRUB_FORCE_ISA");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("VSCRUB_FORCE_ISA", "sse9", 1);
   try {
-    parse_simd_isa("sse9");
-    FAIL() << "bad ISA accepted";
+    (void)preferred_gang_width();
+    ADD_FAILURE() << "bad ISA accepted";
   } catch (const SimdIsaError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("sse9"), std::string::npos) << what;
     EXPECT_NE(what.find("scalar"), std::string::npos) << what;
+  }
+  if (old != nullptr) {
+    ::setenv("VSCRUB_FORCE_ISA", saved.c_str(), 1);
+  } else {
+    ::unsetenv("VSCRUB_FORCE_ISA");
   }
 }
 
@@ -202,18 +205,13 @@ TEST(Cli, FleetSubmitTakesTenant) {
 }
 
 TEST(Cli, OneShotGangWidthDefaultIsTheServedDefault) {
-  const CliArgs args = cli_parse(*cli_find("campaign"), {"lfsrmult"});
-  EXPECT_EQ(cli_campaign(args).options.injection.gang_width,
-            preferred_gang_width());
-  const std::string dflt =
-      "default " + std::to_string(preferred_gang_width());
-  for (const char* name :
-       {"campaign", "recampaign", "submit", "fleet-submit"}) {
-    for (const CliFlag& f : cli_find(name)->flags) {
-      if (f.name != "--gang-width") continue;
-      EXPECT_NE(f.help.find(dflt), std::string::npos) << name << ": " << f.help;
-    }
-  }
+  const CliCommand* campaign = cli_find("campaign");
+  EXPECT_EQ(cli_campaign(cli_parse(*campaign, {"lfsrmult"}))
+                .options.injection.gang_width,
+            served_gang_width_default());
+  EXPECT_EQ(cli_campaign(cli_parse(*campaign, {"lfsrmult", "--no-gang"}))
+                .options.injection.gang_width,
+            1u);
 }
 
 TEST(Cli, UnknownCommandIsNull) {

@@ -1,12 +1,15 @@
 // Bit-sliced gang injection engine (GangSim): per-bit equivalence with the
 // scalar inject() loop, early-exit soundness on reconvergent logic cones,
-// eligibility rules, and the deprecated-API compile check riding this PR.
+// and the eligibility rules (gang width, BRAM, dynamic LUTs, plan-less
+// combinational loops, pruned bits).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "core/vscrub.h"
+#include "sim/eval_plan.h"
+#include "sim/gang_sim.h"
 
 using namespace vscrub;
 
@@ -44,13 +47,13 @@ TEST(GangInjection, MatchesScalarPerBitExhaustive) {
   const auto design = compile(designs::counter_adder(4), device_tiny(4, 6));
   const InjectionOptions opts = InjectionOptions{}.with_persistence();
 
-  SeuInjector gang(design, InjectionOptions(opts).with_gang_width(64));
+  SeuInjector gang(design, opts);
   SeuInjector scalar(design, InjectionOptions(opts).with_gang_width(1));
   ASSERT_TRUE(gang.gang_capable());
   EXPECT_FALSE(scalar.gang_capable());
 
   const auto addrs = eligible_bits(gang, design);
-  ASSERT_GT(addrs.size(), 64u);  // spans several gang runs
+  ASSERT_GT(addrs.size(), 64u);
 
   const auto results = gang.run_gang(addrs);
   ASSERT_EQ(results.size(), addrs.size());
@@ -60,7 +63,8 @@ TEST(GangInjection, MatchesScalarPerBitExhaustive) {
     errors += results[i].output_error;
   }
   EXPECT_GT(errors, 0u);
-  EXPECT_GT(gang.phases().gang_runs, 1u);
+  const u64 lanes = gang.options().gang_width - 1;
+  EXPECT_EQ(gang.phases().gang_runs, (addrs.size() + lanes - 1) / lanes);
   EXPECT_EQ(gang.phases().gang_lanes, addrs.size());
 }
 
@@ -73,7 +77,7 @@ TEST(GangInjection, EarlyExitMatchesFullScalarOnReconvergentCones) {
   const InjectionOptions opts =
       InjectionOptions{}.with_persistence().with_observe_cycles(96);
 
-  SeuInjector gang(design, InjectionOptions(opts).with_gang_width(64));
+  SeuInjector gang(design, opts);
   SeuInjector scalar(design, InjectionOptions(opts).with_gang_width(1));
   ASSERT_TRUE(gang.gang_capable());
 
@@ -109,8 +113,58 @@ TEST(GangInjection, WidthOneAndBramDesignsFallBackToScalar) {
   // shared golden lane cannot represent.
   const auto fir = compile(designs::fir_preproc(2), device_tiny(8, 12));
   ASSERT_FALSE(fir.dynamic_lut_sites.empty());
-  SeuInjector fir_inj(fir, InjectionOptions{}.with_gang_width(64));
+  SeuInjector fir_inj(fir, InjectionOptions{});
   EXPECT_FALSE(fir_inj.gang_capable());
+}
+
+TEST(GangInjection, DesignsWithoutAnEvalPlanRunScalar) {
+  // A configured combinational loop has no compiled eval plan, so the design
+  // is not gang-capable: a campaign dispatches no gang run and its verdicts
+  // are the scalar path's, bit for bit. The loop g1 = x & g2, g2 = g1 | x
+  // (the Drc.CatchesCombinationalCycle shape; compile runs no DRC) settles
+  // to o = x, so its golden trace comes from the same netlist with the loop
+  // cut (g1 = x & x): the reference simulator needs an acyclic netlist.
+  const auto loop_netlist = [](bool closed) {
+    Netlist nl("loop");
+    const NetId x = nl.add_input("x");
+    const NetId g1 = nl.add_lut(0x8, {x, x});
+    const NetId g2 = nl.add_lut(0xE, {g1, x});
+    if (closed) nl.rewire_input(nl.net(g1).driver, 1, g2);
+    nl.add_output("o", g2);
+    return nl;
+  };
+  PlacedDesign design = compile(loop_netlist(true), device_tiny(4, 6));
+  design.netlist = std::make_shared<const Netlist>(loop_netlist(false));
+
+  EXPECT_THROW(GangSim{design}, EvalPlanError);
+  SeuInjector inj(design, InjectionOptions{});
+  EXPECT_FALSE(inj.gang_capable());
+
+  const auto run = [&](InjectionOptions injection) {
+    return run_campaign(
+        design, CampaignOptions{}.with_exhaustive().with_chunk_size(64)
+                    .with_injection(injection));
+  };
+  const CampaignResult gang = run(InjectionOptions{});
+  const CampaignResult scalar = run(InjectionOptions{}.with_gang_width(1));
+  // The loop runs true to its reference: most flips change nothing.
+  EXPECT_GT(scalar.failures, 0u);
+  EXPECT_LT(scalar.failures, scalar.injections / 2);
+  EXPECT_EQ(gang.phases.gang_runs, 0u);
+  EXPECT_EQ(gang.phases.gang_lanes, 0u);
+  ASSERT_EQ(gang.injections, scalar.injections);
+  ASSERT_EQ(gang.failures, scalar.failures);
+  ASSERT_EQ(gang.sensitive_bits.size(), scalar.sensitive_bits.size());
+  for (std::size_t i = 0; i < gang.sensitive_bits.size(); ++i) {
+    const auto& a = scalar.sensitive_bits[i];
+    const auto& b = gang.sensitive_bits[i];
+    EXPECT_EQ(a.addr, b.addr) << "sensitive bit " << i;
+    EXPECT_EQ(a.persistent, b.persistent) << "sensitive bit " << i;
+    EXPECT_EQ(a.first_error_cycle, b.first_error_cycle)
+        << "sensitive bit " << i;
+    EXPECT_EQ(a.error_output_mask_lo, b.error_output_mask_lo)
+        << "sensitive bit " << i;
+  }
 }
 
 TEST(GangInjection, PrunedBitsAreNotGangEligible) {

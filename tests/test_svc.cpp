@@ -352,6 +352,43 @@ TEST(FairSchedulerTest, ReturningTenantCannotClaimCreditForAbsence) {
   EXPECT_EQ(b_in_next_four, 2);  // ...then strict alternation, no starvation
 }
 
+TEST(FairSchedulerTest, RetiredLanesGoWithoutChangingTheSchedule) {
+  // Two schedulers fed the same arrivals; one retires an empty lane and a
+  // non-empty one midway. Every job still dispatches, in the same order, and
+  // each retired lane is gone once it is empty.
+  FairScheduler<int> kept, retiring;
+  for (FairScheduler<int>* s : {&kept, &retiring}) {
+    int v = -1;
+    s->push("idle", 0);
+    ASSERT_TRUE(s->pop(&v));  // "idle" was served and is empty now
+    s->set_weight("a", 2);
+    for (int i = 0; i < 6; ++i) s->push("a", 10 + i);
+    for (int i = 0; i < 4; ++i) s->push("b", 20 + i);
+    for (int i = 0; i < 2; ++i) s->push("c", 30 + i);
+  }
+  EXPECT_EQ(retiring.lane_count(), 4u);
+  retiring.retire("idle");  // empty: erased at once
+  retiring.retire("nobody");  // unknown: a no-op
+  EXPECT_EQ(retiring.lane_count(), 3u);
+
+  std::vector<int> want, got;
+  int v = -1;
+  for (int i = 0; i < 3; ++i) {  // a, b, c: "c" keeps one queued job
+    ASSERT_TRUE(kept.pop(&v));
+    want.push_back(v);
+    ASSERT_TRUE(retiring.pop(&v));
+    got.push_back(v);
+  }
+  retiring.retire("c");  // non-empty: erased when its last job pops
+  EXPECT_EQ(retiring.lane_count(), 3u);
+  while (kept.pop(&v)) want.push_back(v);
+  while (retiring.pop(&v)) got.push_back(v);
+  EXPECT_EQ(want, got);
+  EXPECT_EQ(got.size(), 12u);
+  EXPECT_EQ(kept.lane_count(), 4u);
+  EXPECT_EQ(retiring.lane_count(), 2u);  // "a" and "b" stay, empty
+}
+
 TEST(FairSchedulerTest, OtherTenantWaitingIsThePreemptionPredicate) {
   FairScheduler<int> sched;
   EXPECT_FALSE(sched.other_tenant_waiting("a"));
@@ -680,11 +717,44 @@ TEST(CampaignService, PreemptedCampaignResumesFromCheckpointBitIdentical) {
 }
 
 TEST(CampaignService, ServedGangWidthDefaultIsTheWidestCompiledTier) {
-  // Satellite contract: an unspecified gang_width serves the widest SIMD
-  // tier this binary can actually run (verdicts and digests are width-
-  // invariant, so this is purely a throughput default).
+  // Served campaigns run the host engine (verdicts and digests are
+  // engine-invariant, so this is purely a throughput choice).
   EXPECT_EQ(served_gang_width_default(), preferred_gang_width());
-  EXPECT_TRUE(gang_width_supported(preferred_gang_width()));
+  EXPECT_NO_THROW(validate_gang_width(served_gang_width_default()));
+}
+
+TEST(CampaignService, ClosedConnectionsLeaveNoSchedulerLane) {
+  // Requests without a tenant queue in a per-connection lane. Closing the
+  // connection (the transport calls cancel_client) retires that lane, so a
+  // long-lived daemon keeps none for connections it has stopped serving.
+  ServiceConfig config;
+  config.executors = 2;
+  config.pool_threads = 2;
+  config.queue_capacity = 256;
+  CampaignService svc(config);
+  // A named tenant's lane is shared across connections and stays.
+  FrameLog named;
+  svc.handle({FrameKind::kCampaign, 1,
+              R"({"design": "lfsr", "device": "campaign", "sample": 300, )"
+              R"("tenant": "keep"})"},
+             named.emit(), /*client_id=*/1000);
+  EXPECT_EQ(named.wait_terminal().kind, FrameKind::kResult);
+  constexpr u64 kClients = 200;
+  std::vector<std::unique_ptr<FrameLog>> logs;
+  for (u64 c = 1; c <= kClients; ++c) {
+    logs.push_back(std::make_unique<FrameLog>());
+    svc.handle({FrameKind::kCampaign, c, small_campaign_payload()},
+               logs.back()->emit(), /*client_id=*/c);
+    svc.cancel_client(c);
+  }
+  for (const auto& log : logs) {
+    EXPECT_NE(log->wait_terminal().kind, FrameKind::kBusy);
+  }
+  svc.wait_drained();
+  FrameLog stats;
+  svc.handle({FrameKind::kStats, kClients + 1, ""}, stats.emit());
+  EXPECT_EQ(FlatJson::parse(stats.frames[0].payload).get_u64("sched_lanes"),
+            1u);  // "keep" alone
 }
 
 TEST(CampaignService, RecampaignWithoutStoreIsTypedFailure) {
@@ -766,15 +836,14 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
   for (std::thread& t : clients) t.join();
 
   // The ground truth: the same campaign run directly through the library
-  // with the server's defaults (gang 64, pruning on, sample seed 99).
+  // with the server's defaults (host gang engine, pruning on, sample seed 99).
   const PlacedDesign design =
       compile(design_by_name("lfsrmult"), device_by_name("campaign"));
   const CampaignResult direct = run_campaign(
       design, CampaignOptions{}
                   .with_injection(InjectionOptions{}
                                       .with_persistence(false)
-                                      .with_pruning(true)
-                                      .with_gang_width(64))
+                                      .with_pruning(true))
                   .with_sample(1200, 99));
   const u64 expected = direct.sensitive_digest(design);
 

@@ -13,7 +13,6 @@
 
 #include "core/cli.h"
 #include "core/vscrub.h"
-#include "sim/simd.h"
 #include "serve_common.h"
 #include "svc/campaign_spec.h"
 #include "svc/client.h"
