@@ -270,9 +270,9 @@ CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
   // answers one load-bearing question — does the *baseline* design ever trip
   // the fabric's oscillation handling? Oscillation-truncated values depend
   // on a global event budget, not just on a bit's closure.
-  FabricSim sim(design.space);
+  FabricSim sim = configured_fabric(design.space, design.bitstream);
   DesignHarness probe(design, sim, eff.stim_seed);
-  probe.configure();
+  probe.restart();
   for (std::size_t t = 0; t < trace_len; ++t) probe.step();
 
   // BRAM bindings relay values across the device through the harness,

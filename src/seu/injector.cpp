@@ -29,7 +29,7 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
                          const InjectionOptions& options)
     : design_(&design),
       options_(options),
-      sim_(design.space),
+      sim_(configured_fabric(design.space, design.bitstream)),
       harness_(design, sim_, options.stim_seed) {
   // Fail fast on an unsupported gang width: a campaign should reject it at
   // submission, not after hours of scalar injections when the first gang
@@ -46,7 +46,7 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
            : 0);
   golden_ = DesignHarness::reference_trace(*design_->netlist, trace_len,
                                            options_.stim_seed);
-  harness_.configure();
+  harness_.restart();  // sim_ is configured already
   snapshot_observability();
   // The configuration just written is the dirty-tracking baseline every
   // incremental repair restores to, and the post-restart FF state is the

@@ -187,7 +187,7 @@ class SeuInjector {
   // corruption): per-tile "a flip here could reach a tap" flags.
   std::vector<u8> observable_;
   bool bram_observable_ = false;
-  // Hermetic-reset baseline: FF state right after configure()+restart().
+  // Hermetic-reset baseline: FF state right after configuration + restart().
   std::vector<u8> ff_baseline_;
   // Frames scrub_restore() deliberately left diverged from the golden image
   // (live SRL/RAM16 contents, BRAM data written by the design's own ports);

@@ -1,6 +1,7 @@
 #include "sim/eval_plan.h"
 
 #include <functional>
+#include <optional>
 #include <queue>
 
 namespace vscrub {
@@ -11,27 +12,23 @@ constexpr u32 kSrcHalfLatch = FabricSim::kSrcHalfLatch;
 constexpr u32 kSrcWire = FabricSim::kSrcWire;
 constexpr u32 kSrcOutput = FabricSim::kSrcOutput;
 
-/// Maps a resolved-source encoding to a plan operand. `wire_context` selects
-/// the interpreter's wire-copy semantics, where anything that is not a wire
-/// or an output (half-latches included) reads as constant zero.
-EvalPlan::Ref ref_of(u32 enc, bool wire_context) {
+/// A resolved-source encoding as a live plan operand, or nullopt when the
+/// source is constant under the golden configuration: a half-latch (no
+/// configuration write changes its value) or the constant-zero source.
+std::optional<EvalPlan::Ref> live_ref(u32 enc) {
   const u32 payload = enc & kSrcPayload;
   switch (enc & ~kSrcPayload) {
     case kSrcWire:
-      return {EvalPlan::Arr::kWire, payload};
+      return EvalPlan::Ref{EvalPlan::Arr::kWire, payload};
     case kSrcOutput:
-      return {EvalPlan::Arr::kOut, payload};
-    case kSrcHalfLatch:
-      if (!wire_context) return {EvalPlan::Arr::kHalfLatch, payload};
-      return {EvalPlan::Arr::kConstZero, 0};
+      return EvalPlan::Ref{EvalPlan::Arr::kOut, payload};
     default:
-      return {EvalPlan::Arr::kConstZero, 0};
+      return std::nullopt;
   }
 }
 
-u8 load_scalar(const EvalPlan::Ref& r, const std::vector<u8>& halflatch,
-               const std::vector<u8>& ovr, const std::vector<u8>& outs,
-               const std::vector<u8>& wires) {
+u8 load_scalar(const EvalPlan::Ref& r, const std::vector<u8>& ovr,
+               const std::vector<u8>& outs, const std::vector<u8>& wires) {
   switch (r.arr) {
     case EvalPlan::Arr::kOut:
       return outs[r.idx] ? 1 : 0;
@@ -39,10 +36,6 @@ u8 load_scalar(const EvalPlan::Ref& r, const std::vector<u8>& halflatch,
       return wires[r.idx] ? 1 : 0;
     case EvalPlan::Arr::kOvr:
       return ovr[r.idx] ? 1 : 0;
-    case EvalPlan::Arr::kHalfLatch:
-      return halflatch[r.idx] ? 1 : 0;
-    case EvalPlan::Arr::kConstOne:
-      return 1;
     case EvalPlan::Arr::kConstZero:
       return 0;
   }
@@ -63,6 +56,8 @@ const char* eval_plan_error_kind_name(EvalPlanError::Kind kind) {
       return "topology-violation";
     case EvalPlanError::Kind::kBadOpKind:
       return "bad-op-kind";
+    case EvalPlanError::Kind::kBadLutArity:
+      return "bad-lut-arity";
   }
   return "?";
 }
@@ -83,6 +78,13 @@ void EvalPlan::validate() const {
     const std::string at = "op " + std::to_string(i);
     if (op.kind != OpKind::kLut && op.kind != OpKind::kCopy) {
       fail(EvalPlanError::Kind::kBadOpKind, at + " has unknown kind");
+    }
+    if (op.kind == OpKind::kLut &&
+        (op.arity > kLutInputs ||
+         (op.arity < kLutInputs && (op.cells >> (1u << op.arity)) != 0))) {
+      fail(EvalPlanError::Kind::kBadLutArity,
+           at + " has arity " + std::to_string(op.arity) +
+               " with truth table " + std::to_string(op.cells));
     }
     std::size_t node;
     if (op.dst_arr == Arr::kOut) {
@@ -111,8 +113,7 @@ void EvalPlan::validate() const {
     }
     writer_pos[node] = static_cast<u32>(i);
 
-    const int nsrc = op.kind == OpKind::kLut ? kLutInputs : 1;
-    for (int k = 0; k < nsrc; ++k) {
+    for (int k = 0; k < op.inputs(); ++k) {
       const Ref& r = op.src[k];
       switch (r.arr) {
         case Arr::kOut:
@@ -130,15 +131,7 @@ void EvalPlan::validate() const {
                      std::to_string(num_wires));
           }
           break;
-        case Arr::kHalfLatch:
-          if (r.idx >= num_halflatches) {
-            fail(EvalPlanError::Kind::kIndexOutOfRange,
-                 at + " reads half-latch " + std::to_string(r.idx) + " of " +
-                     std::to_string(num_halflatches));
-          }
-          break;
         case Arr::kConstZero:
-        case Arr::kConstOne:
           break;
         default:
           fail(EvalPlanError::Kind::kBadOpKind,
@@ -151,8 +144,7 @@ void EvalPlan::validate() const {
   // precede the reader.
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];
-    const int nsrc = op.kind == OpKind::kLut ? kLutInputs : 1;
-    for (int k = 0; k < nsrc; ++k) {
+    for (int k = 0; k < op.inputs(); ++k) {
       const Ref& r = op.src[k];
       std::size_t src_node = nodes;
       if (r.arr == Arr::kOut) src_node = r.idx;
@@ -179,8 +171,7 @@ EvalPlan compile_eval_plan(const FabricSim& fabric,
   EvalPlan plan;
   plan.num_outs = ntiles * static_cast<u32>(kClbOutputs);
   plan.num_wires = ntiles * static_cast<u32>(kWiresPerClb);
-  plan.num_halflatches =
-      static_cast<u32>(fabric.halflatch_values().size());
+  const std::vector<u8>& halflatch = fabric.halflatch_values();
 
   // Emit ops tile-major (good execution locality when the schedule happens
   // to already be topological); record each plan node's op index for the
@@ -216,18 +207,33 @@ EvalPlan compile_eval_plan(const FabricSim& fabric,
         op.kind = EvalPlan::OpKind::kCopy;
         op.src[0] = {EvalPlan::Arr::kOvr, op.dst};
       } else {
+        // Cofactor the constant inputs into the truth table: `base` holds
+        // their index bits, live_pin[k] the LUT input behind operand k.
         op.kind = EvalPlan::OpKind::kLut;
-        op.cells = tl.lut_cells[l];
+        unsigned base = 0;
+        int live_pin[kLutInputs];
         for (int i = 0; i < kLutInputs; ++i) {
-          if (tl.lut_dyn_mask[l] & (1u << i)) {
-            op.src[i] = ref_of(
-                fabric.pin_source(t, static_cast<u8>(lut_input_pin(l, i))),
-                /*wire_context=*/false);
-          } else {
-            op.src[i] = {(tl.lut_base_idx[l] >> i) & 1
-                             ? EvalPlan::Arr::kConstOne
-                             : EvalPlan::Arr::kConstZero,
-                         0};
+          if (!(tl.lut_dyn_mask[l] & (1u << i))) {
+            base |= tl.lut_base_idx[l] & (1u << i);
+            continue;
+          }
+          const u32 enc =
+              fabric.pin_source(t, static_cast<u8>(lut_input_pin(l, i)));
+          if (const auto r = live_ref(enc)) {
+            live_pin[op.arity] = i;
+            op.src[op.arity++] = *r;
+          } else if ((enc & ~kSrcPayload) == kSrcHalfLatch &&
+                     halflatch[enc & kSrcPayload] != 0) {
+            base |= 1u << i;
+          }
+        }
+        for (unsigned m = 0; m < (1u << op.arity); ++m) {
+          unsigned idx = base;
+          for (int k = 0; k < op.arity; ++k) {
+            if (m & (1u << k)) idx |= 1u << live_pin[k];
+          }
+          if ((tl.lut_cells[l] >> idx) & 1) {
+            op.cells = static_cast<u16>(op.cells | (1u << m));
           }
         }
       }
@@ -240,7 +246,10 @@ EvalPlan compile_eval_plan(const FabricSim& fabric,
       op.kind = EvalPlan::OpKind::kCopy;
       op.dst_arr = EvalPlan::Arr::kWire;
       op.dst = wb + wire;
-      op.src[0] = ref_of(fabric.wire_source(t, wire), /*wire_context=*/true);
+      // The interpreter's wire copies read anything that is not a wire or
+      // an output (half-latches included) as zero.
+      op.src[0] = live_ref(fabric.wire_source(t, wire))
+                      .value_or(EvalPlan::Ref{EvalPlan::Arr::kConstZero, 0});
       node_op[static_cast<std::size_t>(plan.num_outs) + op.dst] =
           static_cast<u32>(plan.ops.size());
       plan.ops.push_back(op);
@@ -255,8 +264,7 @@ EvalPlan compile_eval_plan(const FabricSim& fabric,
   std::vector<std::vector<u32>> dependents(nops);
   for (std::size_t i = 0; i < nops; ++i) {
     const EvalPlan::Op& op = plan.ops[i];
-    const int nsrc = op.kind == EvalPlan::OpKind::kLut ? kLutInputs : 1;
-    for (int k = 0; k < nsrc; ++k) {
+    for (int k = 0; k < op.inputs(); ++k) {
       const std::size_t n = node_of(op.src[k]);
       if (n >= nodes) continue;
       const u32 w = node_op[n];
@@ -296,26 +304,23 @@ EvalPlan compile_eval_plan(const FabricSim& fabric,
   return plan;
 }
 
-void plan_execute(const EvalPlan& plan, const std::vector<u8>& halflatch,
-                  const std::vector<u8>& ovr, std::vector<u8>& outs,
-                  std::vector<u8>& wires) {
+void plan_execute(const EvalPlan& plan, const std::vector<u8>& ovr,
+                  std::vector<u8>& outs, std::vector<u8>& wires) {
   VSCRUB_CHECK(outs.size() == plan.num_outs &&
                    wires.size() == plan.num_wires &&
-                   ovr.size() == plan.num_outs &&
-                   halflatch.size() == plan.num_halflatches,
+                   ovr.size() == plan.num_outs,
                "plan_execute array sizes do not match the plan");
   for (const EvalPlan::Op& op : plan.ops) {
     u8 v;
     if (op.kind == EvalPlan::OpKind::kLut) {
       unsigned idx = 0;
-      for (int k = 0; k < kLutInputs; ++k) {
-        idx |= static_cast<unsigned>(
-                   load_scalar(op.src[k], halflatch, ovr, outs, wires))
+      for (int k = 0; k < op.arity; ++k) {
+        idx |= static_cast<unsigned>(load_scalar(op.src[k], ovr, outs, wires))
                << k;
       }
       v = (op.cells >> idx) & 1;
     } else {
-      v = load_scalar(op.src[0], halflatch, ovr, outs, wires);
+      v = load_scalar(op.src[0], ovr, outs, wires);
     }
     if (op.dst_arr == EvalPlan::Arr::kOut) {
       outs[op.dst] = v;

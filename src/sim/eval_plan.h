@@ -15,11 +15,16 @@
 // diverges from golden are then re-evaluated per lane on top, confined to
 // their own tiles.
 //
-// A plan is pure schedule, not behaviour: it never changes what any lane
-// computes, only the order in which the golden fixpoint is reached. Designs
-// whose golden cone is *not* acyclic (a configured combinational loop) are
-// rejected with a typed error; such a design is not gang-capable, and the
-// injector runs it on the scalar path.
+// A plan is schedule plus folded constants, not behaviour: it never changes
+// what any lane computes, only the order in which the golden fixpoint is
+// reached and which LUT inputs are read at all. LUT inputs that are constant
+// under the golden configuration (pins tied off, pins reading a constant
+// source, pins reading a half-latch, whose value no configuration write
+// changes) are cofactored into the op's truth table at compile time, so a
+// LUT op carries only its live inputs. Designs whose golden cone is *not*
+// acyclic (a configured combinational loop) are rejected with a typed
+// error; such a design is not gang-capable, and the injector runs it on the
+// scalar path.
 #pragma once
 
 #include <string>
@@ -40,6 +45,7 @@ class EvalPlanError : public Error {
     kDuplicateWriter,     ///< two ops write the same destination
     kTopologyViolation,   ///< op reads a value a later op writes
     kBadOpKind,           ///< unknown op kind or array selector
+    kBadLutArity,         ///< LUT arity above 4, or truth bits beyond it
   };
   EvalPlanError(Kind kind, const std::string& what)
       : Error(what), kind_(kind) {}
@@ -59,12 +65,10 @@ struct EvalPlan {
     kOut = 0,
     kWire = 1,
     kOvr = 2,        ///< harness override words (sources only)
-    kHalfLatch = 3,  ///< per-site half-latch values (sources only)
-    kConstZero = 4,
-    kConstOne = 5,
+    kConstZero = 3,  ///< sources only; compiled plans use it for copies
   };
   enum class OpKind : u8 {
-    kLut = 0,   ///< dst = lut_cells[src[3..0] index]
+    kLut = 0,   ///< dst = cells[src[arity-1..0] index]
     kCopy = 1,  ///< dst = src[0]
   };
   struct Ref {
@@ -74,18 +78,23 @@ struct EvalPlan {
   struct Op {
     OpKind kind = OpKind::kCopy;
     Arr dst_arr = Arr::kOut;  ///< kOut or kWire
+    /// Live LUT inputs (kLut only, 0..4): src[0..arity) index the truth
+    /// table, whose bits at and above 2^arity are zero.
+    u8 arity = 0;
     u32 dst = 0;
-    u16 cells = 0;  ///< LUT truth table (kLut only)
+    u16 cells = 0;  ///< LUT truth table over the live inputs (kLut only)
     Ref src[kLutInputs];
+
+    /// Operands the op reads: src[0..inputs()).
+    int inputs() const { return kind == OpKind::kLut ? arity : 1; }
   };
 
   /// Topologically ordered: every op's plan-computed operands are written by
-  /// earlier ops. Registered outputs, half-latches, overrides and undriven
-  /// wires are external inputs.
+  /// earlier ops. Registered outputs, overrides and undriven wires are
+  /// external inputs.
   std::vector<Op> ops;
   u32 num_outs = 0;
   u32 num_wires = 0;
-  u32 num_halflatches = 0;
 
   /// Full structural check of the invariants the executor relies on; throws
   /// EvalPlanError on the first violation. compile_eval_plan() output always
@@ -95,7 +104,8 @@ struct EvalPlan {
 };
 
 /// Compiles the golden evaluation schedule of `fabric`'s current
-/// configuration. `ovr_mask[tile]` gives the effective per-tile override
+/// configuration, folding its current half-latch values into the LUT ops
+/// that read them. `ovr_mask[tile]` gives the effective per-tile override
 /// mask (harness drives and external constants) — overridden outputs become
 /// copies from the override array instead of LUT evaluations, and a tile
 /// with any override stays in the plan even when its decode is inactive,
@@ -108,8 +118,7 @@ EvalPlan compile_eval_plan(const FabricSim& fabric,
 /// Scalar reference executor over per-bit value arrays; the oracle the
 /// property tests compare engines against. `outs`/`wires` are read-written
 /// in place, `ovr` is indexed like `outs`.
-void plan_execute(const EvalPlan& plan, const std::vector<u8>& halflatch,
-                  const std::vector<u8>& ovr, std::vector<u8>& outs,
-                  std::vector<u8>& wires);
+void plan_execute(const EvalPlan& plan, const std::vector<u8>& ovr,
+                  std::vector<u8>& outs, std::vector<u8>& wires);
 
 }  // namespace vscrub

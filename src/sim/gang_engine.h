@@ -18,6 +18,7 @@ class GangEngineBase {
   virtual void run(const BitAddress* addrs, std::size_t count,
                    const GangSim::RunParams& p, GangSim::LaneResult* results,
                    GangSim::RunStats* stats) = 0;
+  virtual const EvalPlan& plan() const = 0;
 };
 
 // The portable engine: 256 lanes in four u64 limbs at the baseline ISA.

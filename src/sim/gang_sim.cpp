@@ -19,6 +19,8 @@ GangSim::GangSim(const PlacedDesign& design)
 
 GangSim::~GangSim() = default;
 
+const EvalPlan& GangSim::plan() const { return engine_->plan(); }
+
 void GangSim::run(const BitAddress* addrs, std::size_t count,
                   const RunParams& p, LaneResult* results, RunStats* stats) {
   VSCRUB_CHECK(count >= 1 && count <= static_cast<std::size_t>(max_variants()),

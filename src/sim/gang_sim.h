@@ -40,6 +40,7 @@
 namespace vscrub {
 
 class GangEngineBase;
+struct EvalPlan;
 
 class GangSim {
  public:
@@ -91,6 +92,8 @@ class GangSim {
   u32 width() const { return width_; }
   /// The SIMD tier executing.
   SimdIsa isa() const { return isa_; }
+  /// The compiled golden eval plan the engine settles with.
+  const EvalPlan& plan() const;
 
  private:
   SimdIsa isa_;

@@ -1,7 +1,7 @@
 // The eval-plan compiler (sim/eval_plan.h): differential equivalence of the
-// compiled schedule against the interpreting FabricSim, per cycle and per
-// value; typed rejection of cyclic cones; and the validate() gauntlet over
-// hostile/corrupted plans, one test per error kind.
+// compiled (constant-folded) schedule against the interpreting FabricSim,
+// per cycle and per value; typed rejection of cyclic cones; and the
+// validate() gauntlet over hostile/corrupted plans, one test per error kind.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +9,8 @@
 
 #include "core/vscrub.h"
 #include "sim/eval_plan.h"
+#include "sim/gang_sim.h"
+#include "svc/requests.h"
 
 using namespace vscrub;
 
@@ -53,8 +55,7 @@ void expect_plan_reproduces_fixpoint(const EvalPlan& plan, FabricSim& sim,
       wires[op.dst] ^= 1;
     }
   }
-  plan_execute(plan, sim.halflatch_values(), override_values_of(sim), outs,
-               wires);
+  plan_execute(plan, override_values_of(sim), outs, wires);
   const std::vector<u8>& want_outs = sim.out_values();
   const std::vector<u8>& want_wires = sim.wire_values();
   for (std::size_t i = 0; i < outs.size(); ++i) {
@@ -69,10 +70,10 @@ void expect_plan_reproduces_fixpoint(const EvalPlan& plan, FabricSim& sim,
 
 bool op_equal(const EvalPlan::Op& a, const EvalPlan::Op& b) {
   if (a.kind != b.kind || a.dst_arr != b.dst_arr || a.dst != b.dst ||
-      a.cells != b.cells) {
+      a.arity != b.arity || a.cells != b.cells) {
     return false;
   }
-  for (int k = 0; k < kLutInputs; ++k) {
+  for (int k = 0; k < a.inputs(); ++k) {
     if (a.src[k].arr != b.src[k].arr || a.src[k].idx != b.src[k].idx) {
       return false;
     }
@@ -155,6 +156,32 @@ TEST(EvalPlan, CompilationIsDeterministic) {
   }
 }
 
+TEST(EvalPlan, GangCapableDesignsFoldEveryConstantLutInput) {
+  // Constants and golden half-latches are cofactored into the truth tables
+  // at compile time, so the engines' plans of every gang-capable served
+  // design read only live words at their LUT inputs. (Copies may still read
+  // constant zero: an undriven-source wire.)
+  for (const char* name : {"lfsr", "mult", "vmult", "counter", "multadd",
+                           "lfsrmult", "selfcheck"}) {
+    const RequestDesign rd = request_design(name, "campaign");
+    const GangSim gang(*rd.design);
+    const EvalPlan& plan = gang.plan();
+    std::size_t luts = 0;
+    for (const EvalPlan::Op& op : plan.ops) {
+      if (op.kind != EvalPlan::OpKind::kLut) continue;
+      ++luts;
+      ASSERT_LE(op.arity, kLutInputs) << name;
+      for (int k = 0; k < op.arity; ++k) {
+        const EvalPlan::Arr arr = op.src[k].arr;
+        EXPECT_TRUE(arr == EvalPlan::Arr::kOut || arr == EvalPlan::Arr::kWire ||
+                    arr == EvalPlan::Arr::kOvr)
+            << name << ": LUT op writing " << op.dst << " reads a constant";
+      }
+    }
+    EXPECT_GT(luts, 0u) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property fuzz: randomly corrupted configurations
 // ---------------------------------------------------------------------------
@@ -225,6 +252,24 @@ EvalPlan small_plan() {
   return compile_eval_plan(sim, override_mask_of(sim));
 }
 
+/// Index of the first op that reads at least one operand (a LUT whose
+/// inputs all folded to constants reads none).
+std::size_t first_reading_op(const EvalPlan& plan) {
+  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+    if (plan.ops[i].inputs() > 0) return i;
+  }
+  return plan.ops.size();
+}
+
+/// Index of the first LUT op with fewer than four live inputs.
+std::size_t first_folded_lut(const EvalPlan& plan) {
+  for (std::size_t i = 0; i < plan.ops.size(); ++i) {
+    const EvalPlan::Op& op = plan.ops[i];
+    if (op.kind == EvalPlan::OpKind::kLut && op.arity < kLutInputs) return i;
+  }
+  return plan.ops.size();
+}
+
 void expect_rejected(EvalPlan plan, EvalPlanError::Kind kind) {
   try {
     plan.validate();
@@ -272,21 +317,49 @@ TEST(EvalPlanValidate, RejectsDestinationOutOfRange) {
 }
 
 TEST(EvalPlanValidate, RejectsSourceOutOfRange) {
+  const std::size_t i = first_reading_op(small_plan());
+  ASSERT_LT(i, small_plan().ops.size());
   {
     EvalPlan plan = small_plan();
-    plan.ops[0].src[0] = {EvalPlan::Arr::kWire, plan.num_wires};
+    plan.ops[i].src[0] = {EvalPlan::Arr::kWire, plan.num_wires};
     expect_rejected(std::move(plan), EvalPlanError::Kind::kIndexOutOfRange);
   }
   {
     EvalPlan plan = small_plan();
-    plan.ops[0].src[0] = {EvalPlan::Arr::kHalfLatch, plan.num_halflatches};
+    plan.ops[i].src[0] = {EvalPlan::Arr::kOut, plan.num_outs};
     expect_rejected(std::move(plan), EvalPlanError::Kind::kIndexOutOfRange);
   }
   {
     EvalPlan plan = small_plan();
-    plan.ops[0].src[0] = {EvalPlan::Arr::kOvr, plan.num_outs + 1};
+    plan.ops[i].src[0] = {EvalPlan::Arr::kOvr, plan.num_outs + 1};
     expect_rejected(std::move(plan), EvalPlanError::Kind::kIndexOutOfRange);
   }
+}
+
+TEST(EvalPlanValidate, RejectsUnknownSourceArray) {
+  EvalPlan plan = small_plan();
+  const std::size_t i = first_reading_op(plan);
+  ASSERT_LT(i, plan.ops.size());
+  plan.ops[i].src[0].arr = static_cast<EvalPlan::Arr>(9);
+  expect_rejected(std::move(plan), EvalPlanError::Kind::kBadOpKind);
+}
+
+TEST(EvalPlanValidate, RejectsLutArityAboveFour) {
+  EvalPlan plan = small_plan();
+  const std::size_t i = first_folded_lut(plan);
+  ASSERT_LT(i, plan.ops.size()) << "design folds no LUT input";
+  plan.ops[i].arity = kLutInputs + 1;
+  expect_rejected(std::move(plan), EvalPlanError::Kind::kBadLutArity);
+}
+
+TEST(EvalPlanValidate, RejectsTruthBitsAboveTheArity) {
+  EvalPlan plan = small_plan();
+  const std::size_t i = first_folded_lut(plan);
+  ASSERT_LT(i, plan.ops.size()) << "design folds no LUT input";
+  // Bit 2^arity would be read by an input the op does not have.
+  EvalPlan::Op& op = plan.ops[i];
+  op.cells = static_cast<u16>(op.cells | (1u << (1u << op.arity)));
+  expect_rejected(std::move(plan), EvalPlanError::Kind::kBadLutArity);
 }
 
 TEST(EvalPlanValidate, RejectsDuplicateWriters) {
@@ -304,8 +377,7 @@ TEST(EvalPlanValidate, RejectsTopologyViolations) {
   for (std::size_t i = 0; i < plan.ops.size() && reader == plan.ops.size();
        ++i) {
     const EvalPlan::Op& op = plan.ops[i];
-    const int nsrc = op.kind == EvalPlan::OpKind::kLut ? kLutInputs : 1;
-    for (int k = 0; k < nsrc; ++k) {
+    for (int k = 0; k < op.inputs(); ++k) {
       const EvalPlan::Ref& r = op.src[k];
       if (r.arr != EvalPlan::Arr::kOut && r.arr != EvalPlan::Arr::kWire) {
         continue;
@@ -341,4 +413,6 @@ TEST(EvalPlanValidate, ErrorKindNamesAreStable) {
                "topology-violation");
   EXPECT_STREQ(eval_plan_error_kind_name(EvalPlanError::Kind::kBadOpKind),
                "bad-op-kind");
+  EXPECT_STREQ(eval_plan_error_kind_name(EvalPlanError::Kind::kBadLutArity),
+               "bad-lut-arity");
 }

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "designs/test_designs.h"
 #include "pnr/pnr.h"
 #include "seu/campaign.h"
+#include "sim/harness.h"
+#include "svc/requests.h"
 
 namespace vscrub {
 namespace {
@@ -170,6 +179,171 @@ TEST(Campaign, NormalizedSensitivityIsSizeInvariant) {
       large.normalized_sensitivity() / small.normalized_sensitivity();
   EXPECT_GT(ratio, 0.6);
   EXPECT_LT(ratio, 1.6);
+}
+
+// ---- configured_fabric(): the per-process memo of configured fabrics ----
+
+/// Asserts two fabrics agree in every value and structure array: outputs,
+/// wires, FFs, half-latches, BRAM output registers, pin and wire sources and
+/// every tile's decode with its derived caches.
+void expect_same_fabric(const FabricSim& a, const FabricSim& b,
+                        const std::string& context) {
+  ASSERT_EQ(a.geometry().name, b.geometry().name) << context;
+  EXPECT_EQ(a.out_values(), b.out_values()) << context;
+  EXPECT_EQ(a.wire_values(), b.wire_values()) << context;
+  EXPECT_EQ(a.ff_state_snapshot(), b.ff_state_snapshot()) << context;
+  EXPECT_EQ(a.halflatch_values(), b.halflatch_values()) << context;
+  EXPECT_EQ(a.dirty_frames(), b.dirty_frames()) << context;
+  EXPECT_EQ(a.cycle_count(), b.cycle_count()) << context;
+  EXPECT_EQ(a.oscillating(), b.oscillating()) << context;
+  const DeviceGeometry& geom = a.geometry();
+  for (u16 col = 0; col < geom.bram_columns; ++col) {
+    for (u16 blk = 0; blk < geom.bram_blocks_per_column(); ++blk) {
+      EXPECT_EQ(a.bram_dout(col, blk), b.bram_dout(col, blk)) << context;
+    }
+  }
+  for (u32 t = 0; t < geom.tile_count(); ++t) {
+    const FabricSim::Tile& x = a.tile_state(t);
+    const FabricSim::Tile& y = b.tile_state(t);
+    const std::string at = context + " tile " + std::to_string(t);
+    for (int l = 0; l < kLutsPerClb; ++l) {
+      ASSERT_EQ(x.lut_cells[l], y.lut_cells[l]) << at;
+      ASSERT_EQ(x.lut_mode[l], y.lut_mode[l]) << at;
+      ASSERT_EQ(x.lut_base_idx[l], y.lut_base_idx[l]) << at;
+      ASSERT_EQ(x.lut_dyn_mask[l], y.lut_dyn_mask[l]) << at;
+    }
+    for (int p = 0; p < kImuxPins; ++p) {
+      ASSERT_EQ(x.imux[p], y.imux[p]) << at;
+      ASSERT_EQ(a.pin_source(t, static_cast<u8>(p)),
+                b.pin_source(t, static_cast<u8>(p)))
+          << at;
+    }
+    for (int w = 0; w < kWiresPerClb; ++w) {
+      ASSERT_EQ(x.omux[w], y.omux[w]) << at;
+      ASSERT_EQ(a.wire_source(t, static_cast<u8>(w)),
+                b.wire_source(t, static_cast<u8>(w)))
+          << at;
+    }
+    for (int f = 0; f < kFfsPerClb; ++f) {
+      ASSERT_EQ(x.ff_init[f], y.ff_init[f]) << at;
+      ASSERT_EQ(x.ff_used[f], y.ff_used[f]) << at;
+      ASSERT_EQ(x.ff_byp[f], y.ff_byp[f]) << at;
+    }
+    for (int sl = 0; sl < kSlicesPerClb; ++sl) {
+      ASSERT_EQ(x.clk_en[sl], y.clk_en[sl]) << at;
+    }
+    ASSERT_EQ(x.driven_wires, y.driven_wires) << at;
+    ASSERT_EQ(x.connected_pins, y.connected_pins) << at;
+    ASSERT_EQ(x.active, y.active) << at;
+    ASSERT_EQ(x.has_local_feedback, y.has_local_feedback) << at;
+    ASSERT_EQ(x.active_lut_mask, y.active_lut_mask) << at;
+    ASSERT_EQ(x.override_mask, y.override_mask) << at;
+    ASSERT_EQ(x.override_vals, y.override_vals) << at;
+  }
+}
+
+/// What the memo's consumers did before it existed: a new fabric,
+/// full_configure() and a harness restart.
+FabricSim freshly_configured(const PlacedDesign& design) {
+  FabricSim sim(design.space);
+  DesignHarness harness(design, sim);
+  harness.configure();
+  return sim;
+}
+
+/// The memo's copy plus a harness restart, as the consumers now do it.
+FabricSim memo_configured(const PlacedDesign& design) {
+  FabricSim sim = configured_fabric(design.space, design.bitstream);
+  DesignHarness harness(design, sim);
+  harness.restart();
+  return sim;
+}
+
+TEST(ConfiguredFabric, CopyPlusRestartEqualsFreshConfigure) {
+  for (const char* device : {"campaign", "xcv50"}) {
+    for (const char* name : {"lfsr", "mult", "vmult", "counter", "multadd",
+                             "lfsrmult", "fir", "selfcheck", "bram"}) {
+      const std::string context = std::string(name) + " on " + device;
+      if (context == "bram on campaign") continue;  // the device has no BRAM
+      const auto design = request_design(name, device).design;
+      const FabricSim fresh = freshly_configured(*design);
+      // The first call may build the entry, the second must hit it; both
+      // must equal the fresh fabric.
+      expect_same_fabric(memo_configured(*design), fresh, context);
+      expect_same_fabric(memo_configured(*design), fresh, context + " (warm)");
+      // And they keep agreeing once the design runs.
+      FabricSim a = memo_configured(*design);
+      FabricSim b = freshly_configured(*design);
+      DesignHarness ha(*design, a), hb(*design, b);
+      ha.restart();
+      hb.restart();
+      for (int cycle = 0; cycle < 8; ++cycle) {
+        ha.step();
+        hb.step();
+        ASSERT_EQ(ha.last_outputs(), hb.last_outputs())
+            << context << " cycle " << cycle;
+      }
+    }
+  }
+}
+
+TEST(ConfiguredFabric, EditedBitstreamsAndRecycledAddressesGetFreshFabrics) {
+  PlacedDesign design = compile(designs::counter_adder(4), device_tiny(8, 8));
+  const FabricSim before = memo_configured(design);
+
+  // Flip a LUT truth bit of the bitstream in place: same object, same
+  // address, new content.
+  const BitAddress addr = design.space->address_of(
+      TileCoord{1, 1}, ConfigSpace::tile_bit_of_field(FieldKind::kLutTruth, 0));
+  design.bitstream.flip_bit(addr);
+  const FabricSim edited = memo_configured(design);
+  expect_same_fabric(edited, freshly_configured(design), "edited");
+  const u32 t = design.space->geometry().tile_index(TileCoord{1, 1});
+  EXPECT_NE(edited.tile_state(t).lut_cells[0],
+            before.tile_state(t).lut_cells[0]);
+
+  // Flipping it back finds the original content again.
+  design.bitstream.flip_bit(addr);
+  expect_same_fabric(memo_configured(design), before, "restored");
+
+  // A different design compiled onto the same device, very likely at the
+  // address the first one just vacated.
+  auto first = std::make_unique<PlacedDesign>(
+      compile(designs::lfsr_cluster(2), device_tiny(8, 12)));
+  const FabricSim first_fabric = memo_configured(*first);
+  first.reset();
+  auto second = std::make_unique<PlacedDesign>(
+      compile(designs::mult_tree(4), device_tiny(8, 12)));
+  const FabricSim second_fabric = memo_configured(*second);
+  expect_same_fabric(second_fabric, freshly_configured(*second), "recycled");
+  bool differs = false;
+  for (u32 i = 0; i < second->space->geometry().tile_count() && !differs; ++i) {
+    differs = std::memcmp(second_fabric.tile_state(i).lut_cells,
+                          first_fabric.tile_state(i).lut_cells,
+                          sizeof(u16) * kLutsPerClb) != 0;
+  }
+  EXPECT_TRUE(differs) << "the two designs configure identical LUTs";
+}
+
+TEST(ConfiguredFabric, ConcurrentRequestsGetEqualFabrics) {
+  const PlacedDesign design =
+      compile(designs::lfsr_cluster(2), device_tiny(8, 16));
+  constexpr int kThreads = 8;
+  std::vector<std::optional<FabricSim>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&design, &got, i] {
+      got[static_cast<std::size_t>(i)].emplace(
+          configured_fabric(design.space, design.bitstream));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  FabricSim fresh(design.space);
+  fresh.full_configure(design.bitstream);
+  for (int i = 0; i < kThreads; ++i) {
+    expect_same_fabric(*got[static_cast<std::size_t>(i)], fresh,
+                       "thread " + std::to_string(i));
+  }
 }
 
 }  // namespace
