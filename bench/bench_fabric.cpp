@@ -234,6 +234,13 @@ void run_report() {
   json.set("cold_remote_publishes", static_cast<double>(cold.remote_publishes));
   json.set("warm_remote_hits", static_cast<double>(warm.remote_hits));
   json.set("warm_reuse_rate", reuse_rate);
+  // The warm rerun's wall clock: nearly every verdict is a hub lookup, so
+  // this is the remote tier's cost per bit end to end.
+  json.set("warm_seconds", warm_seconds);
+  json.set("warm_ns_per_bit",
+           warm_injections == 0
+               ? 0.0
+               : 1e9 * warm_seconds / static_cast<double>(warm_injections));
 
   // (c) Worker loss mid-campaign: one worker dies after its first shipped
   // checkpoint; its range must resume elsewhere from the blob and the merge

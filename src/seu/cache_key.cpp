@@ -72,19 +72,28 @@ u64 influence_of(const CacheKeyPlan& plan, const ConfigSpace& space,
   return plan.tile_influence[space.geometry().tile_index(ref.tile)];
 }
 
-VerdictKey derive_key(u64 mode, u64 arch, u64 stim, u64 frame_hash, u64 infl,
-                      u64 linear) {
+/// The stream states every key of one plan and mode shares: the hi stream
+/// opens with (mode, arch, stim), the lo stream with its constant. A batch
+/// folds them once instead of once per bit.
+struct KeyPrefix {
+  u64 hi;
+  u64 lo;
+};
+
+KeyPrefix key_prefix(u64 mode, u64 arch, u64 stim) {
+  return {fnv1a(fnv1a(fnv1a(kBasis, mode), arch), stim),
+          fnv1a(kBasis2, 0x5C5C5C5C5C5C5C5CULL)};
+}
+
+VerdictKey finish_key(const KeyPrefix& prefix, u64 mode, u64 arch, u64 stim,
+                      u64 frame_hash, u64 infl, u64 linear) {
   VerdictKey key;
-  u64 h = kBasis;
-  h = fnv1a(h, mode);
-  h = fnv1a(h, arch);
-  h = fnv1a(h, stim);
+  u64 h = prefix.hi;
   h = fnv1a(h, frame_hash);
   h = fnv1a(h, infl);
   h = fnv1a(h, linear);
   key.hi = h;
-  u64 g = kBasis2;
-  g = fnv1a(g, 0x5C5C5C5C5C5C5C5CULL);
+  u64 g = prefix.lo;
   g = fnv1a(g, linear);
   g = fnv1a(g, infl);
   g = fnv1a(g, frame_hash);
@@ -93,6 +102,12 @@ VerdictKey derive_key(u64 mode, u64 arch, u64 stim, u64 frame_hash, u64 infl,
   g = fnv1a(g, mode);
   key.lo = g;
   return key;
+}
+
+VerdictKey derive_key(u64 mode, u64 arch, u64 stim, u64 frame_hash, u64 infl,
+                      u64 linear) {
+  return finish_key(key_prefix(mode, arch, stim), mode, arch, stim,
+                    frame_hash, infl, linear);
 }
 
 /// The injector's effective options: its no-dynamic warmup shrink applied,
@@ -110,7 +125,9 @@ InjectionOptions effective_options(const PlacedDesign& design,
 u64 arch_fingerprint_of(const DeviceGeometry& geom,
                         const InjectionOptions& eff) {
   u64 a = kBasis;
-  a = fnv1a(a, std::string("vvs-key-v1"));
+  // v2: verdicts from injectors that rebuild the fabric after an
+  // oscillating run; stores written before that fix must miss.
+  a = fnv1a(a, std::string("vvs-key-v2"));
   a = fnv1a(a, geom.name);
   a = fnv1a(a, geom.rows);
   a = fnv1a(a, geom.cols);
@@ -181,6 +198,29 @@ VerdictKey CacheKeyPlan::fallback_key_of(const ConfigSpace& space,
   const u32 gf = space.global_frame_index(addr.frame);
   return derive_key(1, arch_fingerprint, stimulus_hash, frame_hashes[gf],
                     whole_design_hash, linear);
+}
+
+void CacheKeyPlan::key_pairs_of(const ConfigSpace& space,
+                                std::span<const u64> linears,
+                                std::vector<VerdictKeyPair>* out) const {
+  const KeyPrefix exact = key_prefix(0, arch_fingerprint, stimulus_hash);
+  const KeyPrefix fallback = key_prefix(1, arch_fingerprint, stimulus_hash);
+  out->clear();
+  out->reserve(linears.size());
+  for (const u64 linear : linears) {
+    const BitAddress addr = space.address_of_linear(linear);
+    const u64 frame_hash = frame_hashes[space.global_frame_index(addr.frame)];
+    VerdictKeyPair pair;
+    pair.exact = finish_key(exact, 0, arch_fingerprint, stimulus_hash,
+                            frame_hash, influence_of(*this, space, addr),
+                            linear);
+    pair.fallback =
+        whole_design_influence
+            ? pair.exact
+            : finish_key(fallback, 1, arch_fingerprint, stimulus_hash,
+                         frame_hash, whole_design_hash, linear);
+    out->push_back(pair);
+  }
 }
 
 CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,

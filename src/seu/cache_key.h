@@ -30,6 +30,7 @@
 // CacheKeyPlan::fallback_key_of).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,11 @@ struct CacheKeyPlan {
   /// when whole_design_influence is already set.
   VerdictKey fallback_key_of(const ConfigSpace& space, const BitAddress& addr,
                              u64 linear) const;
+  /// Both keys of each bit in `linears`, as a store probe takes them:
+  /// (*out)[i] == {key_of(...), fallback_key_of(...)} for linears[i]. The
+  /// fields every key shares are folded once per batch.
+  void key_pairs_of(const ConfigSpace& space, std::span<const u64> linears,
+                    std::vector<VerdictKeyPair>* out) const;
 };
 
 /// Builds the key plan for a design under the given injection options

@@ -1,6 +1,7 @@
 #include "seu/campaign.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -33,38 +34,44 @@ u64 resolve_chunk_size(u64 requested, u64 n) {
   return std::clamp<u64>(n / 256, kAutoChunkFloor, 4096);
 }
 
-/// The bit universe: every configuration bit, or a uniform sample without
-/// replacement drawn via a partial Fisher–Yates over virtual indices.
-std::vector<u64> build_universe(const ConfigSpace& space,
-                                const CampaignOptions& options) {
-  const u64 total_bits = space.total_bits();
-  const u64 n = universe_size(total_bits, options);
-  std::vector<u64> bits;
-  if (n == total_bits) {
-    bits.resize(total_bits);
-    for (u64 i = 0; i < total_bits; ++i) bits[i] = i;
-  } else {
-    Rng rng(options.sample_seed);
-    bits.reserve(n);
-    std::unordered_map<u64, u64> swapped;
-    swapped.reserve(n);
-    for (u64 i = 0; i < n; ++i) {
-      const u64 j = i + rng.uniform(total_bits - i);
-      // Reserved above, so the emplace cannot rehash and `itj` stays valid.
-      const auto itj = swapped.find(j);
-      const u64 vj = itj == swapped.end() ? j : itj->second;
-      const auto iti = swapped.find(i);
-      const u64 vi = iti == swapped.end() ? i : iti->second;
-      bits.push_back(vj);
-      if (itj == swapped.end()) {
-        swapped.emplace(j, vi);
-      } else {
-        itj->second = vi;
-      }
-    }
+/// The partial Fisher–Yates' map of displaced positions: open addressing
+/// with linear probing over a power-of-two table, at most half full. Keys
+/// are universe positions, so ~0 is free to mark an empty slot.
+class SwapTable {
+ public:
+  struct Slot {
+    u64 key;
+    u64 value;
+  };
+
+  /// A table for at most `max_entries` insertions.
+  explicit SwapTable(u64 max_entries) {
+    u64 capacity = 16;
+    while (capacity < 2 * max_entries) capacity <<= 1;
+    slots_.assign(capacity, Slot{kEmpty, 0});
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
   }
-  return bits;
-}
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  Slot& slot(u64 key) {
+    u64 h = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+    while (slots_[h].key != key && slots_[h].key != kEmpty) {
+      h = (h + 1) & mask_;
+    }
+    return slots_[h];
+  }
+  /// The value at position `key`: its own index until it was swapped.
+  static u64 value_at(const Slot& s, u64 key) {
+    return s.key == kEmpty ? key : s.value;
+  }
+
+ private:
+  static constexpr u64 kEmpty = ~u64{0};
+  std::vector<Slot> slots_;
+  u64 mask_ = 0;
+  unsigned shift_ = 0;
+};
 
 /// Aggregates over completed chunks; guarded by the campaign merge mutex.
 struct Aggregates {
@@ -113,6 +120,39 @@ u64 universe_size(u64 total_bits, const CampaignOptions& options) {
   return n == 0 || n >= total_bits ? total_bits : n;
 }
 
+std::vector<u64> campaign_universe(u64 total_bits,
+                                   const CampaignOptions& options) {
+  const u64 n = universe_size(total_bits, options);
+  u64 begin = 0, end = n;
+  if (options.range_end > 0) {
+    VSCRUB_CHECK(options.range_end > options.range_begin,
+                 "campaign: range_end must exceed range_begin");
+    begin = std::min(options.range_begin, n);
+    end = std::min(options.range_end, n);
+  }
+  std::vector<u64> bits;
+  bits.reserve(end - begin);
+  if (n == total_bits) {
+    for (u64 i = begin; i < end; ++i) bits.push_back(i);
+    return bits;
+  }
+  // Partial Fisher–Yates over virtual indices, stopped at the range end:
+  // position i's draw depends only on the draws before it, so a range's
+  // prefix-built slice is exactly that slice of the whole sample.
+  Rng rng(options.sample_seed);
+  SwapTable swapped(end);
+  for (u64 i = 0; i < end; ++i) {
+    const u64 j = i + rng.uniform(total_bits - i);
+    // Looking up i never inserts, so the reference to j's slot stays valid.
+    SwapTable::Slot& sj = swapped.slot(j);
+    const u64 vj = SwapTable::value_at(sj, j);
+    const u64 vi = SwapTable::value_at(swapped.slot(i), i);
+    if (i >= begin) bits.push_back(vj);
+    sj = {j, vi};
+  }
+  return bits;
+}
+
 std::unordered_set<u64> CampaignResult::sensitive_set(
     const PlacedDesign& design) const {
   std::unordered_set<u64> set;
@@ -157,19 +197,11 @@ CampaignResult run_campaign(const PlacedDesign& design,
         " with these injection options");
   }
 
-  std::vector<u64> bits = build_universe(space, options);
-  // Fabric range restriction: slice the deterministic universe *after* it is
-  // built, so every range of a sharded campaign sees the identical universe
-  // order and disjoint ranges partition the one-shot run exactly.
+  // Fabric range restriction: every range of a sharded campaign draws the
+  // identical universe order, so disjoint ranges partition the one-shot run
+  // exactly.
+  const std::vector<u64> bits = campaign_universe(space.total_bits(), options);
   const bool range_active = options.range_end > 0;
-  if (range_active) {
-    VSCRUB_CHECK(options.range_end > options.range_begin,
-                 "campaign: range_end must exceed range_begin");
-    const u64 b = std::min<u64>(options.range_begin, bits.size());
-    const u64 e = std::min<u64>(options.range_end, bits.size());
-    bits.erase(bits.begin() + static_cast<std::ptrdiff_t>(e), bits.end());
-    bits.erase(bits.begin(), bits.begin() + static_cast<std::ptrdiff_t>(b));
-  }
   const u64 n = bits.size();
   const u64 chunk_size = resolve_chunk_size(options.chunk_size, n);
   const u64 nchunks = (n + chunk_size - 1) / chunk_size;
@@ -337,79 +369,66 @@ CampaignResult run_campaign(const PlacedDesign& design,
 
     // Verdict-store probe, ahead of both the scheduler's scalar loop and the
     // gang engine: a hit replays the stored verdict (bit-identical to what
-    // the injection would produce) and never touches a simulator. Probe the
-    // exact key first, then the conservative whole-design fallback key under
-    // which oscillation-bounded verdicts were stored.
+    // the injection would produce) and never touches a simulator. Each bit
+    // is probed under its exact key first, then under the conservative
+    // whole-design fallback key that oscillation-bounded verdicts are stored
+    // under — locally in one find_batch, then at the remote tier in one
+    // round trip for the local misses.
     std::vector<u64> miss_bits;
-    if (store) {
-      miss_bits.reserve(end - begin);
-      for (u64 i = begin; i < end; ++i) {
-        const u64 linear = bits[i];
-        const BitAddress addr = space.address_of_linear(linear);
-        std::optional<StoredVerdict> v =
-            store->find(plan.key_of(space, addr, linear));
-        if (!v) v = store->find(plan.fallback_key_of(space, addr, linear));
-        if (!v) {
-          ++local_misses;
-          miss_bits.push_back(linear);
+    std::vector<VerdictKeyPair> miss_keys;
+    const auto replay = [&](u64 linear, const StoredVerdict& v) {
+      InjectionResult r;
+      r.addr = space.address_of_linear(linear);
+      r.output_error = v.output_error;
+      r.persistent = v.persistent;
+      r.first_error_cycle = v.first_error_cycle;
+      r.error_output_mask_lo = v.error_output_mask_lo;
+      r.modeled_time = cached_iter_time;
+      consume(r, /*from_cache=*/true);
+    };
+    miss_bits.assign(bits.begin() + static_cast<std::ptrdiff_t>(begin),
+                     bits.begin() + static_cast<std::ptrdiff_t>(end));
+    if (store != nullptr || remote != nullptr) {
+      plan.key_pairs_of(space, miss_bits, &miss_keys);
+    }
+    // Keeps the still-missing bits of a probe's answer; replays the hits.
+    // `on_hit` gets each hit's matched key and verdict.
+    std::vector<VerdictLookup> found;
+    const auto keep_misses = [&](const auto& on_hit) {
+      found.resize(miss_bits.size());
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < miss_bits.size(); ++i) {
+        const VerdictLookup& v = found[i];
+        if (!v.hit()) {
+          miss_bits[kept] = miss_bits[i];
+          miss_keys[kept] = miss_keys[i];
+          ++kept;
           continue;
         }
-        ++local_hits;
-        InjectionResult r;
-        r.addr = addr;
-        r.output_error = v->output_error;
-        r.persistent = v->persistent;
-        r.first_error_cycle = v->first_error_cycle;
-        r.error_output_mask_lo = v->error_output_mask_lo;
-        r.modeled_time = cached_iter_time;
-        consume(r, /*from_cache=*/true);
+        on_hit(v.key_in(miss_keys[i]), v.verdict);
+        replay(miss_bits[i], v.verdict);
       }
-    } else {
-      miss_bits.assign(bits.begin() + static_cast<std::ptrdiff_t>(begin),
-                       bits.begin() + static_cast<std::ptrdiff_t>(end));
+      miss_bits.resize(kept);
+      miss_keys.resize(kept);
+    };
+    if (store) {
+      store->find_batch(miss_keys, &found);
+      keep_misses([&](const VerdictKey&, const StoredVerdict&) {
+        ++local_hits;
+      });
+      local_misses = miss_bits.size();
     }
 
-    // Remote tier: one batched round trip for the chunk's local misses
-    // (exact keys first, then the conservative fallback keys for whatever is
-    // still missing). Hits replay exactly like local store hits and are fed
-    // into the local store so later chunks stop asking the wire.
+    // Remote tier: hits replay exactly like local store hits and are fed
+    // into the local store under the key that matched, so later chunks stop
+    // asking the wire.
     u64 local_remote_hits = 0;
     if (remote != nullptr && !miss_bits.empty()) {
-      const auto probe_remote = [&](bool fallback) {
-        std::vector<VerdictKey> keys;
-        keys.reserve(miss_bits.size());
-        for (const u64 linear : miss_bits) {
-          const BitAddress addr = space.address_of_linear(linear);
-          keys.push_back(fallback ? plan.fallback_key_of(space, addr, linear)
-                                  : plan.key_of(space, addr, linear));
-        }
-        std::vector<std::optional<StoredVerdict>> found;
-        remote->lookup_batch(keys, &found);
-        std::vector<u64> still;
-        still.reserve(miss_bits.size());
-        for (std::size_t i = 0; i < miss_bits.size(); ++i) {
-          const std::optional<StoredVerdict> v =
-              i < found.size() ? found[i] : std::nullopt;
-          if (!v) {
-            still.push_back(miss_bits[i]);
-            continue;
-          }
-          ++local_remote_hits;
-          const u64 linear = miss_bits[i];
-          if (store) store->put(keys[i], *v);
-          InjectionResult r;
-          r.addr = space.address_of_linear(linear);
-          r.output_error = v->output_error;
-          r.persistent = v->persistent;
-          r.first_error_cycle = v->first_error_cycle;
-          r.error_output_mask_lo = v->error_output_mask_lo;
-          r.modeled_time = cached_iter_time;
-          consume(r, /*from_cache=*/true);
-        }
-        miss_bits = std::move(still);
-      };
-      probe_remote(/*fallback=*/false);
-      if (!miss_bits.empty()) probe_remote(/*fallback=*/true);
+      remote->lookup_batch(miss_keys, &found);
+      keep_misses([&](const VerdictKey& key, const StoredVerdict& v) {
+        ++local_remote_hits;
+        if (store) store->put(key, v);
+      });
     }
 
     InjectionPhases phase_delta;

@@ -283,6 +283,14 @@ struct CampaignResult {
 /// `total_bits`: the sample size, clamped to the device (0 = every bit).
 u64 universe_size(u64 total_bits, const CampaignOptions& options);
 
+/// The campaign's injected bits (linear indices) in injection order: every
+/// configuration bit, or a uniform sample without replacement seeded by
+/// options.sample_seed. With a fabric range set, only universe positions
+/// [range_begin, min(range_end, n)), drawn without building the rest: equal
+/// to that slice of the whole universe. Throws Error on an empty range.
+std::vector<u64> campaign_universe(u64 total_bits,
+                                   const CampaignOptions& options);
+
 /// Runs an injection campaign for a compiled design.
 CampaignResult run_campaign(const PlacedDesign& design,
                             const CampaignOptions& options);

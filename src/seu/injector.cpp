@@ -284,6 +284,17 @@ void SeuInjector::hermetic_reset() {
   // (plus anything the persistence window shifted or wrote afterwards), and
   // FF values in sites only a corrupted decode ever clocked (reset() skips
   // unused FFs by design) — is rolled back to the post-configure baseline.
+  if (sim_.oscillating()) {
+    // A run that hit the oscillation bound drained its dirty queue with
+    // wire and comb values unsettled, and re-evaluating only the dirty
+    // tiles would carry them into the next bit. Start over from the
+    // configured fabric instead; the harness keeps its reference to sim_.
+    residual_frames_.clear();
+    sim_ = configured_fabric(design_->space, design_->bitstream);
+    harness_.restart();
+    sim_.clear_dirty_frames();
+    return;
+  }
   std::vector<u32> stale = std::move(residual_frames_);
   residual_frames_.clear();
   const std::vector<u32>& dirty = sim_.dirty_frames();

@@ -1,6 +1,6 @@
 // Remote verdict tier: the abstract batched lookup/publish interface a
 // campaign probes *behind* its local VerdictStore. The distributed fabric
-// implements it over VSRP1 (svc/remote_store.h) against the coordinator's
+// implements it over VSRP1 (svc/store_wire.h) against the coordinator's
 // process-wide store, so workers on different machines reuse each other's
 // verdicts; tests implement it in-memory.
 //
@@ -13,7 +13,6 @@
 // coordinator costs reuse, never a campaign.
 #pragma once
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -25,11 +24,13 @@ class RemoteVerdictClient {
  public:
   virtual ~RemoteVerdictClient() = default;
 
-  /// One round trip for a whole chunk's misses. out[i] is the verdict for
-  /// keys[i] or nullopt; out.size() == keys.size() on return (resized here,
-  /// so a failing transport just leaves every slot empty).
-  virtual void lookup_batch(const std::vector<VerdictKey>& keys,
-                            std::vector<std::optional<StoredVerdict>>* out) = 0;
+  /// One round trip for a whole chunk's misses. Each slot is resolved
+  /// exact key first, then fallback key, like VerdictStore::find_batch;
+  /// out[i] answers pairs[i] and says which key matched. out->size() ==
+  /// pairs.size() on return (resized here, so a failing transport just
+  /// leaves every slot a miss).
+  virtual void lookup_batch(const std::vector<VerdictKeyPair>& pairs,
+                            std::vector<VerdictLookup>* out) = 0;
 
   /// One round trip publishing a whole chunk's fresh verdicts. Best-effort:
   /// a failed publish is dropped silently (the verdicts are still in the

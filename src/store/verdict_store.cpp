@@ -13,10 +13,6 @@ namespace {
 const std::string kShardMagic = "VVS1";
 const std::string kManifestMagic = "VSMF1";
 
-// Wire size of one shard entry: key (8+8), flags (1), first_error_cycle (4),
-// error_output_mask_lo (8).
-constexpr u64 kEntryBytes = 29;
-
 std::string sanitized(const std::string& name) {
   std::string out;
   out.reserve(name.size());
@@ -26,6 +22,32 @@ std::string sanitized(const std::string& name) {
     out.push_back(ok ? c : '_');
   }
   return out;
+}
+
+/// One exact-then-fallback pass over the still-open slots of a batch
+/// against one source (`find` returns the stored verdict or null). An exact
+/// hit closes its slot. A fallback hit is kept only while the slot has none,
+/// and the slot stays open: an exact hit in a later source still wins.
+template <typename Find>
+void probe_open_slots(std::span<const VerdictKeyPair> pairs,
+                      std::vector<VerdictLookup>* out, std::vector<u32>* open,
+                      const Find& find) {
+  std::size_t kept = 0;
+  for (const u32 i : *open) {
+    const VerdictKeyPair& pair = pairs[i];
+    VerdictLookup& slot = (*out)[i];
+    if (const StoredVerdict* v = find(pair.exact)) {
+      slot = {VerdictMatch::kExact, *v};
+      continue;
+    }
+    if (!slot.hit() && !(pair.fallback == pair.exact)) {
+      if (const StoredVerdict* v = find(pair.fallback)) {
+        slot = {VerdictMatch::kFallback, *v};
+      }
+    }
+    (*open)[kept++] = i;
+  }
+  open->resize(kept);
 }
 
 }  // namespace
@@ -54,7 +76,7 @@ VerdictStore::VerdictStore(std::string dir) : dir_(std::move(dir)) {
       const u64 n = r.get_u64();
       // Count guard before any allocation: a CRC-colliding or hostile count
       // must fail cleanly, not reserve gigabytes.
-      VSCRUB_CHECK(n <= r.remaining() / kEntryBytes,
+      VSCRUB_CHECK(n <= r.remaining() / kVerdictEntryBytes,
                    "verdict store: entry count larger than shard " + path);
       auto& map = shards_[s];
       map.reserve(n);
@@ -83,30 +105,50 @@ VerdictStore::VerdictStore(std::string dir) : dir_(std::move(dir)) {
 }
 
 std::optional<StoredVerdict> VerdictStore::find(const VerdictKey& key) const {
+  const VerdictKeyPair pair{key, key};
+  std::vector<VerdictLookup> out;
+  find_batch(std::span(&pair, 1), &out);
+  if (!out[0].hit()) return std::nullopt;
+  return out[0].verdict;
+}
+
+void VerdictStore::find_batch(std::span<const VerdictKeyPair> pairs,
+                              std::vector<VerdictLookup>* out) const {
+  out->assign(pairs.size(), VerdictLookup{});
+  std::vector<u32> open(pairs.size());
+  for (std::size_t i = 0; i < open.size(); ++i) open[i] = static_cast<u32>(i);
+  const auto in_maps = [this](const VerdictKey& key) -> const StoredVerdict* {
+    const auto& map = shards_[shard_of(key)];
+    const auto it = map.find(key);
+    return it == map.end() ? nullptr : &it->second;
+  };
+  // Maps first, then (on a miss) the pending-put buffer, so concurrent
+  // campaigns see each other's fresh verdicts without waiting for a flush.
+  // Misses pay the pending mutex once per batch; hits save a whole
+  // injection. A flush that completed between the two probes may have moved
+  // a key from pending_ into the maps; one re-probe closes that window, and
+  // the epoch check keeps the common miss path at a single atomic load.
   const u64 epoch = flush_epoch_.load(std::memory_order_acquire);
   {
     std::shared_lock lock(maps_mutex_);
-    const auto& map = shards_[shard_of(key)];
-    const auto it = map.find(key);
-    if (it != map.end()) return it->second;
+    probe_open_slots(pairs, out, &open, in_maps);
   }
-  // Pending probe: verdicts another campaign produced but has not flushed
-  // yet. Misses pay a mutex here; hits save a whole injection.
+  if (open.empty()) return;
   {
     std::lock_guard lock(pending_mutex_);
-    const auto it = pending_.find(key);
-    if (it != pending_.end()) return it->second;
+    if (!pending_.empty()) {
+      probe_open_slots(pairs, out, &open,
+                       [this](const VerdictKey& key) -> const StoredVerdict* {
+                         const auto it = pending_.find(key);
+                         return it == pending_.end() ? nullptr : &it->second;
+                       });
+    }
   }
-  // A flush that completed between the two probes may have moved this key
-  // from pending_ into the maps; one re-probe closes that window, and the
-  // epoch check keeps the common miss path at a single atomic load.
-  if (flush_epoch_.load(std::memory_order_acquire) != epoch) {
+  if (!open.empty() &&
+      flush_epoch_.load(std::memory_order_acquire) != epoch) {
     std::shared_lock lock(maps_mutex_);
-    const auto& map = shards_[shard_of(key)];
-    const auto it = map.find(key);
-    if (it != map.end()) return it->second;
+    probe_open_slots(pairs, out, &open, in_maps);
   }
-  return std::nullopt;
 }
 
 void VerdictStore::put(const VerdictKey& key, const StoredVerdict& v) {
@@ -118,7 +160,7 @@ std::size_t VerdictStore::flush() {
   std::lock_guard flush_lock(flush_mutex_);
   std::size_t stored = 0;
   {
-    // pending_mutex_ is held across the whole merge: a concurrent find()
+    // pending_mutex_ is held across the whole merge: a concurrent find_batch()
     // that misses the maps then either sees the verdict still in pending_ or
     // waits here until the merge has made it visible in the maps — there is
     // no window where a recorded verdict is in neither and gets re-simulated.
@@ -132,7 +174,7 @@ std::size_t VerdictStore::flush() {
     flush_epoch_.fetch_add(1, std::memory_order_release);
   }
   // Disk writes happen under a *shared* maps lock: shards_/dirty_ are only
-  // mutated by flush() (serialized by flush_mutex_), so concurrent find()
+  // mutated by flush() (serialized by flush_mutex_), so concurrent find_batch()
   // probes keep being served while shard files are written — a flush of a
   // large store must not stall every in-flight campaign on disk I/O.
   std::shared_lock maps_lock(maps_mutex_);
@@ -143,8 +185,7 @@ std::size_t VerdictStore::flush() {
     for (const auto& [key, v] : shards_[s]) {
       w.put_u64(key.hi);
       w.put_u64(key.lo);
-      w.put_u8(static_cast<u8>((v.output_error ? 1 : 0) |
-                               (v.persistent ? 2 : 0)));
+      w.put_u8(verdict_flags(v));
       w.put_u32(v.first_error_cycle);
       w.put_u64(v.error_output_mask_lo);
     }

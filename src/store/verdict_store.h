@@ -15,14 +15,15 @@
 //
 // Concurrency model: one store instance may be shared by concurrent
 // campaigns (the vscrubd serving layer runs every request against a single
-// process-wide store). find() takes a shared lock on the merged maps and,
-// on a miss there, probes the pending-put buffer — so one client's fresh
-// verdicts are visible to another *before* any flush; when a flush completed
-// between the two probes (flush-epoch check) the maps are re-probed once, so
-// a recorded verdict is never invisible. put() only touches the pending
+// process-wide store). find_batch() takes a shared lock on the merged maps
+// and, for the keys it missed there, probes the pending-put buffer — so one
+// client's fresh verdicts are visible to another *before* any flush; when a
+// flush completed between the two probes (flush-epoch check) the maps are
+// re-probed once, so a recorded verdict is never invisible. Each lock is
+// taken once per batch, so a chunk's whole probe costs two acquisitions. put() only touches the pending
 // buffer. flush() holds the exclusive maps lock only for the in-memory
 // merge, then downgrades to a shared lock for the shard-file disk writes —
-// concurrent find() probes are never blocked on disk I/O — and is itself
+// concurrent find_batch() probes are never blocked on disk I/O — and is itself
 // serialized against concurrent flushes.
 #pragma once
 
@@ -31,6 +32,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,6 +67,41 @@ struct StoredVerdict {
   bool operator==(const StoredVerdict&) const = default;
 };
 
+/// Bytes of one VVS1 shard entry — key hi and lo (u64), flags (u8),
+/// first_error_cycle (u32), error_output_mask_lo (u64) — which is also the
+/// store wire's publish entry.
+inline constexpr std::size_t kVerdictEntryBytes = 29;
+
+/// The flag byte of a verdict in a VVS1 shard entry and on the store wire:
+/// bit 0 = output_error, bit 1 = persistent. Other bits are never written.
+inline u8 verdict_flags(const StoredVerdict& v) {
+  return static_cast<u8>((v.output_error ? 1 : 0) | (v.persistent ? 2 : 0));
+}
+
+/// One bit's probe: its exact key and the conservative whole-design
+/// fallback key its verdict is stored under when the run oscillated
+/// (seu/cache_key.h). The two may be equal.
+struct VerdictKeyPair {
+  VerdictKey exact;
+  VerdictKey fallback;
+};
+
+/// Which key of a VerdictKeyPair answered. The values are the per-slot tags
+/// of a kStoreLookup reply (svc/store_wire.h).
+enum class VerdictMatch : u8 { kMiss = 0, kExact = 1, kFallback = 2 };
+
+/// The answer to one VerdictKeyPair: exact preferred over fallback.
+struct VerdictLookup {
+  VerdictMatch match = VerdictMatch::kMiss;
+  StoredVerdict verdict;  ///< meaningful only when hit()
+
+  bool hit() const { return match != VerdictMatch::kMiss; }
+  /// The key that matched (the exact key for a miss).
+  const VerdictKey& key_in(const VerdictKeyPair& pair) const {
+    return match == VerdictMatch::kFallback ? pair.fallback : pair.exact;
+  }
+};
+
 class VerdictStore {
  public:
   static constexpr u32 kShards = 16;
@@ -74,10 +111,16 @@ class VerdictStore {
   /// queued for a clean rewrite on the next flush().
   explicit VerdictStore(std::string dir);
 
-  /// Lookup: the merged shard maps first, then (on a miss) the pending-put
-  /// buffer, so concurrent campaigns see each other's fresh verdicts without
-  /// waiting for a flush. Thread-safe against concurrent find()/put()/
-  /// flush(); returns a copy because a concurrent flush may rehash the maps.
+  /// Batched exact-or-fallback lookup: out[i] answers pairs[i], exact key
+  /// preferred, from the merged shard maps first, then (on a miss) the
+  /// pending-put buffer, so concurrent campaigns see each other's fresh
+  /// verdicts without waiting for a flush. The maps lock and the pending
+  /// lock are each taken once per batch. Thread-safe against concurrent
+  /// find_batch()/put()/flush(); copies the verdicts out because a
+  /// concurrent flush may rehash the maps. out is resized to pairs.size().
+  void find_batch(std::span<const VerdictKeyPair> pairs,
+                  std::vector<VerdictLookup>* out) const;
+  /// One key: find_batch() of the pair (key, key).
   std::optional<StoredVerdict> find(const VerdictKey& key) const;
 
   /// Buffers a fresh verdict for the next flush(). Thread-safe.
@@ -85,7 +128,7 @@ class VerdictStore {
 
   /// Merges buffered puts into the in-memory maps and atomically rewrites
   /// every dirty shard. Returns the number of entries newly written.
-  /// Thread-safe: concurrent flushes serialize, concurrent find()/put()
+  /// Thread-safe: concurrent flushes serialize, concurrent find_batch()/put()
   /// proceed against a consistent snapshot.
   std::size_t flush();
 
@@ -102,7 +145,7 @@ class VerdictStore {
 
  private:
   std::string dir_;
-  /// Guards shards_/dirty_: shared for find()/size(), exclusive for the
+  /// Guards shards_/dirty_: shared for find_batch()/size(), exclusive for the
   /// flush() merge-and-rewrite.
   mutable std::shared_mutex maps_mutex_;
   std::array<std::unordered_map<VerdictKey, StoredVerdict, VerdictKeyHash>,
@@ -113,7 +156,7 @@ class VerdictStore {
 
   mutable std::mutex pending_mutex_;
   std::unordered_map<VerdictKey, StoredVerdict, VerdictKeyHash> pending_;
-  /// Bumped once per completed flush merge; lets find() detect that a flush
+  /// Bumped once per completed flush merge; lets find_batch() detect that a flush
   /// moved entries from pending_ into the maps between its two probes.
   mutable std::atomic<u64> flush_epoch_{0};
   /// Serializes whole flush() calls (two flushes writing one shard file

@@ -1,9 +1,9 @@
 // Bit-space partitioning for the distributed campaign fabric.
 //
 // A sharded campaign splits the one-shot run's injection universe — the
-// deterministic bit order build_universe produces from (device, sample,
-// seed) — into contiguous [begin, end) position ranges. Every worker builds
-// the identical universe locally and slices its assigned range out of it, so
+// deterministic bit order campaign_universe produces from (device, sample,
+// seed) — into contiguous [begin, end) position ranges. Every worker draws
+// its assigned range locally (the sample's draws stop at the range end), so
 // the shards partition the one-shot run exactly: disjoint, covering, and in
 // the same per-bit order. That is what makes the merged campaign provably
 // bit-identical — counters sum and the order-independent sensitive-set

@@ -5,7 +5,8 @@
 //        5     1  kind (FrameKind)
 //        6     8  request_id, little-endian
 //       14     4  payload length, little-endian
-//       18     n  payload (UTF-8 JSON, the report/json flat-object shape)
+//       18     n  payload (UTF-8 JSON, the report/json flat-object shape,
+//                 except for the two store verbs below)
 //     18+n     4  CRC-32 (IEEE, reflected) over every preceding byte
 //
 // Payloads reuse the report/json serializer, so every request and reply
@@ -14,6 +15,16 @@
 // discipline the bitstream records ("VSCK3"/"VVS1") already have: a
 // truncated, bit-flipped or hostile frame decodes to a *typed* error, never
 // to a partially-believed request.
+//
+// Two kinds are not JSON: a kStoreLookup or kStorePublish request, and its
+// kResult reply, carry fixed-width little-endian binary (a u32 count, then
+// 32-byte key pairs, tag bytes plus 13-byte verdicts, or 29-byte VVS1 shard
+// entries; svc/store_wire.h has the layouts). They are the fleet's hottest
+// frames, one per chunk, and a fixed width lets the decoder check the exact
+// length. Their kError replies stay JSON. The CRC covers them like any
+// payload. A peer speaking protocol version 1 (hex in JSON) gets a typed
+// bad_request from a version-2 hub and degrades to no reuse; it never
+// receives a wrong verdict.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +50,8 @@ enum class FrameKind : u8 {
   kCancel = 6,      ///< cancel a queued/running request, answered inline
   kStats = 7,       ///< server metrics snapshot, answered inline
   // Fabric (coordinator) requests, answered inline.
-  kStoreLookup = 8,   ///< batched verdict-store probe against the coordinator
-  kStorePublish = 9,  ///< batched verdict publish into the coordinator's store
+  kStoreLookup = 8,   ///< batched exact-or-fallback verdict probe (binary)
+  kStorePublish = 9,  ///< batched verdict publish into the hub store (binary)
 
   // Server -> client.
   kAccepted = 16,  ///< request admitted to the work queue
@@ -51,10 +62,15 @@ enum class FrameKind : u8 {
   kCheckpoint = 21,  ///< streamed VSCK range checkpoint (fabric heartbeat)
 };
 
+/// Reported as "protocol_version" by kPing and kStats. Version 2 made the
+/// store verbs binary.
+inline constexpr u64 kProtocolVersion = 2;
+
 bool frame_kind_valid(u8 kind);
 const char* frame_kind_name(FrameKind kind);
 
-/// One decoded frame. `payload` is the JSON text (possibly empty for pings).
+/// One decoded frame. `payload` is the JSON text (possibly empty for pings),
+/// or the binary body of a store verb.
 struct Frame {
   FrameKind kind = FrameKind::kPing;
   u64 request_id = 0;

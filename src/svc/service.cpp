@@ -50,6 +50,10 @@ CampaignService::CampaignService(const ServiceConfig& config)
   {
     std::lock_guard lock(metrics_mutex_);
     metrics_.histogram("request_latency_ms", config_.latency_reservoir);
+    if (store_) {
+      metrics_.counter("store_frames");
+      metrics_.histogram("store_frame_us", config_.latency_reservoir);
+    }
     metrics_.counter("preemptions");
     metrics_.counter("reassignments_total");
     metrics_.counter("resumed_injections_total");
@@ -102,7 +106,7 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
       }
       reply(emit, FrameKind::kResult, request.request_id,
             JsonReport("pong")
-                .set_u64("protocol_version", 1)
+                .set_u64("protocol_version", kProtocolVersion)
                 .set_string("role", coordinator() ? "coordinator" : "worker")
                 .set_u64("workers", config_.workers.size()));
       return;
@@ -238,29 +242,13 @@ void CampaignService::handle_store_request(const Frame& request,
                        "remote tier)"));
     return;
   }
+  const auto start = std::chrono::steady_clock::now();
+  u64 keys = 0, hits = 0, entries = 0;
+  std::string answer;
   try {
-    const FlatJson params = FlatJson::parse(
-        request.payload.empty() ? "{}" : request.payload);
-    if (request.kind == FrameKind::kStoreLookup) {
-      u64 keys = 0, hits = 0;
-      const JsonReport report =
-          answer_store_lookup(*store_, params, &keys, &hits);
-      {
-        std::lock_guard mlock(metrics_mutex_);
-        metrics_.counter("store_lookups").add(keys);
-        metrics_.counter("store_lookup_hits").add(hits);
-      }
-      reply(emit, FrameKind::kResult, request.request_id, report);
-    } else {
-      u64 entries = 0;
-      const JsonReport report =
-          answer_store_publish(*store_, params, &entries);
-      {
-        std::lock_guard mlock(metrics_mutex_);
-        metrics_.counter("store_publishes").add(entries);
-      }
-      reply(emit, FrameKind::kResult, request.request_id, report);
-    }
+    answer = request.kind == FrameKind::kStoreLookup
+                 ? answer_store_lookup(*store_, request.payload, &keys, &hits)
+                 : answer_store_publish(*store_, request.payload, &entries);
   } catch (const Error& e) {
     {
       std::lock_guard mlock(metrics_mutex_);
@@ -268,6 +256,20 @@ void CampaignService::handle_store_request(const Frame& request,
     }
     reply(emit, FrameKind::kError, request.request_id,
           error_report("bad_request", e.what()));
+    return;
+  }
+  emit(Frame{FrameKind::kResult, request.request_id, std::move(answer)});
+  const double us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  std::lock_guard mlock(metrics_mutex_);
+  metrics_.counter("store_frames").add();
+  metrics_.histogram("store_frame_us", config_.latency_reservoir).record(us);
+  if (request.kind == FrameKind::kStoreLookup) {
+    metrics_.counter("store_lookups").add(keys);
+    metrics_.counter("store_lookup_hits").add(hits);
+  } else {
+    metrics_.counter("store_publishes").add(entries);
   }
 }
 
@@ -617,7 +619,7 @@ JsonReport CampaignService::stats_report() const {
     lanes = sched_.lane_count();
   }
   JsonReport report("service_stats");
-  report.set_u64("protocol_version", 1)
+  report.set_u64("protocol_version", kProtocolVersion)
       .set_u64("executors", executors_.size())
       .set_u64("pool_threads", pool_ ? pool_->thread_count() : 0)
       .set_u64("workers", config_.workers.size())

@@ -1,10 +1,11 @@
 #include "svc/store_wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <string_view>
+#include <cstring>
 
 #include "common/log.h"
-#include "report/json.h"
 
 namespace vscrub {
 namespace {
@@ -18,64 +19,120 @@ int hex_value(char c) {
   return -1;
 }
 
-// Minimal-width lowercase hex (no 0x). Zero renders as "0".
-void append_hex(std::string* out, u64 v) {
-  char buf[16];
-  int n = 0;
-  do {
-    buf[n++] = kHexDigits[v & 0xF];
-    v >>= 4;
-  } while (v != 0);
-  while (n > 0) out->push_back(buf[--n]);
-}
-
-u64 parse_hex(std::string_view text) {
-  VSCRUB_CHECK(!text.empty() && text.size() <= 16,
-               "store wire: bad hex field width");
-  u64 v = 0;
-  for (const char c : text) {
-    const int d = hex_value(c);
-    VSCRUB_CHECK(d >= 0, "store wire: non-hex character");
-    v = (v << 4) | static_cast<u64>(d);
-  }
-  return v;
-}
-
-std::vector<std::string_view> split(std::string_view text, char sep) {
-  std::vector<std::string_view> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string_view::npos) {
-      parts.push_back(text.substr(begin));
-      break;
+/// A little-endian field of T at `at` (host order when the host is little-
+/// endian, which every supported target is; the byte loop keeps the codec
+/// correct elsewhere).
+template <typename T>
+void store_le(char* at, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      at[i] = static_cast<char>((static_cast<u64>(v) >> (8 * i)) & 0xFF);
     }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
   }
-  return parts;
 }
 
-void append_verdict_fields(std::string* out, const StoredVerdict& v) {
-  const u64 flags = (v.output_error ? 1u : 0u) | (v.persistent ? 2u : 0u);
-  append_hex(out, flags);
-  out->push_back(':');
-  append_hex(out, v.first_error_cycle);
-  out->push_back(':');
-  append_hex(out, v.error_output_mask_lo);
-}
-
-StoredVerdict verdict_from_fields(std::string_view flags,
-                                  std::string_view cycle,
-                                  std::string_view mask) {
-  const u64 f = parse_hex(flags);
-  VSCRUB_CHECK(f <= 3, "store wire: unknown verdict flag bits");
-  StoredVerdict v;
-  v.output_error = (f & 1) != 0;
-  v.persistent = (f & 2) != 0;
-  v.first_error_cycle = static_cast<u32>(parse_hex(cycle));
-  v.error_output_mask_lo = parse_hex(mask);
+template <typename T>
+T load_le(const char* at) {
+  T v;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, at, sizeof v);
+  } else {
+    u64 x = 0;
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      x |= static_cast<u64>(static_cast<u8>(at[i])) << (8 * i);
+    }
+    v = static_cast<T>(x);
+  }
   return v;
+}
+
+/// Little-endian writer into a payload of exactly the size the encoder
+/// computed up front.
+class WireWriter {
+ public:
+  explicit WireWriter(std::size_t bytes) : out_(bytes, '\0') {}
+  void put_u8(u8 v) { put(v); }
+  void put_u32(u32 v) { put(v); }
+  void put_u64(u64 v) { put(v); }
+  void put_key(const VerdictKey& k) {
+    put_u64(k.hi);
+    put_u64(k.lo);
+  }
+  void put_verdict(const StoredVerdict& v) {
+    put_u8(verdict_flags(v));
+    put_u32(v.first_error_cycle);
+    put_u64(v.error_output_mask_lo);
+  }
+  std::string take() {
+    VSCRUB_CHECK(pos_ == out_.size(), "store wire: encoder size mismatch");
+    return std::move(out_);
+  }
+
+ private:
+  template <typename T>
+  void put(T v) {
+    VSCRUB_CHECK(out_.size() - pos_ >= sizeof v,
+                 "store wire: encoder size mismatch");
+    store_le(out_.data() + pos_, v);
+    pos_ += sizeof v;
+  }
+  std::string out_;
+  std::size_t pos_ = 0;
+};
+
+/// Little-endian reader over an untrusted payload. The callers check the
+/// exact length up front, so reads past the end are a codec bug; they still
+/// throw rather than read out of bounds.
+class WireReader {
+ public:
+  explicit WireReader(std::string_view in) : in_(in) {}
+  std::size_t remaining() const { return in_.size() - pos_; }
+  u8 get_u8() { return get<u8>(); }
+  u32 get_u32() { return get<u32>(); }
+  u64 get_u64() { return get<u64>(); }
+  VerdictKey get_key() {
+    VerdictKey k;
+    k.hi = get_u64();
+    k.lo = get_u64();
+    return k;
+  }
+  StoredVerdict get_verdict() {
+    const u8 flags = get_u8();
+    VSCRUB_CHECK(flags <= 3, "store wire: unknown verdict flag bits");
+    StoredVerdict v;
+    v.output_error = (flags & 1) != 0;
+    v.persistent = (flags & 2) != 0;
+    v.first_error_cycle = get_u32();
+    v.error_output_mask_lo = get_u64();
+    return v;
+  }
+
+ private:
+  template <typename T>
+  T get() {
+    VSCRUB_CHECK(remaining() >= sizeof(T), "store wire: truncated payload");
+    const T v = load_le<T>(in_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
+
+/// Reads the leading count of a store payload whose slots are all
+/// `slot_bytes` wide, and checks the payload is exactly that long.
+u32 fixed_width_count(WireReader& r, std::size_t slot_bytes) {
+  const u32 count = r.get_u32();
+  VSCRUB_CHECK(r.remaining() == u64{count} * slot_bytes,
+               "store wire: payload length does not match its count");
+  return count;
+}
+
+u32 checked_count(std::size_t n, std::size_t max) {
+  VSCRUB_CHECK(n <= max, "store wire: batch exceeds one frame");
+  return static_cast<u32>(n);
 }
 
 }  // namespace
@@ -116,148 +173,182 @@ bool read_file_bytes(const std::string& path, std::vector<u8>* out) {
   return ok;
 }
 
-std::string encode_store_keys(const std::vector<VerdictKey>& keys) {
-  std::string out;
-  out.reserve(keys.size() * 34);
-  for (const VerdictKey& key : keys) {
-    if (!out.empty()) out.push_back(',');
-    append_hex(&out, key.hi);
-    out.push_back(':');
-    append_hex(&out, key.lo);
+std::string encode_store_lookup(std::span<const VerdictKeyPair> pairs) {
+  const u32 count = checked_count(pairs.size(), kStoreLookupBatchMax);
+  WireWriter w(kStoreCountBytes + pairs.size() * kStorePairBytes);
+  w.put_u32(count);
+  for (const VerdictKeyPair& p : pairs) {
+    w.put_key(p.exact);
+    w.put_key(p.fallback);
   }
-  return out;
+  return w.take();
 }
 
-std::vector<VerdictKey> decode_store_keys(const std::string& text) {
-  std::vector<VerdictKey> keys;
-  if (text.empty()) return keys;
-  for (const std::string_view entry : split(text, ',')) {
-    const std::vector<std::string_view> f = split(entry, ':');
-    VSCRUB_CHECK(f.size() == 2, "store wire: key is not hi:lo");
-    keys.push_back(VerdictKey{parse_hex(f[0]), parse_hex(f[1])});
+std::vector<VerdictKeyPair> decode_store_lookup(std::string_view payload) {
+  WireReader r(payload);
+  const u32 count = fixed_width_count(r, kStorePairBytes);
+  std::vector<VerdictKeyPair> pairs(count);
+  for (VerdictKeyPair& p : pairs) {
+    p.exact = r.get_key();
+    p.fallback = r.get_key();
   }
-  return keys;
+  return pairs;
 }
 
-std::string encode_store_verdicts(
-    const std::vector<std::optional<StoredVerdict>>& verdicts) {
-  std::string out;
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    if (!verdicts[i].has_value()) continue;
-    if (!out.empty()) out.push_back(',');
-    append_hex(&out, i);
-    out.push_back(':');
-    append_verdict_fields(&out, *verdicts[i]);
+std::string encode_store_lookup_reply(std::span<const VerdictLookup> slots) {
+  const u32 count = checked_count(slots.size(), kStoreLookupBatchMax);
+  std::size_t hits = 0;
+  for (const VerdictLookup& s : slots) hits += s.hit() ? 1u : 0u;
+  WireWriter w(kStoreCountBytes + slots.size() + hits * kStoreVerdictBytes);
+  w.put_u32(count);
+  for (const VerdictLookup& s : slots) w.put_u8(static_cast<u8>(s.match));
+  for (const VerdictLookup& s : slots) {
+    if (s.hit()) w.put_verdict(s.verdict);
   }
-  return out;
+  return w.take();
 }
 
-void decode_store_verdicts(const std::string& text, std::size_t key_count,
-                           std::vector<std::optional<StoredVerdict>>* out) {
-  out->assign(key_count, std::nullopt);
-  if (text.empty()) return;
-  for (const std::string_view entry : split(text, ',')) {
-    const std::vector<std::string_view> f = split(entry, ':');
-    VSCRUB_CHECK(f.size() == 4, "store wire: verdict is not index:fields");
-    const u64 index = parse_hex(f[0]);
-    VSCRUB_CHECK(index < key_count, "store wire: verdict index out of range");
-    (*out)[index] = verdict_from_fields(f[1], f[2], f[3]);
+std::vector<VerdictLookup> decode_store_lookup_reply(std::string_view payload,
+                                                     std::size_t expected) {
+  WireReader r(payload);
+  const u32 count = r.get_u32();
+  VSCRUB_CHECK(count == expected,
+               "store wire: reply count differs from the request");
+  VSCRUB_CHECK(r.remaining() >= count, "store wire: truncated reply tags");
+  std::vector<VerdictLookup> slots(count);
+  std::size_t hits = 0;
+  for (VerdictLookup& s : slots) {
+    const u8 tag = r.get_u8();
+    VSCRUB_CHECK(tag <= static_cast<u8>(VerdictMatch::kFallback),
+                 "store wire: unknown reply tag");
+    s.match = static_cast<VerdictMatch>(tag);
+    hits += s.hit() ? 1u : 0u;
   }
+  VSCRUB_CHECK(r.remaining() == hits * kStoreVerdictBytes,
+               "store wire: reply length does not match its hits");
+  for (VerdictLookup& s : slots) {
+    if (s.hit()) s.verdict = r.get_verdict();
+  }
+  return slots;
 }
 
-std::string encode_store_entries(
-    const std::vector<std::pair<VerdictKey, StoredVerdict>>& entries) {
-  std::string out;
-  out.reserve(entries.size() * 44);
+std::string encode_store_publish(
+    std::span<const std::pair<VerdictKey, StoredVerdict>> entries) {
+  const u32 count = checked_count(entries.size(), kStorePublishBatchMax);
+  WireWriter w(kStoreCountBytes + entries.size() * kStoreEntryBytes);
+  w.put_u32(count);
   for (const auto& [key, verdict] : entries) {
-    if (!out.empty()) out.push_back(',');
-    append_hex(&out, key.hi);
-    out.push_back(':');
-    append_hex(&out, key.lo);
-    out.push_back(':');
-    append_verdict_fields(&out, verdict);
+    w.put_key(key);
+    w.put_verdict(verdict);
   }
-  return out;
+  return w.take();
 }
 
-std::vector<std::pair<VerdictKey, StoredVerdict>> decode_store_entries(
-    const std::string& text) {
+std::vector<std::pair<VerdictKey, StoredVerdict>> decode_store_publish(
+    std::string_view payload) {
+  WireReader r(payload);
+  const u32 count = fixed_width_count(r, kStoreEntryBytes);
   std::vector<std::pair<VerdictKey, StoredVerdict>> entries;
-  if (text.empty()) return entries;
-  for (const std::string_view entry : split(text, ',')) {
-    const std::vector<std::string_view> f = split(entry, ':');
-    VSCRUB_CHECK(f.size() == 5, "store wire: entry is not hi:lo:fields");
-    entries.emplace_back(VerdictKey{parse_hex(f[0]), parse_hex(f[1])},
-                         verdict_from_fields(f[2], f[3], f[4]));
+  entries.reserve(count);
+  for (u32 i = 0; i < count; ++i) {
+    const VerdictKey key = r.get_key();
+    entries.emplace_back(key, r.get_verdict());
   }
   return entries;
 }
 
-JsonReport answer_store_lookup(VerdictStore& store, const FlatJson& params,
-                               u64* out_keys, u64* out_hits) {
-  const std::vector<VerdictKey> keys =
-      decode_store_keys(params.get_string("keys"));
-  std::vector<std::optional<StoredVerdict>> verdicts(keys.size());
-  u64 found = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    verdicts[i] = store.find(keys[i]);
-    if (verdicts[i].has_value()) ++found;
-  }
-  if (out_keys != nullptr) *out_keys = keys.size();
-  if (out_hits != nullptr) *out_hits = found;
-  return JsonReport("store_verdicts")
-      .set_u64("hits", found)
-      .set_string("verdicts", encode_store_verdicts(verdicts));
+std::string encode_store_count(u32 count) {
+  WireWriter w(kStoreCountBytes);
+  w.put_u32(count);
+  return w.take();
 }
 
-JsonReport answer_store_publish(VerdictStore& store, const FlatJson& params,
-                                u64* out_entries) {
+u32 decode_store_count(std::string_view payload) {
+  WireReader r(payload);
+  return fixed_width_count(r, 0);
+}
+
+std::string answer_store_lookup(const VerdictStore& store,
+                                std::string_view payload, u64* out_keys,
+                                u64* out_hits) {
+  const std::vector<VerdictKeyPair> pairs = decode_store_lookup(payload);
+  std::vector<VerdictLookup> slots;
+  store.find_batch(pairs, &slots);
+  if (out_keys != nullptr) *out_keys = pairs.size();
+  if (out_hits != nullptr) {
+    u64 found = 0;
+    for (const VerdictLookup& s : slots) found += s.hit() ? 1u : 0u;
+    *out_hits = found;
+  }
+  return encode_store_lookup_reply(slots);
+}
+
+std::string answer_store_publish(VerdictStore& store, std::string_view payload,
+                                 u64* out_entries) {
   const std::vector<std::pair<VerdictKey, StoredVerdict>> entries =
-      decode_store_entries(params.get_string("entries"));
+      decode_store_publish(payload);
   for (const auto& [key, verdict] : entries) store.put(key, verdict);
   if (out_entries != nullptr) *out_entries = entries.size();
-  return JsonReport("store_ack").set_u64("accepted", entries.size());
+  return encode_store_count(static_cast<u32>(entries.size()));
 }
 
 VsrpRemoteStore::VsrpRemoteStore(const std::string& socket_path,
                                  ReconnectPolicy reconnect)
     : session_(ServiceSession::connect_unix(socket_path, reconnect)) {}
 
-void VsrpRemoteStore::lookup_batch(
-    const std::vector<VerdictKey>& keys,
-    std::vector<std::optional<StoredVerdict>>* out) {
-  out->assign(keys.size(), std::nullopt);
-  if (keys.empty()) return;
-  lookups_.fetch_add(keys.size(), std::memory_order_relaxed);
-  JsonReport req("store_lookup");
-  req.set_string("keys", encode_store_keys(keys));
-  try {
-    const Frame reply = session_.call(FrameKind::kStoreLookup, req.to_json());
-    if (reply.kind != FrameKind::kResult) return;  // typed server-side error
-    const FlatJson body = FlatJson::parse(reply.payload);
-    decode_store_verdicts(body.get_string("verdicts"), keys.size(), out);
-    u64 found = 0;
-    for (const auto& v : *out) found += v.has_value() ? 1u : 0u;
-    hits_.fetch_add(found, std::memory_order_relaxed);
-  } catch (const Error&) {
-    // Degrade to all-miss: a dead coordinator costs reuse, not the campaign.
-    transport_errors_.fetch_add(1, std::memory_order_relaxed);
-    out->assign(keys.size(), std::nullopt);
+void VsrpRemoteStore::lookup_batch(const std::vector<VerdictKeyPair>& pairs,
+                                   std::vector<VerdictLookup>* out) {
+  out->assign(pairs.size(), VerdictLookup{});
+  lookups_.fetch_add(pairs.size(), std::memory_order_relaxed);
+  for (std::size_t base = 0; base < pairs.size();
+       base += kStoreLookupBatchMax) {
+    const std::span<const VerdictKeyPair> batch =
+        std::span(pairs).subspan(
+            base, std::min(kStoreLookupBatchMax, pairs.size() - base));
+    try {
+      const Frame reply =
+          session_.call(FrameKind::kStoreLookup, encode_store_lookup(batch));
+      if (reply.kind != FrameKind::kResult) {
+        // A typed hub-side error (no store, or a hub speaking another
+        // protocol version): this batch stays all-miss.
+        failed_frames_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      const std::vector<VerdictLookup> slots =
+          decode_store_lookup_reply(reply.payload, batch.size());
+      u64 found = 0;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        found += slots[i].hit() ? 1u : 0u;
+        (*out)[base + i] = slots[i];
+      }
+      hits_.fetch_add(found, std::memory_order_relaxed);
+    } catch (const Error&) {
+      // Degrade to all-miss: a dead coordinator costs reuse, not the
+      // campaign. A malformed reply is decoded whole before any slot is
+      // written, so it never leaves a partial batch behind.
+      failed_frames_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
 void VsrpRemoteStore::publish_batch(
     const std::vector<std::pair<VerdictKey, StoredVerdict>>& entries) {
-  if (entries.empty()) return;
-  JsonReport req("store_publish");
-  req.set_string("entries", encode_store_entries(entries));
-  try {
-    const Frame reply = session_.call(FrameKind::kStorePublish, req.to_json());
-    if (reply.kind == FrameKind::kResult) {
-      publishes_.fetch_add(entries.size(), std::memory_order_relaxed);
+  for (std::size_t base = 0; base < entries.size();
+       base += kStorePublishBatchMax) {
+    const auto batch = std::span(entries).subspan(
+        base, std::min(kStorePublishBatchMax, entries.size() - base));
+    try {
+      const Frame reply =
+          session_.call(FrameKind::kStorePublish, encode_store_publish(batch));
+      if (reply.kind == FrameKind::kResult &&
+          decode_store_count(reply.payload) == batch.size()) {
+        publishes_.fetch_add(batch.size(), std::memory_order_relaxed);
+      } else {
+        failed_frames_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (const Error&) {
+      failed_frames_.fetch_add(1, std::memory_order_relaxed);
     }
-  } catch (const Error&) {
-    transport_errors_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -77,6 +77,30 @@ TEST(Crc, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc32_final(state), crc32(data));
 }
 
+TEST(Crc, SlicedMatchesBitwiseDefinitionAtEveryLengthAndOffset) {
+  // The table-driven CRC folds eight bytes per step; the reference shifts
+  // one bit at a time. Lengths 0..70 at offsets 0..7 cover every tail and
+  // alignment, and a 1 MiB buffer covers the long-run path.
+  const auto bitwise = [](std::span<const u8> data) {
+    u32 c = 0xFFFFFFFFu;
+    for (const u8 b : data) {
+      c ^= b;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<u8> data(1 << 20);
+  Rng rng(29);
+  for (auto& b : data) b = static_cast<u8>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 70; ++len) {
+      const std::span<const u8> part(data.data() + offset, len);
+      ASSERT_EQ(crc32(part), bitwise(part)) << offset << "+" << len;
+    }
+  }
+  EXPECT_EQ(crc32(data), bitwise(data));
+}
+
 TEST(Crc, DetectsSingleBitFlips) {
   std::vector<u8> data(156, 0xA5);
   const u16 golden = crc16_ccitt(data);

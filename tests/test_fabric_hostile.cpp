@@ -15,6 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -24,15 +25,20 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/crc.h"
+#include "seu/cache_key.h"
+#include "seu/campaign.h"
+#include "store/verdict_store.h"
 #include "svc/client.h"
 #include "svc/config.h"
 #include "svc/fabric.h"
 #include "svc/partition.h"
 #include "svc/protocol.h"
+#include "svc/requests.h"
 #include "svc/server.h"
 #include "svc/service.h"
 #include "svc/store_wire.h"
@@ -440,8 +446,216 @@ TEST(FabricHostile, CoordinatorQueuesFleetCampaignsInStrideOrder) {
 }
 
 // ---------------------------------------------------------------------------
+// The remote verdict tier over VSRP1
+// ---------------------------------------------------------------------------
+
+/// A verdict hub: a plain cache-enabled daemon, no workers.
+ServiceConfig hub_config(const char* socket_name, const std::string& dir) {
+  ServiceConfig config;
+  config.socket_path = ::testing::TempDir() + socket_name;
+  std::filesystem::remove(config.socket_path);
+  config.executors = 1;
+  config.pool_threads = 1;
+  config.cache_dir = dir;
+  return config;
+}
+
+StoredVerdict stored_of(const InjectionResult& r) {
+  return {r.output_error, r.persistent, r.first_error_cycle,
+          r.error_output_mask_lo};
+}
+
+StoredVerdict verdict_n(u64 n) {
+  StoredVerdict v;
+  v.output_error = (n & 1) != 0;
+  v.persistent = (n & 2) != 0;
+  v.first_error_cycle = static_cast<u32>(n);
+  v.error_output_mask_lo = n * 0x9E3779B97F4A7C15ULL;
+  return v;
+}
+
+/// Every sensitive bit's verdict, by linear index: what a campaign result
+/// says about each bit (provenance excluded).
+std::vector<std::tuple<u64, bool, u32, u64>> per_bit(
+    const PlacedDesign& design, const CampaignResult& r) {
+  std::vector<std::tuple<u64, bool, u32, u64>> out;
+  for (const auto& sb : r.sensitive_bits) {
+    out.emplace_back(design.space->linear_of(sb.addr), sb.persistent,
+                     sb.first_error_cycle, sb.error_output_mask_lo);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<VerdictKeyPair> key_pairs_of(const PlacedDesign& design,
+                                         const CampaignOptions& options) {
+  std::vector<VerdictKeyPair> pairs;
+  build_cache_key_plan(design, options.injection)
+      .key_pairs_of(*design.space,
+                    campaign_universe(design.space->total_bits(), options),
+                    &pairs);
+  return pairs;
+}
+
+TEST(RemoteTier, OneLookupAnswersExactFallbackAndMissAndFeedsTheLocalStore) {
+  const std::string hub_dir = fresh_dir("remote_tags_hub");
+  const std::string local_dir = fresh_dir("remote_tags_local");
+  const ServiceConfig cfg = hub_config("remote_tags_hub.sock", hub_dir);
+  {
+    ServerBox hub(cfg);
+    const std::shared_ptr<const PlacedDesign> design =
+        request_design("lfsrmult", "campaign").design;
+    CampaignOptions opts =
+        CampaignOptions{}.with_sample(8000, 41).with_threads(1);
+    opts.with_range(0, 3);
+    const std::vector<VerdictKeyPair> pairs = key_pairs_of(*design, opts);
+    ASSERT_EQ(pairs.size(), 3u);
+    ASSERT_FALSE(pairs[1].exact == pairs[1].fallback);
+    std::vector<StoredVerdict> truth;
+    SeuInjector fresh(*design, opts.injection);
+    for (const u64 linear :
+         campaign_universe(design->space->total_bits(), opts)) {
+      truth.push_back(
+          stored_of(fresh.inject(design->space->address_of_linear(linear))));
+    }
+
+    // The hub holds A under its exact key, B under its fallback key and
+    // nothing for C: one lookup answers all three.
+    VsrpRemoteStore remote(cfg.socket_path);
+    remote.publish_batch(
+        {{pairs[0].exact, truth[0]}, {pairs[1].fallback, truth[1]}});
+    std::vector<VerdictLookup> slots;
+    remote.lookup_batch(pairs, &slots);
+    ASSERT_EQ(slots.size(), 3u);
+    EXPECT_EQ(slots[0].match, VerdictMatch::kExact);
+    EXPECT_EQ(slots[0].verdict, truth[0]);
+    EXPECT_EQ(slots[1].match, VerdictMatch::kFallback);
+    EXPECT_EQ(slots[1].verdict, truth[1]);
+    EXPECT_EQ(slots[2].match, VerdictMatch::kMiss);
+
+    // A worker campaign over the same three bits replays A and B from the
+    // hub, injects C, matches a one-shot run bit for bit, and leaves A and
+    // B in its local store under the keys that matched.
+    CampaignOptions worker = opts;
+    worker.with_cache(local_dir).with_remote_store(&remote);
+    const CampaignResult r = run_campaign(*design, worker);
+    const CampaignResult one_shot = run_campaign(*design, opts);
+    EXPECT_EQ(r.injections, 3u);
+    EXPECT_EQ(r.remote_hits, 2u);
+    EXPECT_EQ(r.failures, one_shot.failures);
+    EXPECT_EQ(per_bit(*design, r), per_bit(*design, one_shot));
+    const VerdictStore local(local_dir);
+    EXPECT_EQ(local.find(pairs[0].exact), truth[0]);
+    EXPECT_EQ(local.find(pairs[1].fallback), truth[1]);
+    EXPECT_FALSE(local.find(pairs[1].exact).has_value());
+    EXPECT_EQ(remote.failed_frames(), 0u);
+  }
+  std::filesystem::remove_all(hub_dir);
+  std::filesystem::remove_all(local_dir);
+}
+
+TEST(RemoteTier, BatchesPastOneFrameSplitAndStillAnswerEverySlot) {
+  // A chunk larger than one frame holds: the client splits it, and every
+  // slot still gets its answer.
+  const std::string hub_dir = fresh_dir("remote_split_hub");
+  const ServiceConfig cfg = hub_config("remote_split_hub.sock", hub_dir);
+  {
+    ServerBox hub(cfg);
+    const std::size_t n = kStorePublishBatchMax + 1000;
+    ASSERT_GT(n, kStoreLookupBatchMax);
+    std::vector<std::pair<VerdictKey, StoredVerdict>> entries;
+    std::vector<VerdictKeyPair> pairs;
+    entries.reserve(n);
+    pairs.reserve(n);
+    for (u64 i = 0; i < n; ++i) {
+      entries.emplace_back(VerdictKey{i, 0x5A}, verdict_n(i));
+      // Odd slots only match through their fallback key.
+      pairs.push_back(i % 2 == 0
+                          ? VerdictKeyPair{{i, 0x5A}, {i, 0x77}}
+                          : VerdictKeyPair{{i, 0x77}, {i, 0x5A}});
+    }
+    VsrpRemoteStore remote(cfg.socket_path);
+    remote.publish_batch(entries);
+    std::vector<VerdictLookup> slots;
+    remote.lookup_batch(pairs, &slots);
+    ASSERT_EQ(slots.size(), n);
+    u64 wrong = 0;
+    for (u64 i = 0; i < n; ++i) {
+      const VerdictMatch want =
+          i % 2 == 0 ? VerdictMatch::kExact : VerdictMatch::kFallback;
+      wrong += slots[i].match != want || slots[i].verdict != verdict_n(i);
+    }
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(remote.hits(), n);
+    EXPECT_EQ(remote.publishes(), n);
+    EXPECT_EQ(remote.failed_frames(), 0u);
+
+    ServiceClient client = ServiceClient::connect_unix(cfg.socket_path);
+    const FlatJson stats = FlatJson::parse(client.stats().payload);
+    EXPECT_EQ(stats.get_u64("store_frames"), 4u);  // two per verb
+    EXPECT_EQ(stats.get_u64("store_lookups"), n);
+    EXPECT_EQ(stats.get_u64("store_publishes"), n);
+  }
+  std::filesystem::remove_all(hub_dir);
+}
+
+TEST(RemoteTier, HubBackedCampaignIsPerBitIdenticalIncludingFallbackVerdicts) {
+  const std::string hub_dir = fresh_dir("remote_perbit_hub");
+  const ServiceConfig cfg = hub_config("remote_perbit_hub.sock", hub_dir);
+  {
+    ServerBox hub(cfg);
+    const std::shared_ptr<const PlacedDesign> design =
+        request_design("lfsrmult", "campaign").design;
+    const CampaignOptions opts =
+        CampaignOptions{}.with_sample(8000, 41).with_threads(2);
+    const CampaignResult one_shot = run_campaign(*design, opts);
+
+    VsrpRemoteStore remote(cfg.socket_path);
+    CampaignOptions hub_backed = opts;
+    hub_backed.with_remote_store(&remote);
+    const CampaignResult cold = run_campaign(*design, hub_backed);
+    const CampaignResult warm = run_campaign(*design, hub_backed);
+    EXPECT_EQ(cold.remote_publishes, 8000u);
+    EXPECT_EQ(warm.remote_hits, 8000u);
+    for (const CampaignResult* r : {&cold, &warm}) {
+      EXPECT_EQ(r->failures, one_shot.failures);
+      EXPECT_EQ(r->persistent, one_shot.persistent);
+      EXPECT_EQ(per_bit(*design, *r), per_bit(*design, one_shot));
+    }
+
+    // The sample holds oscillation-bounded bits: their verdicts live under
+    // fallback keys, and the warm run got them through the fallback slot.
+    std::vector<VerdictLookup> slots;
+    remote.lookup_batch(key_pairs_of(*design, opts), &slots);
+    u64 fallback = 0, missing = 0;
+    for (const VerdictLookup& s : slots) {
+      fallback += s.match == VerdictMatch::kFallback;
+      missing += !s.hit();
+    }
+    EXPECT_GT(fallback, 0u);
+    EXPECT_EQ(missing, 0u);
+  }
+  std::filesystem::remove_all(hub_dir);
+}
+
+// ---------------------------------------------------------------------------
 // VSRP1 fuzz over the fabric's new frame kinds
 // ---------------------------------------------------------------------------
+
+/// A payload with one byte changed, or with bytes cut or appended.
+std::string with_byte(std::string s, std::size_t at, u8 value) {
+  s[at] = static_cast<char>(value);
+  return s;
+}
+
+StoredVerdict sample_verdict(u32 cycle) {
+  StoredVerdict v;
+  v.output_error = true;
+  v.persistent = (cycle & 1) != 0;
+  v.first_error_cycle = cycle;
+  v.error_output_mask_lo = 0xFF00FF00FF00FF00ull ^ cycle;
+  return v;
+}
 
 TEST(FabricFuzz, NewKindsRoundTripAndInvalidNeighborsAreRejected) {
   EXPECT_TRUE(frame_kind_valid(static_cast<u8>(FrameKind::kStoreLookup)));
@@ -453,10 +667,21 @@ TEST(FabricFuzz, NewKindsRoundTripAndInvalidNeighborsAreRejected) {
     EXPECT_FALSE(frame_kind_valid(static_cast<u8>(kind))) << kind;
   }
 
-  for (const FrameKind kind : {FrameKind::kStoreLookup,
-                               FrameKind::kStorePublish,
-                               FrameKind::kCheckpoint}) {
-    const Frame in{kind, 0xFAB51Cull, R"({"keys": "1:2"})"};
+  // Binary store payloads (NUL and 0xFF bytes included) ride the frame
+  // codec byte-exactly, CRC and all.
+  const std::vector<VerdictKeyPair> pairs = {
+      {{0, ~0ull}, {0xFF00000000000000ull, 1}},
+      {{0x1234, 0x5678}, {0x1234, 0x5678}},
+  };
+  const std::string lookup = encode_store_lookup(pairs);
+  ASSERT_EQ(lookup.size(), kStoreCountBytes + 2 * kStorePairBytes);
+  for (const auto& [kind, payload] :
+       {std::pair{FrameKind::kStoreLookup, lookup},
+        std::pair{FrameKind::kStorePublish,
+                  encode_store_publish(std::vector{
+                      std::pair{pairs[0].exact, sample_verdict(3)}})},
+        std::pair{FrameKind::kCheckpoint, std::string(R"({"blob": "ff"})")}}) {
+    const Frame in{kind, 0xFAB51Cull, payload};
     FrameDecoder decoder;
     decoder.feed(encode_frame(in));
     Frame out;
@@ -466,10 +691,77 @@ TEST(FabricFuzz, NewKindsRoundTripAndInvalidNeighborsAreRejected) {
     EXPECT_EQ(out.payload, in.payload);
   }
 
+  // Codec round trips: key pairs, a reply with every tag, publish entries,
+  // and the empty batch (a bare zero count).
+  const std::vector<VerdictKeyPair> decoded_pairs = decode_store_lookup(lookup);
+  ASSERT_EQ(decoded_pairs.size(), 2u);
+  EXPECT_EQ(decoded_pairs[0].exact, pairs[0].exact);
+  EXPECT_EQ(decoded_pairs[0].fallback, pairs[0].fallback);
+  EXPECT_EQ(decoded_pairs[1].fallback, pairs[1].fallback);
+  const std::vector<VerdictLookup> slots = {
+      {VerdictMatch::kExact, sample_verdict(7)},
+      {VerdictMatch::kMiss, {}},
+      {VerdictMatch::kFallback, sample_verdict(8)},
+  };
+  const std::string reply = encode_store_lookup_reply(slots);
+  ASSERT_EQ(reply.size(), kStoreCountBytes + 3 + 2 * kStoreVerdictBytes);
+  const std::vector<VerdictLookup> decoded = decode_store_lookup_reply(reply, 3);
+  ASSERT_EQ(decoded.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(decoded[i].match, slots[i].match) << i;
+    if (slots[i].hit()) {
+      EXPECT_EQ(decoded[i].verdict, slots[i].verdict) << i;
+    }
+  }
+  const std::vector<std::pair<VerdictKey, StoredVerdict>> entries = {
+      {{1, 2}, sample_verdict(0)}, {{~0ull, 0}, sample_verdict(31)}};
+  const std::string publish = encode_store_publish(entries);
+  ASSERT_EQ(publish.size(), kStoreCountBytes + 2 * kStoreEntryBytes);
+  EXPECT_EQ(decode_store_publish(publish), entries);
+  EXPECT_TRUE(decode_store_lookup(encode_store_lookup({})).empty());
+  EXPECT_TRUE(decode_store_lookup_reply(encode_store_lookup_reply({}), 0)
+                  .empty());
+  EXPECT_TRUE(decode_store_publish(encode_store_publish({})).empty());
+  EXPECT_EQ(decode_store_count(encode_store_count(5)), 5u);
+
+  // Every malformed payload is an Error, never a partial decode.
+  const std::size_t flag_at = kStoreCountBytes + 16;  // first entry's flags
+  const std::size_t tag_at = kStoreCountBytes + 1;    // second slot's tag
+  for (const std::string& bad : {
+           std::string(),                                  // no count
+           lookup.substr(0, 3),                            // truncated count
+           lookup.substr(0, lookup.size() - 1),            // truncated pair
+           lookup + std::string(1, '\0'),                  // trailing byte
+           with_byte(lookup, 0, 3),                        // count 3, 2 pairs
+           with_byte(lookup, 3, 0x80),                     // huge count
+       }) {
+    EXPECT_THROW(decode_store_lookup(bad), Error) << bad.size();
+  }
+  for (const std::string& bad : {
+           publish.substr(0, publish.size() - 1),
+           publish + std::string(1, '\0'),
+           with_byte(publish, 0, 1),
+           with_byte(publish, flag_at, 4),     // flag bits above 3
+           with_byte(publish, flag_at, 0xFF),
+       }) {
+    EXPECT_THROW(decode_store_publish(bad), Error) << bad.size();
+  }
+  for (const std::string& bad : {
+           reply.substr(0, reply.size() - 1),
+           reply + std::string(1, '\0'),
+           with_byte(reply, tag_at, 3),        // tag above 2
+           with_byte(reply, tag_at, 1),        // a hit without its verdict
+           with_byte(reply, kStoreCountBytes, 0),  // a verdict without a hit
+           with_byte(reply, kStoreCountBytes + 3, 4),  // first verdict flags
+       }) {
+    EXPECT_THROW(decode_store_lookup_reply(bad, 3), Error) << bad.size();
+  }
+  EXPECT_THROW(decode_store_lookup_reply(reply, 2), Error);  // wrong count
+  EXPECT_THROW(decode_store_count(encode_store_count(1) + "x"), Error);
+
   // A store frame whose kind byte is nudged into a hole (re-signed so only
   // the kind is wrong) is consumed as kBadKind without poisoning the stream.
-  std::vector<u8> wire =
-      encode_frame({FrameKind::kStoreLookup, 77, R"({"keys": ""})"});
+  std::vector<u8> wire = encode_frame({FrameKind::kStoreLookup, 77, lookup});
   wire[5] = 11;
   const u32 crc = crc32(
       std::span<const u8>(wire.data(), wire.size() - kFrameTrailerBytes));
@@ -489,77 +781,91 @@ TEST(FabricFuzz, StoreRequestsDegradeToTypedErrorsNeverCrash) {
   ServiceConfig no_store;
   no_store.socket_path = "/tmp/fab_fuzz_unused.sock";
   no_store.workers = {"/tmp/fab_fuzz_worker_unused.sock"};
+  const VerdictKeyPair pair{{0x1234, 0x5678}, {0x9abc, 0xdef0}};
+  const std::string lookup = encode_store_lookup(std::vector{pair});
   {
     // Without a cache dir the store verbs fail typed, not null-deref.
     CampaignService svc(no_store);
-    FrameLog log;
-    svc.handle({FrameKind::kStoreLookup, 1, R"({"keys": "1:2"})"},
-               log.emit(), 0);
-    ASSERT_EQ(log.frames.size(), 1u);
-    EXPECT_EQ(log.frames[0].kind, FrameKind::kError);
-    EXPECT_EQ(FlatJson::parse(log.frames[0].payload).get_string("code"),
-              "no_store");
+    for (const FrameKind kind :
+         {FrameKind::kStoreLookup, FrameKind::kStorePublish}) {
+      FrameLog log;
+      svc.handle({kind, 1, lookup}, log.emit(), 0);
+      ASSERT_EQ(log.frames.size(), 1u);
+      EXPECT_EQ(log.frames[0].kind, FrameKind::kError);
+      EXPECT_EQ(FlatJson::parse(log.frames[0].payload).get_string("code"),
+                "no_store");
+    }
   }
 
   ServiceConfig with_store = no_store;
   with_store.cache_dir = hub;
   {
     CampaignService svc(with_store);
+    StoredVerdict verdict;
+    verdict.output_error = true;
+    verdict.first_error_cycle = 7;
+    const std::string publish =
+        encode_store_publish(std::vector{std::pair{pair.exact, verdict}});
 
-    // Hostile payloads against the verb whose field they corrupt (a missing
-    // field is a valid empty batch, so a keys attack must ride a lookup):
-    // unparseable JSON, non-hex keys, truncated tuples, out-of-range flag
-    // bits — every one a typed bad_request.
-    const std::pair<FrameKind, const char*> hostile[] = {
-        {FrameKind::kStoreLookup, "{{{ not json"},
-        {FrameKind::kStorePublish, "{{{ not json"},
-        {FrameKind::kStoreLookup, R"({"keys": "zz:qq"})"},
-        {FrameKind::kStoreLookup, R"({"keys": "1"})"},
-        {FrameKind::kStorePublish, R"({"entries": "1:2:3"})"},
-        {FrameKind::kStorePublish, R"({"entries": "ff:ff:ff:ff:f"})"},
+    // Hostile payloads, every one a typed bad_request: a version-1 peer's
+    // hex-in-JSON, truncation, count/length mismatch, trailing bytes and
+    // out-of-range flag bits.
+    const std::pair<FrameKind, std::string> hostile[] = {
+        {FrameKind::kStoreLookup, R"({"keys": "1:2"})"},
+        {FrameKind::kStorePublish, R"({"entries": "1:2:1:7:0"})"},
+        {FrameKind::kStoreLookup, ""},
+        {FrameKind::kStoreLookup, lookup.substr(0, lookup.size() - 5)},
+        {FrameKind::kStoreLookup, with_byte(lookup, 0, 2)},
+        {FrameKind::kStoreLookup, lookup + "\x01"},
+        {FrameKind::kStorePublish, publish.substr(0, 20)},
+        {FrameKind::kStorePublish, publish + "\x01"},
+        {FrameKind::kStorePublish,
+         with_byte(publish, kStoreCountBytes + 16, 7)},
     };
     u64 id = 10;
     for (const auto& [kind, payload] : hostile) {
       FrameLog log;
       svc.handle({kind, id++, payload}, log.emit(), 0);
-      ASSERT_EQ(log.frames.size(), 1u) << payload;
-      EXPECT_EQ(log.frames[0].kind, FrameKind::kError) << payload;
+      ASSERT_EQ(log.frames.size(), 1u) << id;
+      EXPECT_EQ(log.frames[0].kind, FrameKind::kError) << id;
       EXPECT_EQ(FlatJson::parse(log.frames[0].payload).get_string("code"),
                 "bad_request")
-          << payload;
+          << id;
+    }
+
+    // An empty batch is valid both ways: a bare zero count back.
+    for (const auto& [kind, payload] :
+         {std::pair{FrameKind::kStoreLookup, encode_store_lookup({})},
+          std::pair{FrameKind::kStorePublish, encode_store_publish({})}}) {
+      FrameLog log;
+      svc.handle({kind, id++, payload}, log.emit(), 0);
+      ASSERT_EQ(log.frames.size(), 1u);
+      ASSERT_EQ(log.frames[0].kind, FrameKind::kResult);
+      EXPECT_EQ(decode_store_count(log.frames[0].payload), 0u);
     }
 
     // The well-formed path still works after the abuse: publish one verdict,
-    // read it back through the wire codecs.
-    const VerdictKey key{0x1234, 0x5678};
-    StoredVerdict verdict;
-    verdict.output_error = true;
-    verdict.first_error_cycle = 7;
-    FrameLog publish;
-    svc.handle({FrameKind::kStorePublish, 90,
-                JsonReport("store_publish")
-                    .set_string("entries", encode_store_entries({{key, verdict}}))
-                    .to_json()},
-               publish.emit(), 0);
-    ASSERT_EQ(publish.frames.size(), 1u);
-    ASSERT_EQ(publish.frames[0].kind, FrameKind::kResult);
-    EXPECT_EQ(FlatJson::parse(publish.frames[0].payload).get_u64("accepted"),
-              1u);
+    // read it back as an exact hit through the wire codecs.
+    FrameLog published;
+    svc.handle({FrameKind::kStorePublish, 90, publish}, published.emit(), 0);
+    ASSERT_EQ(published.frames.size(), 1u);
+    ASSERT_EQ(published.frames[0].kind, FrameKind::kResult);
+    EXPECT_EQ(decode_store_count(published.frames[0].payload), 1u);
 
-    FrameLog lookup;
-    svc.handle({FrameKind::kStoreLookup, 91,
-                JsonReport("store_lookup")
-                    .set_string("keys", encode_store_keys({key}))
-                    .to_json()},
-               lookup.emit(), 0);
-    ASSERT_EQ(lookup.frames.size(), 1u);
-    ASSERT_EQ(lookup.frames[0].kind, FrameKind::kResult);
-    const FlatJson verdicts = FlatJson::parse(lookup.frames[0].payload);
-    EXPECT_EQ(verdicts.get_u64("hits"), 1u);
-    std::vector<std::optional<StoredVerdict>> decoded;
-    decode_store_verdicts(verdicts.get_string("verdicts"), 1, &decoded);
-    ASSERT_TRUE(decoded[0].has_value());
-    EXPECT_EQ(*decoded[0], verdict);
+    FrameLog looked_up;
+    svc.handle({FrameKind::kStoreLookup, 91, lookup}, looked_up.emit(), 0);
+    ASSERT_EQ(looked_up.frames.size(), 1u);
+    ASSERT_EQ(looked_up.frames[0].kind, FrameKind::kResult);
+    const std::vector<VerdictLookup> slots =
+        decode_store_lookup_reply(looked_up.frames[0].payload, 1);
+    EXPECT_EQ(slots[0].match, VerdictMatch::kExact);
+    EXPECT_EQ(slots[0].verdict, verdict);
+
+    const FlatJson stats = FlatJson::parse(svc.stats_report().to_json());
+    EXPECT_EQ(stats.get_u64("protocol_version"), kProtocolVersion);
+    EXPECT_EQ(stats.get_u64("store_frames"), 4u);  // the four answered
+    EXPECT_EQ(stats.get_u64("store_frame_us_count"), 4u);
+    EXPECT_EQ(stats.get_u64("bad_requests"), 9u);
 
     // kCheckpoint is a reply kind: as a *request* it gets a typed error from
     // both engines, coordinator and worker.

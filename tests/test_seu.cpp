@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -11,6 +12,7 @@
 #include "pnr/pnr.h"
 #include "seu/campaign.h"
 #include "sim/harness.h"
+#include "svc/partition.h"
 #include "svc/requests.h"
 
 namespace vscrub {
@@ -81,6 +83,29 @@ TEST(SeuInjector, NoResidueAcrossThousandsOfInjections) {
   }
 }
 
+TEST(SeuInjector, OscillatingBitLeavesNoResidueForTheNextBit) {
+  // Bit 60038 of lfsrmult on the campaign device builds a loop that hits
+  // the oscillation bound. Before the injector rebuilt its fabric after such
+  // a run, the unsettled wire and comb values it left made each victim below
+  // report an output error at cycle 8, whatever its own verdict was.
+  const auto design =
+      compile(designs::lfsr_multiplier(10), device_tiny(12, 16));
+  const auto at = [&](u64 linear) {
+    return design.space->address_of_linear(linear);
+  };
+  SeuInjector shared(design, {});
+  for (const u64 victim : {47597u, 66326u, 34788u}) {
+    SeuInjector fresh(design, {});
+    const InjectionResult want = fresh.inject(at(victim));
+    ASSERT_TRUE(shared.inject(at(60038)).fabric_oscillated);
+    const InjectionResult got = shared.inject(at(victim));
+    EXPECT_EQ(got.output_error, want.output_error) << victim;
+    EXPECT_EQ(got.persistent, want.persistent) << victim;
+    EXPECT_EQ(got.first_error_cycle, want.first_error_cycle) << victim;
+    EXPECT_EQ(got.error_output_mask_lo, want.error_output_mask_lo) << victim;
+  }
+}
+
 TEST(SeuInjector, ModeledIterationTimeNearPaper) {
   // Paper §III-A: one corrupt/observe/repair iteration takes ~214 us on the
   // SLAAC-1V (XCV1000, 156-byte frames).
@@ -123,6 +148,56 @@ TEST(Campaign, SampleWithoutReplacement) {
   // Sensitive-bit addresses must be unique.
   for (std::size_t i = 1; i < r.sensitive_bits.size(); ++i) {
     EXPECT_TRUE(r.sensitive_bits[i - 1].addr < r.sensitive_bits[i].addr);
+  }
+}
+
+u64 fnv_of_bits(const std::vector<u64>& bits) {
+  u64 h = 0xCBF29CE484222325ULL;
+  for (const u64 b : bits) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (b >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Campaign, SampleOrderIsPinned) {
+  // The 8,000-bit seed-41 sample of the campaign device, as the node-map
+  // Fisher–Yates drew it before ranges stopped at their end. Served and
+  // sharded campaigns index their references by this order.
+  CampaignOptions opts = CampaignOptions{}.with_sample(8000, 41);
+  opts.record_sampled_bits = true;
+  opts.record_sensitive_bits = false;
+  const auto r =
+      run_campaign(compile(designs::lfsr_cluster(1), device_tiny(12, 16)), opts);
+  ASSERT_EQ(r.sampled_bits.size(), 8000u);
+  EXPECT_EQ(r.sampled_bits.front(), 123339u);
+  EXPECT_EQ(r.sampled_bits.back(), 58528u);
+  EXPECT_EQ(fnv_of_bits(r.sampled_bits), 15847932545971973835ULL);
+}
+
+TEST(Campaign, RangeUniverseIsTheSliceOfTheWholeUniverse) {
+  const u64 total_bits = device_tiny(12, 16).total_config_bits();
+  for (const bool sampled : {true, false}) {
+    CampaignOptions opts;
+    if (sampled) opts.with_sample(8000, 41);
+    const std::vector<u64> whole = campaign_universe(total_bits, opts);
+    ASSERT_EQ(whole.size(), universe_size(total_bits, opts));
+    const u64 n = std::min<u64>(whole.size(), 8000);
+    for (const BitRange& range : partition_universe(n, 6)) {
+      CampaignOptions ranged = opts;
+      ranged.with_range(range.begin, range.end);
+      const std::vector<u64> slice = campaign_universe(total_bits, ranged);
+      EXPECT_TRUE(std::equal(slice.begin(), slice.end(),
+                             whole.begin() + static_cast<i64>(range.begin),
+                             whole.begin() + static_cast<i64>(range.end)))
+          << sampled << " [" << range.begin << ", " << range.end << ")";
+    }
+    // A range reaching past the universe is clipped to it.
+    CampaignOptions tail = opts;
+    tail.with_range(whole.size() - 5, whole.size() + 100);
+    EXPECT_EQ(campaign_universe(total_bits, tail).size(), 5u);
   }
 }
 

@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/vscrub.h"
+#include "seu/cache_key.h"
 #include "store/verdict_store.h"
 
 namespace vscrub {
@@ -200,6 +204,157 @@ TEST(VerdictStore, OscillationProneDesignStaysExactUnderCache) {
     EXPECT_EQ(warm.cache_hits, warm.injections) << which;
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(CacheKeyPlan, BatchedKeyPairsEqualPerBitKeys) {
+  // A precise-influence design and a whole-design one (BRAM bindings),
+  // where the fallback key is the exact key.
+  for (const bool whole : {false, true}) {
+    const auto design =
+        compile(whole ? designs::bram_selftest(2) : designs::counter_adder(8),
+                device_tiny(8, 12, 2));
+    const CacheKeyPlan plan = build_cache_key_plan(design, {});
+    ASSERT_EQ(plan.whole_design_influence, whole);
+    const std::vector<u64> bits = campaign_universe(
+        design.space->total_bits(), CampaignOptions{}.with_sample(2000, 3));
+    std::vector<VerdictKeyPair> pairs;
+    plan.key_pairs_of(*design.space, bits, &pairs);
+    ASSERT_EQ(pairs.size(), bits.size());
+    u64 differing = 0;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      const BitAddress addr = design.space->address_of_linear(bits[i]);
+      EXPECT_EQ(pairs[i].exact, plan.key_of(*design.space, addr, bits[i]));
+      EXPECT_EQ(pairs[i].fallback,
+                plan.fallback_key_of(*design.space, addr, bits[i]));
+      differing += !(pairs[i].exact == pairs[i].fallback);
+    }
+    EXPECT_EQ(differing == 0, whole);
+  }
+}
+
+StoredVerdict verdict_n(u64 n) {
+  StoredVerdict v;
+  v.output_error = (n & 1) != 0;
+  v.persistent = (n & 2) != 0;
+  v.first_error_cycle = static_cast<u32>(n);
+  v.error_output_mask_lo = n * 0x9E3779B97F4A7C15ULL;
+  return v;
+}
+
+TEST(VerdictStore, FindBatchPrefersExactThenFallbackInMapsAndPending) {
+  const std::string dir = fresh_dir("vstore_find_batch");
+  const VerdictKey a{1, 1}, a_fb{1, 2}, b{2, 1}, b_fb{2, 2}, c{3, 1},
+      c_fb{3, 2}, d{4, 1}, d_fb{4, 2};
+  const std::vector<VerdictKeyPair> pairs = {
+      {a, a_fb}, {b, b_fb}, {c, c_fb}, {d, d_fb}, {d, d}};
+  {
+    VerdictStore store(dir);
+    store.put(a, verdict_n(1));
+    store.put(b_fb, verdict_n(2));
+    store.put(d_fb, verdict_n(4));
+    store.flush();
+    // d's exact key arrives after the flush: pending beats the fallback the
+    // maps already hold.
+    store.put(d, verdict_n(5));
+    for (int round = 0; round < 2; ++round) {
+      std::vector<VerdictLookup> out;
+      store.find_batch(pairs, &out);
+      ASSERT_EQ(out.size(), pairs.size());
+      EXPECT_EQ(out[0].match, VerdictMatch::kExact);
+      EXPECT_EQ(out[0].verdict, verdict_n(1));
+      EXPECT_EQ(out[1].match, VerdictMatch::kFallback);
+      EXPECT_EQ(out[1].verdict, verdict_n(2));
+      EXPECT_EQ(out[2].match, VerdictMatch::kMiss);
+      EXPECT_EQ(out[3].match, VerdictMatch::kExact);
+      EXPECT_EQ(out[3].verdict, verdict_n(5));
+      EXPECT_EQ(out[4].match, VerdictMatch::kExact);  // equal keys
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const std::optional<StoredVerdict> exact = store.find(pairs[i].exact);
+        const std::optional<StoredVerdict> one =
+            exact ? exact : store.find(pairs[i].fallback);
+        EXPECT_EQ(out[i].hit(), one.has_value()) << i;
+        if (one) {
+          EXPECT_EQ(out[i].verdict, *one) << i;
+        }
+      }
+      store.flush();  // second round: everything from the maps
+    }
+    std::vector<VerdictLookup> none;
+    store.find_batch({}, &none);
+    EXPECT_TRUE(none.empty());
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VerdictStore, FindBatchNeverMissesARecordedVerdictUnderPutAndFlush) {
+  // One writer records keys in order and publishes how many it has put; a
+  // flusher merges them into the maps meanwhile. Every key below the
+  // published count must be visible to every batch, whether it sits in the
+  // pending buffer, in the maps, or is moving between them. Odd keys are
+  // recorded under their fallback key only.
+  const std::string dir = fresh_dir("vstore_find_batch_race");
+  constexpr u64 kKeys = 3000;
+  const auto pair_of = [](u64 n) {
+    return VerdictKeyPair{{n, 0xE}, {n, 0xF}};
+  };
+  {
+    VerdictStore store(dir);
+    std::atomic<u64> published{0};
+    std::atomic<bool> done{false};
+    std::atomic<u64> failures{0};
+    std::thread writer([&] {
+      for (u64 n = 0; n < kKeys; ++n) {
+        const VerdictKeyPair p = pair_of(n);
+        store.put(n % 2 == 0 ? p.exact : p.fallback, verdict_n(n));
+        published.store(n + 1, std::memory_order_release);
+        // Spread the puts out so the readers and the flusher overlap them.
+        if (n % 16 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      }
+      done.store(true, std::memory_order_release);
+    });
+    std::thread flusher([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        store.flush();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 8; ++t) {
+      readers.emplace_back([&, t] {
+        std::vector<VerdictKeyPair> batch;
+        std::vector<VerdictLookup> out;
+        u64 rounds = 0;
+        while (!done.load(std::memory_order_acquire) || rounds < 4) {
+          ++rounds;
+          const u64 seen = published.load(std::memory_order_acquire);
+          const u64 from =
+              seen > 256 ? (seen * static_cast<u64>(t + 1)) % (seen - 256) : 0;
+          batch.clear();
+          for (u64 n = from; n < seen && batch.size() < 256; ++n) {
+            batch.push_back(pair_of(n));
+          }
+          store.find_batch(batch, &out);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            const u64 n = batch[i].exact.hi;
+            const VerdictMatch want =
+                n % 2 == 0 ? VerdictMatch::kExact : VerdictMatch::kFallback;
+            if (out[i].match != want || out[i].verdict != verdict_n(n)) {
+              failures.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+        }
+      });
+    }
+    writer.join();
+    flusher.join();
+    for (std::thread& r : readers) r.join();
+    EXPECT_EQ(failures.load(), 0u);
+    store.flush();
+    EXPECT_EQ(store.size(), kKeys);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
