@@ -1,5 +1,9 @@
 #include "bitstream/record_io.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -47,20 +51,46 @@ void RecordWriter::put_bytes(const u8* data, std::size_t n) {
   buf_.insert(buf_.end(), data, data + n);
 }
 
+std::array<u8, 4> RecordWriter::trailer() const {
+  const u32 crc = crc32(buf_);
+  return {static_cast<u8>(crc), static_cast<u8>(crc >> 8),
+          static_cast<u8>(crc >> 16), static_cast<u8>(crc >> 24)};
+}
+
 void RecordWriter::write(const std::string& path) const {
-  std::vector<u8> out = buf_;
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<u8>(crc32(buf_) >> (8 * i)));
-  }
-  write_file_atomic(path, out.data(), out.size());
+  const std::array<u8, 4> crc = trailer();
+  write_file_atomic(path, {std::span(buf_), std::span(crc)});
+}
+
+bool RecordWriter::append(const std::string& path) const {
+  std::array<u8, 4> crc = trailer();
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  // writev() takes mutable bases but only reads them.
+  const std::array<iovec, 2> pieces{
+      {{const_cast<u8*>(buf_.data()), buf_.size()}, {crc.data(), crc.size()}}};
+  const ssize_t wrote = ::writev(fd, pieces.data(), 2);
+  const bool closed = ::close(fd) == 0;
+  return closed && wrote == static_cast<ssize_t>(buf_.size() + crc.size());
 }
 
 void write_file_atomic(const std::string& path, const void* data,
                        std::size_t size) {
+  write_file_atomic(path, {std::span(static_cast<const u8*>(data), size)});
+}
+
+void write_file_atomic(const std::string& path,
+                       std::initializer_list<std::span<const u8>> pieces) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   VSCRUB_CHECK(f != nullptr, "cannot open " + tmp + " for writing");
-  const bool wrote = size == 0 || std::fwrite(data, 1, size, f) == size;
+  bool wrote = true;
+  for (const std::span<const u8> piece : pieces) {
+    wrote = wrote && (piece.empty() ||
+                      std::fwrite(piece.data(), 1, piece.size(), f) ==
+                          piece.size());
+  }
   // fclose flushes: a full disk surfaces here, not at fwrite.
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {

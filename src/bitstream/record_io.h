@@ -1,11 +1,16 @@
 // CRC-protected on-disk records: the little-endian, magic-tagged,
-// crc32-trailed container shared by bitstream images ("VSCB1") and campaign
-// checkpoints ("VSCK1"). A RecordWriter accumulates fields and writes the
-// whole record atomically (tmp file + rename), so a reader never observes a
-// half-written file; a RecordReader verifies magic and CRC up front and then
-// hands out fields with bounds checking.
+// crc32-trailed container shared by bitstream images ("VSCB1"), campaign
+// checkpoints ("VSCK1"), manifests and verdict-store segments ("VVS1"). A
+// RecordWriter accumulates fields and either writes the whole record
+// atomically (tmp file + rename), so a reader never observes a half-written
+// file, or appends it to a log file in one system call; a RecordReader
+// verifies magic and CRC up front and then hands out fields with bounds
+// checking.
 #pragma once
 
+#include <array>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +40,17 @@ class RecordWriter {
   /// previous record intact.
   void write(const std::string& path) const;
 
+  /// Appends the record and its crc32 trailer to the end of `path`
+  /// (created if missing) in one writev() on an O_APPEND descriptor, so
+  /// records appended to one file never interleave. Returns false when the
+  /// open, the write or the close fails or the write comes up short; the
+  /// file may then end in a torn record, which its reader must drop.
+  bool append(const std::string& path) const;
+
  private:
+  /// The crc32 of everything accumulated so far, little-endian.
+  std::array<u8, 4> trailer() const;
+
   std::vector<u8> buf_;
 };
 
@@ -66,6 +81,9 @@ class RecordReader {
 /// write, the close or the rename fails, leaving no `.tmp` behind.
 void write_file_atomic(const std::string& path, const void* data,
                        std::size_t size);
+/// The same for a file made of `pieces` written back to back.
+void write_file_atomic(const std::string& path,
+                       std::initializer_list<std::span<const u8>> pieces);
 
 /// True when `path` exists and carries the given magic tag (cheap sniff; no
 /// CRC verification).

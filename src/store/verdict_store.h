@@ -5,13 +5,23 @@
 // design replays every verdict from disk; re-running a *changed* design
 // re-injects only the bits whose keys moved and reuses the rest.
 //
-// Durability model: verdicts live in 16 shard files ("VVS1" records through
-// bitstream/record_io, so every shard is magic-tagged and CRC-32-trailed and
-// written atomically via tmp+rename). A shard that fails its magic, CRC or
-// count guard is dropped wholesale — a corrupt, truncated or hostile record
-// can only ever degrade to cache misses, never serve a wrong verdict — and
-// is rewritten clean (with whatever entries survived elsewhere plus this
-// run's fresh verdicts) on the next flush().
+// Durability model: verdicts live in 16 shard files, each an append-only log
+// of segments. A segment is one "VVS1" record of bitstream/record_io — magic,
+// u64 entry count, 29-byte entries, CRC-32 trailer — so a shard written as a
+// single record is a one-segment log. flush() appends, to each shard it
+// touched, one segment holding only that shard's new verdicts, in a single
+// writev() on an O_APPEND descriptor: its cost follows the new verdicts, not
+// the size of the store. Opening reads the segments in order and checks each
+// one's magic, count guard and CRC; the first bad segment and everything
+// after it are dropped (a torn tail from an interrupted append, a flipped
+// bit, a hostile count), so a damaged shard only ever degrades to cache
+// misses — never a wrong verdict — and is counted in corrupt_shards(). Such
+// a shard, and one whose append failed or came up short, is rewritten whole
+// (tmp + rename, one segment) on the next flush(). Nothing is fsync'ed: a
+// power loss can lose recent segments, but never corrupt a served verdict.
+// Several processes appending to one directory do not interleave segments;
+// a healing rewrite in one may drop segments another appended meanwhile,
+// which costs misses only.
 //
 // Concurrency model: one store instance may be shared by concurrent
 // campaigns (the vscrubd serving layer runs every request against a single
@@ -20,11 +30,12 @@
 // client's fresh verdicts are visible to another *before* any flush; when a
 // flush completed between the two probes (flush-epoch check) the maps are
 // re-probed once, so a recorded verdict is never invisible. Each lock is
-// taken once per batch, so a chunk's whole probe costs two acquisitions. put() only touches the pending
-// buffer. flush() holds the exclusive maps lock only for the in-memory
-// merge, then downgrades to a shared lock for the shard-file disk writes —
-// concurrent find_batch() probes are never blocked on disk I/O — and is itself
-// serialized against concurrent flushes.
+// taken once per batch, so a chunk's whole probe costs two acquisitions.
+// put() only touches the pending buffer (split per shard). flush() holds the
+// exclusive maps lock only for the in-memory merge, which moves each shard's
+// pending verdicts out of the buffer, then downgrades to a shared lock for
+// the shard-file writes — concurrent find_batch() probes are never blocked
+// on disk I/O — and is itself serialized against concurrent flushes.
 #pragma once
 
 #include <array>
@@ -37,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/types.h"
 
 namespace vscrub {
@@ -102,13 +114,23 @@ struct VerdictLookup {
   }
 };
 
+/// What a store's flushes have cost since it opened.
+struct VerdictStoreStats {
+  u64 flushes = 0;
+  u64 appended_segments = 0;
+  u64 appended_bytes = 0;  ///< segment bytes, trailers included
+  u64 rewrites = 0;        ///< whole-shard healing rewrites completed
+  Histogram flush_us;      ///< wall time of each flush(), in microseconds
+};
+
 class VerdictStore {
  public:
   static constexpr u32 kShards = 16;
 
-  /// Opens (creating the directory if needed) and loads every readable
-  /// shard. Unreadable shards are counted in corrupt_shards(), dropped, and
-  /// queued for a clean rewrite on the next flush().
+  /// Opens (creating the directory if needed) and loads every intact
+  /// segment of every shard. A shard with a bad segment keeps the segments
+  /// before it, is counted in corrupt_shards(), and is queued for a clean
+  /// rewrite on the next flush().
   explicit VerdictStore(std::string dir);
 
   /// Batched exact-or-fallback lookup: out[i] answers pairs[i], exact key
@@ -126,16 +148,19 @@ class VerdictStore {
   /// Buffers a fresh verdict for the next flush(). Thread-safe.
   void put(const VerdictKey& key, const StoredVerdict& v);
 
-  /// Merges buffered puts into the in-memory maps and atomically rewrites
-  /// every dirty shard. Returns the number of entries newly written.
+  /// Merges buffered puts into the in-memory maps, appends one segment of
+  /// its new verdicts to each shard that got any, and rewrites each shard
+  /// that needs healing. Returns the number of keys new to the maps.
   /// Thread-safe: concurrent flushes serialize, concurrent find_batch()/put()
   /// proceed against a consistent snapshot.
   std::size_t flush();
 
   /// Entries currently servable from the merged maps (excludes pending).
   std::size_t size() const;
-  /// Shards dropped at open time (magic/CRC/count-guard failures).
+  /// Shards opened with a bad segment (magic/CRC/count-guard failures).
   u32 corrupt_shards() const { return corrupt_shards_; }
+  /// A snapshot of the flush counters.
+  VerdictStoreStats stats() const;
 
   const std::string& dir() const { return dir_; }
   static u32 shard_of(const VerdictKey& key) {
@@ -144,24 +169,31 @@ class VerdictStore {
   std::string shard_path(u32 shard) const;
 
  private:
+  using VerdictMap =
+      std::unordered_map<VerdictKey, StoredVerdict, VerdictKeyHash>;
+
   std::string dir_;
-  /// Guards shards_/dirty_: shared for find_batch()/size(), exclusive for the
-  /// flush() merge-and-rewrite.
+  /// Guards shards_: shared for find_batch()/size(), exclusive for the
+  /// flush() merge.
   mutable std::shared_mutex maps_mutex_;
-  std::array<std::unordered_map<VerdictKey, StoredVerdict, VerdictKeyHash>,
-             kShards>
-      shards_;
-  std::array<bool, kShards> dirty_{};
+  std::array<VerdictMap, kShards> shards_;
+  /// Shards whose file does not hold their map (opened with a bad segment,
+  /// or an append failed): the next flush() rewrites them whole. Touched
+  /// only by the constructor and flush().
+  std::array<bool, kShards> needs_rewrite_{};
   u32 corrupt_shards_ = 0;
 
   mutable std::mutex pending_mutex_;
-  std::unordered_map<VerdictKey, StoredVerdict, VerdictKeyHash> pending_;
+  std::array<VerdictMap, kShards> pending_;
   /// Bumped once per completed flush merge; lets find_batch() detect that a flush
   /// moved entries from pending_ into the maps between its two probes.
   mutable std::atomic<u64> flush_epoch_{0};
   /// Serializes whole flush() calls (two flushes writing one shard file
   /// concurrently would race on the tmp path).
   std::mutex flush_mutex_;
+
+  mutable std::mutex stats_mutex_;
+  VerdictStoreStats stats_;
 };
 
 /// Summary of the last completed campaign against a store directory: the

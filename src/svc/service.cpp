@@ -631,6 +631,17 @@ JsonReport CampaignService::stats_report() const {
       .set_bool("draining", draining())
       .set_bool("store_enabled", store_ != nullptr)
       .set_u64("store_entries", store_ ? store_->size() : 0);
+  if (store_) {
+    // The store's own write path: what each flush of fresh verdicts costs.
+    const VerdictStoreStats s = store_->stats();
+    MetricsRegistry flushes;
+    flushes.counter("store_flushes").add(s.flushes);
+    flushes.counter("store_appended_segments").add(s.appended_segments);
+    flushes.counter("store_appended_bytes").add(s.appended_bytes);
+    flushes.counter("store_rewrites").add(s.rewrites);
+    flushes.histogram("store_flush_us") = s.flush_us;
+    report.add_metrics(flushes);
+  }
   std::lock_guard mlock(metrics_mutex_);
   report.add_metrics(metrics_);
   return report;

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "bitstream/record_io.h"
+#include "common/crc.h"
 #include "core/vscrub.h"
 #include "seu/checkpoint.h"
 #include "store/verdict_store.h"
@@ -436,6 +437,195 @@ TEST(VerdictStoreFuzz, FlushRewritesCorruptShardsClean) {
   const std::optional<StoredVerdict> v = healed.find(vkey(0));
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, vverdict(0));
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Shard logs: a shard file is a sequence of VVS1 segments, one per flush.
+// Damage in one segment costs that segment and everything after it — never
+// the intact prefix, and never a wrong verdict — and one flush heals it.
+
+// Every key lands in shard 5, so one file holds every segment.
+VerdictKey shard5_key(u64 i) { return VerdictKey{(i << 4) | 5, i}; }
+constexpr u64 kPerSegment = 10;
+constexpr u64 kSegments = 3;
+constexpr std::size_t kSegmentBytes = 16 + kPerSegment * kVerdictEntryBytes;
+
+void put_shard5(VerdictStore* store, u64 from, u64 to) {
+  for (u64 i = from; i < to; ++i) store->put(shard5_key(i), vverdict(i));
+}
+
+// A store whose shard 5 holds kSegments segments of kPerSegment entries,
+// one flush each. Returns the shard's path.
+std::string segmented_store(const std::string& dir) {
+  VerdictStore store(dir);
+  for (u64 seg = 0; seg < kSegments; ++seg) {
+    put_shard5(&store, seg * kPerSegment, (seg + 1) * kPerSegment);
+    EXPECT_EQ(store.flush(), kPerSegment);
+  }
+  return store.shard_path(5);
+}
+
+// Opens the store, checks that exactly the first `intact` entries are
+// served, each byte-exact, and returns its corrupt shard count.
+u32 corrupt_after_serving_prefix(const std::string& dir, u64 intact,
+                                 const std::string& what) {
+  VerdictStore store(dir);
+  for (u64 i = 0; i < kSegments * kPerSegment; ++i) {
+    const std::optional<StoredVerdict> v = store.find(shard5_key(i));
+    EXPECT_EQ(v.has_value(), i < intact) << what << ", entry " << i;
+    if (v) {
+      EXPECT_EQ(*v, vverdict(i)) << what << ", entry " << i << " corrupted";
+    }
+  }
+  EXPECT_EQ(store.size(), intact) << what;
+  return store.corrupt_shards();
+}
+
+// Reopens the damaged store, re-puts what it lost and flushes once: that
+// flush rewrites the shard whole, and a reopen is clean and complete.
+void expect_one_flush_heals(const std::string& dir, u64 intact) {
+  {
+    VerdictStore store(dir);
+    ASSERT_EQ(store.corrupt_shards(), 1u);
+    put_shard5(&store, intact, kSegments * kPerSegment);
+    EXPECT_EQ(store.flush(), kSegments * kPerSegment - intact);
+    EXPECT_EQ(store.stats().rewrites, 1u);
+    EXPECT_EQ(store.stats().appended_segments, 0u);
+  }
+  EXPECT_EQ(corrupt_after_serving_prefix(dir, kSegments * kPerSegment,
+                                         "healed"),
+            0u);
+}
+
+std::vector<u8> prefix_of(const std::vector<u8>& bytes, std::size_t len) {
+  return {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len)};
+}
+
+TEST(VerdictStoreFuzz, TornLastSegmentServesTheIntactPrefix) {
+  const std::string dir = fresh_store_dir("vsfuzz_torn_tail");
+  const std::string shard = segmented_store(dir);
+  const std::vector<u8> full = read_file(shard);
+  ASSERT_EQ(full.size(), kSegments * kSegmentBytes);
+  const std::size_t last = (kSegments - 1) * kSegmentBytes;
+  const u64 intact = (kSegments - 1) * kPerSegment;
+  // A cut on the segment boundary leaves a shorter, clean log.
+  write_file(shard, prefix_of(full, last));
+  EXPECT_EQ(corrupt_after_serving_prefix(dir, intact, "cut at boundary"), 0u);
+  for (std::size_t len = last + 1; len < full.size(); ++len) {
+    write_file(shard, prefix_of(full, len));
+    EXPECT_EQ(corrupt_after_serving_prefix(dir, intact,
+                                           "cut at " + std::to_string(len)),
+              1u);
+  }
+  expect_one_flush_heals(dir, intact);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VerdictStoreFuzz, BitFlipInAMiddleSegmentServesTheSegmentsBeforeIt) {
+  const std::string dir = fresh_store_dir("vsfuzz_middle_flip");
+  const std::string shard = segmented_store(dir);
+  const std::vector<u8> full = read_file(shard);
+  ASSERT_EQ(full.size(), kSegments * kSegmentBytes);
+  for (std::size_t byte = kSegmentBytes; byte < 2 * kSegmentBytes; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<u8> flipped = full;
+      flipped[byte] = static_cast<u8>(flipped[byte] ^ (1u << bit));
+      write_file(shard, flipped);
+      EXPECT_EQ(corrupt_after_serving_prefix(
+                    dir, kPerSegment,
+                    "bit " + std::to_string(bit) + " of byte " +
+                        std::to_string(byte)),
+                1u);
+    }
+  }
+  expect_one_flush_heals(dir, kPerSegment);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VerdictStoreFuzz, SingleRecordShardOpensCleanAndTakesAppends) {
+  // A shard written whole as one record (the format before shard logs) is
+  // a one-segment log.
+  const std::string dir = fresh_store_dir("vsfuzz_single_record");
+  std::filesystem::create_directories(dir);
+  const std::string shard = VerdictStore(dir).shard_path(5);
+  constexpr u64 kOld = 2 * kPerSegment;
+  {
+    RecordWriter w("VVS1");
+    w.put_u64(kOld);
+    for (u64 i = 0; i < kOld; ++i) {
+      const StoredVerdict v = vverdict(i);
+      w.put_u64(shard5_key(i).hi);
+      w.put_u64(shard5_key(i).lo);
+      w.put_u8(verdict_flags(v));
+      w.put_u32(v.first_error_cycle);
+      w.put_u64(v.error_output_mask_lo);
+    }
+    w.write(shard);
+  }
+  EXPECT_EQ(corrupt_after_serving_prefix(dir, kOld, "single record"), 0u);
+  {
+    VerdictStore store(dir);
+    put_shard5(&store, 0, kSegments * kPerSegment);  // the first kOld again
+    EXPECT_EQ(store.flush(), kSegments * kPerSegment - kOld);
+  }
+  EXPECT_EQ(read_file(shard).size(),
+            16 + kOld * kVerdictEntryBytes + kSegmentBytes);
+  EXPECT_EQ(corrupt_after_serving_prefix(dir, kSegments * kPerSegment,
+                                         "after one append"),
+            0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VerdictStoreFuzz, FailedAppendIsHealedByARewrite) {
+  const std::string dir = fresh_store_dir("vsfuzz_failed_append");
+  {
+    VerdictStore store(dir);
+    put_shard5(&store, 0, kPerSegment);
+    EXPECT_EQ(store.flush(), kPerSegment);
+    // A directory where the shard file was: appends and rewrites fail.
+    const std::string shard = store.shard_path(5);
+    std::filesystem::remove(shard);
+    std::filesystem::create_directory(shard);
+    put_shard5(&store, kPerSegment, 2 * kPerSegment);
+    EXPECT_EQ(store.flush(), kPerSegment);
+    EXPECT_EQ(store.stats().appended_segments, 1u);
+    EXPECT_EQ(store.flush(), 0u);  // the rewrite fails too
+    EXPECT_EQ(store.stats().rewrites, 0u);
+    // Once the path is writable again, a flush with nothing new rewrites
+    // the shard whole, verdicts of the failed append included.
+    std::filesystem::remove(shard);
+    EXPECT_EQ(store.flush(), 0u);
+    EXPECT_EQ(store.stats().rewrites, 1u);
+  }
+  EXPECT_EQ(corrupt_after_serving_prefix(dir, 2 * kPerSegment, "healed"), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RecordIo, WriteAndAppendLayDownThePayloadAndItsCrc) {
+  const std::string dir = fresh_store_dir("record_io_bytes");
+  std::filesystem::create_directories(dir);
+  RecordWriter w("VSCK1");
+  w.put_u32(0xA1B2C3D4u);
+  w.put_string("payload");
+  w.put_u64(~u64{0} - 5);
+  std::vector<u8> record = w.bytes();
+  const u32 crc = crc32(w.bytes());
+  for (int i = 0; i < 4; ++i) record.push_back(static_cast<u8>(crc >> (8 * i)));
+
+  w.write(dir + "/whole.rec");
+  EXPECT_EQ(read_file(dir + "/whole.rec"), record);
+  RecordReader r(dir + "/whole.rec", "VSCK1");
+  EXPECT_EQ(r.get_u32(), 0xA1B2C3D4u);
+  EXPECT_EQ(r.get_string(), "payload");
+  EXPECT_EQ(r.get_u64(), ~u64{0} - 5);
+
+  ASSERT_TRUE(w.append(dir + "/log.rec"));
+  ASSERT_TRUE(w.append(dir + "/log.rec"));
+  std::vector<u8> twice = record;
+  twice.insert(twice.end(), record.begin(), record.end());
+  EXPECT_EQ(read_file(dir + "/log.rec"), twice);
+  EXPECT_FALSE(w.append(dir + "/no_such_dir/log.rec"));
   std::filesystem::remove_all(dir);
 }
 

@@ -19,6 +19,7 @@
 #include "core/vscrub.h"
 #include "seu/cache_key.h"
 #include "sim/simd.h"
+#include "store/verdict_store.h"
 #include "svc/client.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
@@ -864,6 +865,18 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
   const FlatJson rr = FlatJson::parse(re.payload);
   EXPECT_TRUE(rr.get_bool("sensitive_match"));
   EXPECT_EQ(rr.get_u64("current_sensitive_digest"), expected);
+
+  // Every served campaign flushed the shared store; the fresh verdicts went
+  // out as appended segments, and a clean store needed no rewrite.
+  const FlatJson stats =
+      FlatJson::parse(client.call(FrameKind::kStats, "").payload);
+  EXPECT_GE(stats.get_u64("store_flushes"), kClients + 1);
+  EXPECT_EQ(stats.get_u64("store_flush_us_count"),
+            stats.get_u64("store_flushes"));
+  EXPECT_GT(stats.get_u64("store_appended_segments"), 0u);
+  EXPECT_GE(stats.get_u64("store_appended_bytes"),
+            stats.get_u64("store_entries") * kVerdictEntryBytes);
+  EXPECT_EQ(stats.get_u64("store_rewrites"), 0u);
 
   loop.stop_and_join();
   std::filesystem::remove_all(dir);

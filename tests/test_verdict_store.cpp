@@ -2,7 +2,8 @@
 // bit-identical to cold runs (same failures, same sensitive set, same
 // modeled time) with ~100% verdict reuse; delta re-campaigns of a changed
 // design reuse unmoved keys and still match a from-scratch cold run; a
-// corrupted store degrades to a cold run with identical results.
+// corrupted store degrades to a cold run with identical results; a shard
+// file is an append-only log that each flush grows by its new verdicts only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,15 +190,18 @@ TEST(VerdictStore, CorruptedStoreFallsBackToColdWithIdenticalResults) {
 }
 
 TEST(VerdictStore, OscillationProneDesignStaysExactUnderCache) {
-  // selfcheck_dsp exercises dynamic LUT sites; bram_selftest exercises BRAM
-  // bindings. Both force the conservative whole-design key mode — reuse
-  // must still be total for an unchanged design, and exact vs a cold run.
-  for (const char* which : {"selfcheck", "bram"}) {
+  // fir_preproc's SRL16 delay line is a dynamic LUT site; bram_selftest
+  // exercises BRAM bindings. Both force the conservative whole-design key
+  // mode — reuse must still be total for an unchanged design, and exact vs
+  // a cold run.
+  for (const char* which : {"fir", "bram"}) {
     const std::string dir = fresh_dir("vstore_osc");
     const Netlist nl = std::string(which) == "bram"
                            ? designs::bram_selftest(2)
-                           : designs::selfcheck_dsp(8, 5);
+                           : designs::fir_preproc(4, 4);
     const auto design = compile(nl, device_tiny(8, 12, 2));
+    ASSERT_TRUE(build_cache_key_plan(design, {}).whole_design_influence)
+        << which;
     const CampaignResult cold = run_campaign(design, cached_options(dir, 2000));
     const CampaignResult warm = run_campaign(design, cached_options(dir, 2000));
     EXPECT_EQ(outcome_of(design, warm), outcome_of(design, cold)) << which;
@@ -353,6 +357,84 @@ TEST(VerdictStore, FindBatchNeverMissesARecordedVerdictUnderPutAndFlush) {
     EXPECT_EQ(failures.load(), 0u);
     store.flush();
     EXPECT_EQ(store.size(), kKeys);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+std::vector<u64> shard_file_sizes(const VerdictStore& store) {
+  std::vector<u64> sizes;
+  for (u32 s = 0; s < VerdictStore::kShards; ++s) {
+    std::error_code ec;
+    const u64 size = std::filesystem::file_size(store.shard_path(s), ec);
+    sizes.push_back(ec ? 0 : size);
+  }
+  return sizes;
+}
+
+TEST(VerdictStore, SeveralFlushesReopenServingEveryVerdict) {
+  const std::string dir = fresh_dir("vstore_segments");
+  constexpr u64 kFlushes = 5;
+  constexpr u64 kPerFlush = 400;
+  const auto key_of = [](u64 n) {
+    return VerdictKey{n * 0x9E3779B97F4A7C15ULL, ~n};
+  };
+  {
+    VerdictStore store(dir);
+    for (u64 f = 0; f < kFlushes; ++f) {
+      for (u64 n = f * kPerFlush; n < (f + 1) * kPerFlush; ++n) {
+        store.put(key_of(n), verdict_n(n));
+      }
+      EXPECT_EQ(store.flush(), kPerFlush) << "flush " << f;
+    }
+    const VerdictStoreStats stats = store.stats();
+    EXPECT_EQ(stats.flushes, kFlushes);
+    EXPECT_EQ(stats.flush_us.count(), kFlushes);
+    EXPECT_EQ(stats.rewrites, 0u);
+    EXPECT_EQ(stats.appended_bytes,
+              stats.appended_segments * 16 +
+                  kFlushes * kPerFlush * kVerdictEntryBytes);
+  }
+  VerdictStore reopened(dir);
+  EXPECT_EQ(reopened.corrupt_shards(), 0u);
+  EXPECT_EQ(reopened.size(), kFlushes * kPerFlush);
+  for (u64 n = 0; n < kFlushes * kPerFlush; ++n) {
+    const std::optional<StoredVerdict> v = reopened.find(key_of(n));
+    ASSERT_TRUE(v.has_value()) << n;
+    EXPECT_EQ(*v, verdict_n(n)) << n;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(VerdictStore, EachFlushAppendsOnlyItsNewVerdicts) {
+  const std::string dir = fresh_dir("vstore_append_growth");
+  VerdictStore store(dir);
+  // Round r puts keys [0, 90 r): the first 90 (r - 1) again with their
+  // verdicts unchanged, which must not reach the files, and 90 new ones.
+  for (u64 round = 1; round <= 4; ++round) {
+    const std::vector<u64> before = shard_file_sizes(store);
+    std::vector<u64> fresh(VerdictStore::kShards, 0);
+    for (u64 n = 0; n < 90 * round; ++n) {
+      // n * n % 13 is a quadratic residue: 9 of the 16 shards get nothing.
+      const VerdictKey key{n * n % 13, n};
+      if (n >= 90 * (round - 1)) ++fresh[VerdictStore::shard_of(key)];
+      store.put(key, verdict_n(n));
+    }
+    const VerdictStoreStats pre = store.stats();
+    EXPECT_EQ(store.flush(), 90u);
+    const VerdictStoreStats post = store.stats();
+    const std::vector<u64> after = shard_file_sizes(store);
+    u64 touched = 0;
+    u64 grown = 0;
+    for (u32 s = 0; s < VerdictStore::kShards; ++s) {
+      const u64 want = fresh[s] == 0 ? 0 : 16 + kVerdictEntryBytes * fresh[s];
+      EXPECT_EQ(after[s] - before[s], want)
+          << "round " << round << " shard " << s;
+      touched += fresh[s] != 0;
+      grown += after[s] - before[s];
+    }
+    EXPECT_EQ(post.appended_segments - pre.appended_segments, touched);
+    EXPECT_EQ(post.appended_bytes - pre.appended_bytes, grown);
+    EXPECT_EQ(post.rewrites, 0u);
   }
   std::filesystem::remove_all(dir);
 }
