@@ -13,7 +13,7 @@
 #include <cstdlib>
 
 #include "bench_util.h"
-#include "sim/eval_plan.h"
+#include "seu/design_baseline.h"
 #include "sim/gang_sim.h"
 
 namespace vscrub::bench {
@@ -46,32 +46,54 @@ void run_report() {
   Workbench bench(campaign_device());
   const PlacedDesign design = bench.compile(designs::mult_tree(8));
 
-  // Per-injector set-up: SeuInjector plus its gang engine. The first on a
-  // design configures its fabric; later ones copy it from the process-wide
-  // memo (configured_fabric()). Measured before any campaign touches it.
-  const auto injector_setup_ms = [&design] {
-    const auto t0 = std::chrono::steady_clock::now();
-    SeuInjector injector(design, {});
-    if (!injector.gang_capable()) std::printf("design is not gang-capable\n");
+  // Per-design set-up, before any campaign touches the design: SeuInjector
+  // plus its gang engine, then the verdict-store key plan. The first of each
+  // builds the design's DesignBaseline products (configured fabric, golden
+  // trace, observability map, eval plan; the key plan's golden-run probe);
+  // later ones borrow them.
+  const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
   };
+  const auto injector_setup_ms = [&design, &ms_since] {
+    const auto t0 = std::chrono::steady_clock::now();
+    SeuInjector injector(design, {});
+    if (!injector.gang_capable()) {
+      std::printf("design is not gang-capable\n");
+      return ms_since(t0);
+    }
+    // The engine the injector's first gang run builds.
+    const DesignBaseline& baseline = injector.baseline();
+    const GangSim engine(injector.design(), baseline.fabric(),
+                         *baseline.plan());
+    return ms_since(t0);
+  };
+  const auto keyplan_ms = [&design, &ms_since] {
+    const auto t0 = std::chrono::steady_clock::now();
+    const CacheKeyPlan plan = build_cache_key_plan(design, {});
+    if (plan.frame_hashes.empty()) std::printf("empty key plan\n");
+    return ms_since(t0);
+  };
   const double setup_first_ms = injector_setup_ms();
   const double setup_warm_ms = injector_setup_ms();
+  const double keyplan_first_ms = keyplan_ms();
+  const double keyplan_warm_ms = keyplan_ms();
   // The golden eval plan the engine settles with: constant and half-latch
   // LUT inputs are folded away, so operands count live reads only.
   std::size_t plan_ops = 0, plan_lut_operands = 0;
-  {
-    const GangSim gang(design);
-    plan_ops = gang.plan().ops.size();
-    for (const EvalPlan::Op& op : gang.plan().ops) {
+  const auto baseline = DesignBaseline::of(design);
+  if (const EvalPlan* plan = baseline->plan()) {
+    plan_ops = plan->ops.size();
+    for (const EvalPlan::Op& op : plan->ops) {
       if (op.kind == EvalPlan::OpKind::kLut) plan_lut_operands += op.arity;
     }
   }
-  std::printf("injector + gang engine set-up: %.1f ms first, %.1f ms "
-              "memo-warm; eval plan %zu ops, %zu live LUT operands\n",
-              setup_first_ms, setup_warm_ms, plan_ops, plan_lut_operands);
+  std::printf("injector + gang engine set-up: %.1f ms first, %.1f ms warm; "
+              "key plan %.1f ms first, %.2f ms warm; eval plan %zu ops, %zu "
+              "live LUT operands\n",
+              setup_first_ms, setup_warm_ms, keyplan_first_ms, keyplan_warm_ms,
+              plan_ops, plan_lut_operands);
 
   auto sampled = [&](u32 gang_width) {
     CampaignOptions copts;
@@ -155,6 +177,9 @@ void run_report() {
   json.set("gang_lanes_per_s", gang_rate);
   json.set("injector_setup_ms_first", setup_first_ms);
   json.set("injector_setup_ms_warm", setup_warm_ms);
+  json.set("keyplan_ms_first", keyplan_first_ms);
+  json.set("keyplan_ms_warm", keyplan_warm_ms);
+  json.set("baseline_setup_ms_first", setup_first_ms + keyplan_first_ms);
   json.set("plan_ops", static_cast<double>(plan_ops));
   json.set("plan_lut_operands", static_cast<double>(plan_lut_operands));
   // The CI gate reads these: the host engine's campaign bits/s over the

@@ -25,6 +25,7 @@ struct DeviceGeometry {
   u16 bram_columns = 0;  ///< dedicated BRAM columns (0 or 2: west & east edges)
   u16 frame_pad_slots = 2;  ///< extra 16-bit row-slots per CLB frame (IOB/clock
                             ///< overhead region; insensitive in this model)
+  bool operator==(const DeviceGeometry&) const = default;
 
   u32 tile_count() const { return static_cast<u32>(rows) * cols; }
   u32 tile_index(TileCoord t) const { return static_cast<u32>(t.row) * cols + t.col; }

@@ -46,6 +46,7 @@ struct Cell {
   u8 placement_group = 0;
   std::vector<NetId> inputs;
   std::vector<NetId> outputs;  ///< 1 net for most kinds; 16 for kBram (DOUT)
+  bool operator==(const Cell&) const = default;
 };
 
 struct Net {
@@ -55,8 +56,10 @@ struct Net {
   struct Sink {
     CellId cell;
     u8 pin;
+    bool operator==(const Sink&) const = default;
   };
   std::vector<Sink> sinks;
+  bool operator==(const Net&) const = default;
 };
 
 class Netlist {
@@ -64,6 +67,9 @@ class Netlist {
   explicit Netlist(std::string name = "design") : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
+
+  /// Same name, cells, nets, BRAM contents and ports.
+  bool operator==(const Netlist&) const = default;
 
   // ---- Construction ----------------------------------------------------------
   NetId add_input(const std::string& port_name);

@@ -34,12 +34,14 @@ constexpr int reg_output_index(int ff) {
 struct DrivePoint {
   TileCoord tile;
   u8 out_index = 0;
+  bool operator==(const DrivePoint&) const = default;
 };
 
 /// A point the harness observes (primary outputs): IOPAD pin `pin` of `tile`.
 struct TapPoint {
   TileCoord tile;
   u8 pin = 0;  ///< kPinIopadBase..kPinIopadBase+3
+  bool operator==(const TapPoint&) const = default;
 };
 
 /// One wire of a routed net: the out-wire (dir, windex) of `tile`, with the
@@ -115,6 +117,7 @@ struct PlacedDesign {
   struct ExternalConst {
     DrivePoint drive;
     bool value = false;
+    bool operator==(const ExternalConst&) const = default;
   };
   std::vector<ExternalConst> external_consts;
 
@@ -133,6 +136,7 @@ struct PlacedDesign {
     /// sinks are materialized).
     std::vector<DrivePoint> dout_drives;
     std::vector<u8> dout_drive_valid;   // bool per lane
+    bool operator==(const BramBinding&) const = default;
   };
   std::vector<BramBinding> brams;
 

@@ -1,9 +1,6 @@
 #include "seu/cache_key.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "sim/fabric_sim.h"
+#include "seu/design_baseline.h"
 
 namespace vscrub {
 namespace {
@@ -34,34 +31,6 @@ u64 fnv1a(u64 h, const std::string& s) {
   }
   return h;
 }
-
-/// Union-find whose roots are always the smallest tile index of their
-/// component, so component identity is deterministic across runs.
-class Dsu {
- public:
-  explicit Dsu(u32 n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-  u32 find(u32 x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(u32 a, u32 b) {
-    const u32 ra = find(a), rb = find(b);
-    if (ra == rb) return;
-    if (ra < rb) {
-      parent_[rb] = ra;
-    } else {
-      parent_[ra] = rb;
-    }
-  }
-
- private:
-  std::vector<u32> parent_;
-};
 
 u64 influence_of(const CacheKeyPlan& plan, const ConfigSpace& space,
                  const BitAddress& addr) {
@@ -110,18 +79,6 @@ VerdictKey derive_key(u64 mode, u64 arch, u64 stim, u64 frame_hash, u64 infl,
                     frame_hash, infl, linear);
 }
 
-/// The injector's effective options: its no-dynamic warmup shrink applied,
-/// so fingerprints cover the cycle counts that actually run.
-InjectionOptions effective_options(const PlacedDesign& design,
-                                   const InjectionOptions& options) {
-  InjectionOptions eff = options;
-  if (design.dynamic_lut_sites.empty()) {
-    eff.warmup_cycles =
-        std::min(eff.warmup_cycles, eff.warmup_cycles_no_dynamic);
-  }
-  return eff;
-}
-
 u64 arch_fingerprint_of(const DeviceGeometry& geom,
                         const InjectionOptions& eff) {
   u64 a = kBasis;
@@ -146,33 +103,7 @@ u64 arch_fingerprint_of(const DeviceGeometry& geom,
   return a;
 }
 
-/// Not part of any key (the stimulus and frame hashes already pin what a
-/// verdict depends on); it only names the design a plan was built for.
-u64 design_identity_of(const PlacedDesign& design, u64 stim_seed) {
-  u64 h = kBasis;
-  h = fnv1a(h, design.netlist->name());
-  h = fnv1a(h, design.space->geometry().name);
-  h = fnv1a(h, design.options.seed);
-  h = fnv1a(h, static_cast<u64>(design.options.halflatch_policy));
-  h = fnv1a(h, static_cast<u64>(design.stats.slices_used));
-  h = fnv1a(h, static_cast<u64>(design.stats.wires_used));
-  h = fnv1a(h, static_cast<u64>(design.stats.total_wirelength));
-  h = fnv1a(h, stim_seed);
-  return h;
-}
-
-}  // namespace
-
-bool cache_key_plan_matches(const CacheKeyPlan& plan,
-                            const PlacedDesign& design,
-                            const InjectionOptions& options) {
-  const InjectionOptions eff = effective_options(design, options);
-  return plan.arch_fingerprint ==
-             arch_fingerprint_of(design.space->geometry(), eff) &&
-         plan.design_identity == design_identity_of(design, eff.stim_seed) &&
-         plan.frame_hashes.size() == design.bitstream.frame_count();
-}
-
+/// Per-frame content hashes, in global frame order.
 std::vector<u64> hash_bitstream_frames(const Bitstream& bs) {
   std::vector<u64> hashes(bs.frame_count());
   for (u32 gf = 0; gf < bs.frame_count(); ++gf) {
@@ -183,6 +114,9 @@ std::vector<u64> hash_bitstream_frames(const Bitstream& bs) {
   }
   return hashes;
 }
+
+}  // namespace
+
 
 VerdictKey CacheKeyPlan::key_of(const ConfigSpace& space,
                                 const BitAddress& addr, u64 linear) const {
@@ -225,27 +159,22 @@ void CacheKeyPlan::key_pairs_of(const ConfigSpace& space,
 
 CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
                                   const InjectionOptions& options) {
-  const ConfigSpace& space = *design.space;
-  const DeviceGeometry& geom = space.geometry();
-  CacheKeyPlan plan;
+  return DesignBaseline::of(design)->key_plan(options);
+}
 
-  const InjectionOptions eff = effective_options(design, options);
+CacheKeyPlan derive_cache_key_plan(const PlacedDesign& design,
+                                   const InjectionOptions& eff,
+                                   const std::vector<OutputWord>& golden,
+                                   const FabricSim& golden_run) {
+  const DeviceGeometry& geom = design.space->geometry();
+  CacheKeyPlan plan;
   plan.arch_fingerprint = arch_fingerprint_of(geom, eff);
-  plan.design_identity = design_identity_of(design, eff.stim_seed);
 
   // Stimulus hash: seed, input lane count (the stimulus stream is consumed
   // row-major, so every lane's sequence depends on the total width) and the
   // golden output trace itself. The trace pins the functional identity the
   // comparator judges against — two designs sharing a verdict must agree on
   // fault-free behaviour, not just on the bit's local neighbourhood.
-  const std::size_t trace_len =
-      static_cast<std::size_t>(eff.warmup_cycles) + eff.observe_cycles +
-      (eff.classify_persistence
-           ? static_cast<std::size_t>(eff.persistence_settle) +
-                 eff.persistence_check
-           : 0);
-  const std::vector<OutputWord> golden =
-      DesignHarness::reference_trace(*design.netlist, trace_len, eff.stim_seed);
   u64 sh = kBasis;
   sh = fnv1a(sh, eff.stim_seed);
   sh = fnv1a(sh, static_cast<u64>(design.netlist->num_inputs()));
@@ -305,23 +234,14 @@ CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
   wd = fnv1a(wd, attach);
   plan.whole_design_hash = wd;
 
-  // Golden-run probe: configure a fabric and replay the whole trace once.
-  // This decodes tile activity for the closure construction below, and it
-  // answers one load-bearing question — does the *baseline* design ever trip
-  // the fabric's oscillation handling? Oscillation-truncated values depend
-  // on a global event budget, not just on a bit's closure.
-  FabricSim sim = configured_fabric(design.space, design.bitstream);
-  DesignHarness probe(design, sim, eff.stim_seed);
-  probe.restart();
-  for (std::size_t t = 0; t < trace_len; ++t) probe.step();
-
   // BRAM bindings relay values across the device through the harness,
   // dynamic LUT state gives frame writes read-modify-write side effects, and
   // a golden run that trips oscillation handling makes every evaluation
   // budget-dependent — each breaks the locality argument the influence
   // closure rests on. Key every bit against the whole image instead
   // (conservative, still a 100% warm hit on an unchanged design).
-  plan.whole_design_influence = sim.oscillating() || !design.brams.empty() ||
+  plan.whole_design_influence = golden_run.oscillating() ||
+                                !design.brams.empty() ||
                                 !design.dynamic_lut_sites.empty();
   if (plan.whole_design_influence) return plan;
 
@@ -363,7 +283,7 @@ CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
                     static_cast<u64>(ec.value ? 1 : 0));
   }
 
-  // Tile activity from the configured probe fabric (the decode oracle), with
+  // Tile activity from the golden-run fabric (the decode oracle), with
   // attachment tiles forced active: an inactive tile with a harness drive
   // still emits overridden values, so propagation does not die there.
   std::vector<u8> active(tiles, 0);
@@ -371,28 +291,33 @@ CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
     for (u16 c = 0; c < geom.cols; ++c) {
       const u32 idx = geom.tile_index({r, c});
       active[idx] =
-          static_cast<u8>(sim.tile_active({r, c}) || attached[idx] != 0);
+          static_cast<u8>(golden_run.tile_active({r, c}) || attached[idx] != 0);
     }
   }
-  Dsu dsu(tiles);
-  for (u16 r = 0; r < geom.rows; ++r) {
-    for (u16 c = 0; c < geom.cols; ++c) {
-      const u32 idx = geom.tile_index({r, c});
-      if (!active[idx]) continue;
-      if (r + 1 < geom.rows &&
-          active[geom.tile_index({static_cast<u16>(r + 1), c})]) {
-        dsu.unite(idx, geom.tile_index({static_cast<u16>(r + 1), c}));
-      }
-      if (c + 1 < geom.cols &&
-          active[geom.tile_index({r, static_cast<u16>(c + 1)})]) {
-        dsu.unite(idx, geom.tile_index({r, static_cast<u16>(c + 1)}));
+  // Active components (4-connected), each named by its smallest tile index
+  // so component identity is deterministic across runs.
+  std::vector<u32> root(tiles, tiles);  // `tiles`: inactive or not reached
+  for (u32 t = 0; t < tiles; ++t) {
+    if (!active[t] || root[t] != tiles) continue;
+    std::vector<u32> stack{t};
+    root[t] = t;
+    while (!stack.empty()) {
+      const TileCoord at = geom.tile_coord(stack.back());
+      stack.pop_back();
+      for (int d = 0; d < kDirs; ++d) {
+        const auto n = geom.neighbor(at, static_cast<Dir>(d));
+        const u32 ni = n ? geom.tile_index(*n) : tiles;
+        if (ni < tiles && active[ni] && root[ni] == tiles) {
+          root[ni] = t;
+          stack.push_back(ni);
+        }
       }
     }
   }
   std::vector<u64> comp_hash(tiles, kBasis);
   for (u32 t = 0; t < tiles; ++t) {
     if (!active[t]) continue;
-    u64& h = comp_hash[dsu.find(t)];
+    u64& h = comp_hash[root[t]];
     h = fnv1a(fnv1a(h, t), tile_hash[t]);
   }
 
@@ -426,7 +351,7 @@ CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
       u64 roots[5];
       std::size_t nroots = 0;
       for (std::size_t i = 0; i < nmembers; ++i) {
-        if (active[members[i]]) roots[nroots++] = dsu.find(members[i]);
+        if (active[members[i]]) roots[nroots++] = root[members[i]];
       }
       // Sorted-deduped fold, insertion sort over <= 5 roots (std::sort's
       // introsort trips GCC's array-bounds analysis on the tiny buffer).

@@ -41,9 +41,6 @@ namespace vscrub {
 
 struct CacheKeyPlan {
   u64 arch_fingerprint = 0;
-  /// Which compiled design (netlist, device, place-and-route) and stimulus
-  /// seed the plan was built for; see cache_key_plan_matches().
-  u64 design_identity = 0;
   u64 stimulus_hash = 0;
   std::vector<u64> frame_hashes;    ///< per global frame index
   std::vector<u64> tile_influence;  ///< per tile index (empty in whole-design mode)
@@ -69,30 +66,16 @@ struct CacheKeyPlan {
                     std::vector<VerdictKeyPair>* out) const;
 };
 
-/// Builds the key plan for a design under the given injection options
-/// (configures a scratch fabric to decode tile activity and replays the
-/// golden trace, comparable to one SeuInjector construction).
+/// The key plan for a design under the given injection options: a copy of
+/// the one its DesignBaseline builds once per process (seu/design_baseline.h).
 CacheKeyPlan build_cache_key_plan(const PlacedDesign& design,
                                   const InjectionOptions& options);
 
-/// Whether `plan` was built by build_cache_key_plan(design, options). Cheap:
-/// it recomputes the arch fingerprint and the design identity, not the
-/// golden trace or the closures. It guards a plan handed in from outside
-/// (CampaignOptions::key_plan) against the wrong design or options, which
-/// would silently mis-key every verdict; it is not a tamper check.
-bool cache_key_plan_matches(const CacheKeyPlan& plan,
-                            const PlacedDesign& design,
-                            const InjectionOptions& options);
-
-/// Typed error for a key plan that does not belong to the campaign's design
-/// and injection options.
-class KeyPlanMismatchError : public Error {
- public:
-  explicit KeyPlanMismatchError(const std::string& what) : Error(what) {}
-};
-
-/// Per-frame content hashes of a bitstream, in global frame order — the
-/// delta a re-campaign diffs against a prior manifest.
-std::vector<u64> hash_bitstream_frames(const Bitstream& bs);
+/// How DesignBaseline builds a plan from the effective options, their golden
+/// trace and a configured fabric that has just run that whole trace.
+CacheKeyPlan derive_cache_key_plan(const PlacedDesign& design,
+                                   const InjectionOptions& effective,
+                                   const std::vector<OutputWord>& golden,
+                                   const FabricSim& golden_run);
 
 }  // namespace vscrub

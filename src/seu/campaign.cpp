@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "seu/cache_key.h"
 #include "seu/checkpoint.h"
+#include "seu/design_baseline.h"
 #include "sim/simd.h"
 #include "store/remote_store.h"
 #include "store/verdict_store.h"
@@ -189,13 +190,8 @@ CampaignResult run_campaign(const PlacedDesign& design,
                             const CampaignOptions& options) {
   const auto start = std::chrono::steady_clock::now();
   const ConfigSpace& space = *design.space;
-  if (options.key_plan != nullptr &&
-      !cache_key_plan_matches(*options.key_plan, design, options.injection)) {
-    throw KeyPlanMismatchError(
-        "campaign: the supplied cache-key plan was not built for design " +
-        design.netlist->name() + " on " + space.geometry().name +
-        " with these injection options");
-  }
+  // The design's fixed products, shared by every worker's injector.
+  const auto baseline = DesignBaseline::of(design);
 
   // Fabric range restriction: every range of a sharded campaign draws the
   // identical universe order, so disjoint ranges partition the one-shot run
@@ -215,13 +211,10 @@ CampaignResult run_campaign(const PlacedDesign& design,
   // Verdict store: either the caller's shared process-wide instance
   // (options.store — the serving layer's path, where concurrent campaigns
   // hit each other's verdicts) or one opened here from cache_dir. Either
-  // way the key plan — the caller's, or one built here — is shared
-  // read-only by every worker.
+  // way the baseline's key plan is shared read-only by every worker.
   std::unique_ptr<VerdictStore> owned_store;
   VerdictStore* store = options.store;
-  CacheKeyPlan owned_plan;
-  const CacheKeyPlan& plan =
-      options.key_plan != nullptr ? *options.key_plan : owned_plan;
+  const CacheKeyPlan* plan = nullptr;
   SimTime cached_iter_time;
   if (store == nullptr && !options.cache_dir.empty()) {
     owned_store = std::make_unique<VerdictStore>(options.cache_dir);
@@ -230,9 +223,7 @@ CampaignResult run_campaign(const PlacedDesign& design,
   RemoteVerdictClient* remote = options.remote_store;
   if (store != nullptr || remote != nullptr) {
     result.cache_enabled = store != nullptr;
-    if (options.key_plan == nullptr) {
-      owned_plan = build_cache_key_plan(design, options.injection);
-    }
+    plan = &baseline->key_plan(options.injection);
     // Every iteration — fresh or replayed — bills the same modeled hardware
     // cost: the real testbed cannot cache.
     cached_iter_time =
@@ -389,7 +380,7 @@ CampaignResult run_campaign(const PlacedDesign& design,
     miss_bits.assign(bits.begin() + static_cast<std::ptrdiff_t>(begin),
                      bits.begin() + static_cast<std::ptrdiff_t>(end));
     if (store != nullptr || remote != nullptr) {
-      plan.key_pairs_of(space, miss_bits, &miss_keys);
+      plan->key_pairs_of(space, miss_bits, &miss_keys);
     }
     // Keeps the still-missing bits of a probe's answer; replays the hits.
     // `on_hit` gets each hit's matched key and verdict.
@@ -434,12 +425,11 @@ CampaignResult run_campaign(const PlacedDesign& design,
     InjectionPhases phase_delta;
     std::vector<std::pair<VerdictKey, StoredVerdict>> publish;
     if (!miss_bits.empty()) {
-      // One injector per worker, built on first miss (the constructor
-      // computes the golden trace and configures a fabric — not free, and a
-      // fully-cached chunk never needs one).
+      // One injector per worker, built on first miss (it copies a fabric:
+      // not free, and a fully-cached chunk never needs one).
       if (!injectors[worker]) {
         injectors[worker] =
-            std::make_unique<SeuInjector>(design, options.injection);
+            std::make_unique<SeuInjector>(baseline, options.injection);
       }
       SeuInjector& injector = *injectors[worker];
       const auto record = [&](const InjectionResult& r) {
@@ -450,8 +440,8 @@ CampaignResult run_campaign(const PlacedDesign& design,
           // bit's closure alone: store them under the whole-design fallback
           // key, which any design change invalidates.
           const VerdictKey key =
-              r.fabric_oscillated ? plan.fallback_key_of(space, r.addr, linear)
-                                  : plan.key_of(space, r.addr, linear);
+              r.fabric_oscillated ? plan->fallback_key_of(space, r.addr, linear)
+                                  : plan->key_of(space, r.addr, linear);
           const StoredVerdict v{r.output_error, r.persistent,
                                 r.first_error_cycle, r.error_output_mask_lo};
           if (store) store->put(key, v);
@@ -564,8 +554,8 @@ CampaignResult run_campaign(const PlacedDesign& design,
     // the universe, not the whole run a recampaign would diff against.
     if (!result.interrupted && !range_active) {
       CampaignManifest m;
-      m.arch_fingerprint = plan.arch_fingerprint;
-      m.stimulus_hash = plan.stimulus_hash;
+      m.arch_fingerprint = plan->arch_fingerprint;
+      m.stimulus_hash = plan->stimulus_hash;
       m.design_name = design.netlist->name();
       m.device_name = space.geometry().name;
       m.universe_bits = n;
@@ -575,7 +565,7 @@ CampaignResult run_campaign(const PlacedDesign& design,
       m.failures = result.failures;
       m.persistent = result.persistent;
       m.sensitive_digest = result.sensitive_digest(design);
-      m.frame_hashes = plan.frame_hashes;
+      m.frame_hashes = plan->frame_hashes;
       m.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -628,7 +618,9 @@ RecampaignResult run_recampaign(const PlacedDesign& design,
                 e.what(), "); treating as cold");
   }
   if (rr.had_prior) {
-    const std::vector<u64> frames = hash_bitstream_frames(design.bitstream);
+    const auto baseline = DesignBaseline::of(design);
+    const std::vector<u64>& frames =
+        baseline->key_plan(options.injection).frame_hashes;
     rr.frames_total = frames.size();
     if (prior.frame_hashes.size() == frames.size()) {
       for (std::size_t i = 0; i < frames.size(); ++i) {

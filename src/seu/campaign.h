@@ -15,7 +15,6 @@
 
 namespace vscrub {
 
-struct CacheKeyPlan;
 class RemoteVerdictClient;
 class VerdictStore;
 
@@ -114,16 +113,6 @@ struct CampaignOptions {
   /// degrades to misses, never to a failed campaign.
   RemoteVerdictClient* remote_store = nullptr;
 
-  /// A cache-key plan already built for this design and these injection
-  /// options (build_cache_key_plan), used instead of building one per run.
-  /// Not owned; must outlive the campaign. The serving layer memoizes one
-  /// plan per (design, device, persistence) beside the compiled design, so
-  /// a request pays no key-plan build. run_campaign throws
-  /// KeyPlanMismatchError for a plan that cache_key_plan_matches() rejects:
-  /// a plan for another design would silently mis-key every verdict.
-  /// Only used when a store or remote tier is set.
-  const CacheKeyPlan* key_plan = nullptr;
-
   /// An external thread pool to schedule the campaign's chunks on instead of
   /// creating a pool per run. Not owned; must outlive the campaign. Several
   /// campaigns may share one pool concurrently (chunk scheduling waits on a
@@ -188,10 +177,6 @@ struct CampaignOptions {
   }
   CampaignOptions& with_remote_store(RemoteVerdictClient* r) {
     remote_store = r;
-    return *this;
-  }
-  CampaignOptions& with_key_plan(const CacheKeyPlan* p) {
-    key_plan = p;
     return *this;
   }
   CampaignOptions& with_shared_pool(ThreadPool* p) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "sim/eval_plan.h"
+#include "seu/design_baseline.h"
 #include "sim/gang_sim.h"
 
 namespace vscrub {
@@ -27,27 +27,22 @@ class PhaseTimer {
 
 SeuInjector::SeuInjector(const PlacedDesign& design,
                          const InjectionOptions& options)
-    : design_(&design),
-      options_(options),
-      sim_(configured_fabric(design.space, design.bitstream)),
-      harness_(design, sim_, options.stim_seed) {
+    : SeuInjector(DesignBaseline::of(design), options) {}
+
+SeuInjector::SeuInjector(std::shared_ptr<const DesignBaseline> baseline,
+                         const InjectionOptions& options)
+    : baseline_(std::move(baseline)),
+      design_(&baseline_->design()),
+      options_(baseline_->effective(options)),
+      sim_(baseline_->fabric()),
+      harness_(*design_, sim_, options.stim_seed),
+      golden_(&baseline_->golden(options)),
+      observable_(&baseline_->observable()) {
   // Fail fast on an unsupported gang width: a campaign should reject it at
   // submission, not after hours of scalar injections when the first gang
   // batch finally dispatches.
   validate_gang_width(options_.gang_width);
-  if (design.dynamic_lut_sites.empty()) {
-    options_.warmup_cycles =
-        std::min(options_.warmup_cycles, options_.warmup_cycles_no_dynamic);
-  }
-  const std::size_t trace_len =
-      options_.warmup_cycles + options_.observe_cycles +
-      (options_.classify_persistence
-           ? options_.persistence_settle + options_.persistence_check
-           : 0);
-  golden_ = DesignHarness::reference_trace(*design_->netlist, trace_len,
-                                           options_.stim_seed);
   harness_.restart();  // sim_ is configured already
-  snapshot_observability();
   // The configuration just written is the dirty-tracking baseline every
   // incremental repair restores to, and the post-restart FF state is the
   // hermetic-reset baseline every injection rolls back to.
@@ -58,19 +53,7 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
 SeuInjector::~SeuInjector() = default;
 
 bool SeuInjector::gang_capable() const {
-  if (options_.gang_width < 2 || !design_->brams.empty() ||
-      !design_->dynamic_lut_sites.empty() || gang_unplannable_) {
-    return false;
-  }
-  if (!gang_) {
-    try {
-      gang_ = std::make_unique<GangSim>(*design_);
-    } catch (const EvalPlanError&) {
-      gang_unplannable_ = true;  // a configured combinational loop
-      return false;
-    }
-  }
-  return true;
+  return options_.gang_width >= 2 && baseline_->plan() != nullptr;
 }
 
 bool SeuInjector::gang_eligible(const BitAddress& addr) const {
@@ -90,6 +73,10 @@ std::vector<InjectionResult> SeuInjector::run_gang(
     for (const BitAddress& addr : addrs) out.push_back(inject(addr));
     return out;
   }
+  if (!gang_) {
+    gang_ = std::make_unique<GangSim>(*design_, baseline_->fabric(),
+                                      *baseline_->plan());
+  }
 
   GangSim::RunParams params;
   params.warmup_cycles = options_.warmup_cycles;
@@ -98,7 +85,7 @@ std::vector<InjectionResult> SeuInjector::run_gang(
   params.persistence_settle = options_.persistence_settle;
   params.persistence_check = options_.persistence_check;
   params.stim_seed = options_.stim_seed;
-  params.golden = &golden_;
+  params.golden = golden_;
 
   const std::size_t lanes_per_run =
       static_cast<std::size_t>(gang_->max_variants());
@@ -137,51 +124,9 @@ std::vector<InjectionResult> SeuInjector::run_gang(
   return out;
 }
 
-void SeuInjector::snapshot_observability() {
-  // A flip confined to tile T can only change T's own outputs and the wires
-  // T drives. An *inactive* tile (omux all zero, no routed pins, no live
-  // LUTs/FFs, no overrides) consumes nothing and forwards nothing, so a
-  // corrupted T whose whole neighbourhood is inactive has no path to any
-  // tap: its new wire values die at the first hop and nobody reads its
-  // outputs. Hence: observable(T) = active(T) or any 4-neighbour active,
-  // seeded with every harness attachment point so a constant-feeding tile
-  // that happens to decode inactive is never pruned.
-  const DeviceGeometry& geom = sim_.geometry();
-  observable_.assign(geom.tile_count(), 0);
-  for (u16 r = 0; r < geom.rows; ++r) {
-    for (u16 c = 0; c < geom.cols; ++c) {
-      bool obs = sim_.tile_active({r, c});
-      if (!obs && r > 0) obs = sim_.tile_active({static_cast<u16>(r - 1), c});
-      if (!obs && r + 1 < geom.rows)
-        obs = sim_.tile_active({static_cast<u16>(r + 1), c});
-      if (!obs && c > 0) obs = sim_.tile_active({r, static_cast<u16>(c - 1)});
-      if (!obs && c + 1 < geom.cols)
-        obs = sim_.tile_active({r, static_cast<u16>(c + 1)});
-      if (obs) observable_[geom.tile_index({r, c})] = 1;
-    }
-  }
-  auto seed = [&](TileCoord t) { observable_[geom.tile_index(t)] = 1; };
-  for (const DrivePoint& d : design_->input_drives) seed(d.tile);
-  for (const TapPoint& t : design_->output_taps) seed(t.tile);
-  for (const auto& ec : design_->external_consts) seed(ec.drive.tile);
-  for (const auto& b : design_->brams) {
-    for (std::size_t p = 0; p < b.input_taps.size(); ++p) {
-      if (p < b.input_tap_valid.size() && b.input_tap_valid[p]) {
-        seed(b.input_taps[p].tile);
-      }
-    }
-    for (std::size_t l = 0; l < b.dout_drives.size(); ++l) {
-      if (l < b.dout_drive_valid.size() && b.dout_drive_valid[l]) {
-        seed(b.dout_drives[l].tile);
-      }
-    }
-  }
-  // BRAM content/config bits matter only when the design binds a block.
-  bram_observable_ = !design_->brams.empty();
-}
-
 bool SeuInjector::bit_observable(const BitAddress& addr) const {
-  if (addr.frame.kind == ColumnKind::kBram) return bram_observable_;
+  // BRAM content/config bits matter only when the design binds a block.
+  if (addr.frame.kind == ColumnKind::kBram) return !design_->brams.empty();
   // Writing any frame that covers live SRL16/RAM16 cells clobbers their
   // shifting contents with stale baseline values (the §IV-A read-modify-
   // write hazard) — an effect of the *write*, not the flipped bit, and one
@@ -189,7 +134,7 @@ bool SeuInjector::bit_observable(const BitAddress& addr) const {
   if (frame_is_dynamic_masked(addr.frame)) return true;
   const ConfigSpace::TileRef ref = sim_.space().tile_ref_of(addr);
   if (!ref.valid) return false;  // padding slot: no hardware behind it
-  return observable_[sim_.geometry().tile_index(ref.tile)] != 0;
+  return (*observable_)[sim_.geometry().tile_index(ref.tile)] != 0;
 }
 
 SimTime modeled_injection_iteration_time(const PlacedDesign& design,
@@ -290,7 +235,7 @@ void SeuInjector::hermetic_reset() {
     // tiles would carry them into the next bit. Start over from the
     // configured fabric instead; the harness keeps its reference to sim_.
     residual_frames_.clear();
-    sim_ = configured_fabric(design_->space, design_->bitstream);
+    sim_ = baseline_->fabric();
     harness_.restart();
     sim_.clear_dirty_frames();
     return;
@@ -348,7 +293,7 @@ InjectionResult SeuInjector::inject(const BitAddress& addr) {
       harness_.step();
       if (t < compare_from) continue;
       const OutputWord& got = harness_.last_outputs();
-      const OutputWord& want = golden_[t];
+      const OutputWord& want = (*golden_)[t];
       if (!(got == want)) {
         result.output_error = true;
         result.first_error_cycle = t;
@@ -378,7 +323,7 @@ InjectionResult SeuInjector::inject(const BitAddress& addr) {
     const u64 check_until = settle_until + options_.persistence_check;
     while (harness_.cycle() < check_until) {
       harness_.step();
-      if (!(harness_.last_outputs() == golden_[harness_.cycle() - 1])) {
+      if (!(harness_.last_outputs() == (*golden_)[harness_.cycle() - 1])) {
         result.persistent = true;
         break;
       }

@@ -125,13 +125,19 @@ struct InjectionResult {
 SimTime modeled_injection_iteration_time(const PlacedDesign& design,
                                          const InjectionOptions& options);
 
-/// Drives injections against one fabric instance. Reusable across many bits;
-/// owns the fabric, harness and cached golden trace.
+class DesignBaseline;
 class GangSim;
 
+/// Drives injections against one fabric instance. Reusable across many bits;
+/// owns its fabric copy, harness and gang engine, and borrows the golden
+/// trace, observability map and eval plan from the design's DesignBaseline.
 class SeuInjector {
  public:
+  /// Borrows DesignBaseline::of(design).
   SeuInjector(const PlacedDesign& design, const InjectionOptions& options);
+  /// Borrows `baseline` and injects into its copy of the design.
+  SeuInjector(std::shared_ptr<const DesignBaseline> baseline,
+              const InjectionOptions& options);
   ~SeuInjector();
 
   /// Full injection loop for one configuration bit (Fig. 8): corrupt ->
@@ -139,9 +145,8 @@ class SeuInjector {
   InjectionResult inject(const BitAddress& addr);
 
   /// Whether this design supports gang evaluation at all with the current
-  /// options: no BRAM bindings, no legitimate dynamic LUT state, and a
-  /// golden cone that compiles to an eval plan (checked by building the
-  /// engine on first ask).
+  /// options: a gang width of at least 2 and a baseline eval plan (no BRAM
+  /// bindings, no legitimate dynamic LUT state, an acyclic golden cone).
   bool gang_capable() const;
   /// Whether `addr` may ride in a gang run. Bits the observability pruner
   /// would skip stay on the scalar path (which short-circuits them), as do
@@ -159,10 +164,12 @@ class SeuInjector {
   SimTime modeled_iteration_time() const;
 
   const PlacedDesign& design() const { return *design_; }
+  const DesignBaseline& baseline() const { return *baseline_; }
+  /// The effective options (DesignBaseline::effective).
   const InjectionOptions& options() const { return options_; }
   FabricSim& fabric() { return sim_; }
   DesignHarness& harness() { return harness_; }
-  const std::vector<OutputWord>& golden() const { return golden_; }
+  const std::vector<OutputWord>& golden() const { return *golden_; }
 
   /// Whether flipping `addr` could possibly change an observed output (see
   /// InjectionOptions::prune_unobservable for the argument).
@@ -175,29 +182,25 @@ class SeuInjector {
  private:
   bool frame_is_dynamic_masked(const FrameAddress& fa) const;
   void scrub_restore(const BitAddress& addr);
-  void snapshot_observability();
   void hermetic_reset();
 
+  std::shared_ptr<const DesignBaseline> baseline_;
   const PlacedDesign* design_;
   InjectionOptions options_;
   FabricSim sim_;
   DesignHarness harness_;
-  std::vector<OutputWord> golden_;
-  // Observability snapshot, taken right after configuration (before any
-  // corruption): per-tile "a flip here could reach a tap" flags.
-  std::vector<u8> observable_;
-  bool bram_observable_ = false;
+  const std::vector<OutputWord>* golden_;
+  const std::vector<u8>* observable_;  ///< DesignBaseline::observable()
   // Hermetic-reset baseline: FF state right after configuration + restart().
   std::vector<u8> ff_baseline_;
   // Frames scrub_restore() deliberately left diverged from the golden image
   // (live SRL/RAM16 contents, BRAM data written by the design's own ports);
   // hermetic_reset() reloads them before the next injection.
   std::vector<u32> residual_frames_;
-  // Lazily-constructed gang engine. Fully independent of sim_/harness_
-  // (it owns its own fabric), so scalar fallback re-runs are safe mid-batch.
-  // gang_unplannable_ records that the design's golden cone has no plan.
-  mutable std::unique_ptr<GangSim> gang_;
-  mutable bool gang_unplannable_ = false;
+  // Gang engine, built by the first run_gang(). Fully independent of
+  // sim_/harness_ (it owns its own fabric), so scalar fallback re-runs are
+  // safe mid-batch.
+  std::unique_ptr<GangSim> gang_;
   InjectionPhases phases_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
 
 #include "fabric/routing_model.h"
 
@@ -17,68 +16,7 @@ constexpr u32 kSrcOutput = FabricSim::kSrcOutput;
 constexpr u32 kSrcZero = FabricSim::kSrcZero;
 constexpr u32 kNoTile = FabricSim::kNoTile;
 
-bool same_geometry(const DeviceGeometry& a, const DeviceGeometry& b) {
-  return a.name == b.name && a.rows == b.rows && a.cols == b.cols &&
-         a.bram_columns == b.bram_columns &&
-         a.frame_pad_slots == b.frame_pad_slots;
-}
-
-/// FNV-1a over the geometry's dimensions and every frame word: the memo's
-/// bucket key (a hit is still confirmed by comparing the frames).
-u64 content_hash(const DeviceGeometry& geom, const Bitstream& bs) {
-  u64 h = 1469598103934665603ull;
-  const auto mix = [&h](u64 v) { h = (h ^ v) * 1099511628211ull; };
-  mix(geom.rows);
-  mix(geom.cols);
-  mix(geom.bram_columns);
-  mix(geom.frame_pad_slots);
-  for (u32 f = 0; f < bs.frame_count(); ++f) {
-    for (const u64 w : bs.frame(f).words()) mix(w);
-  }
-  return h;
-}
-
-struct ConfiguredEntry {
-  u64 hash = 0;
-  Bitstream bits;
-  FabricSim fabric;
-};
-
 }  // namespace
-
-FabricSim configured_fabric(const std::shared_ptr<const ConfigSpace>& space,
-                            const Bitstream& bs) {
-  static std::mutex memo_mutex;
-  static std::vector<std::shared_ptr<const ConfiguredEntry>> memo;
-  constexpr std::size_t kMaxConfiguredFabrics = 16;
-
-  const u64 hash = content_hash(space->geometry(), bs);
-  const auto matches = [&](const std::shared_ptr<const ConfiguredEntry>& e) {
-    return e->hash == hash &&
-           same_geometry(e->fabric.geometry(), space->geometry()) &&
-           e->bits == bs;
-  };
-  // Entries are immutable once published, so fabrics are copied (and
-  // built) outside the lock.
-  std::shared_ptr<const ConfiguredEntry> entry;
-  {
-    std::lock_guard lock(memo_mutex);
-    const auto it = std::find_if(memo.begin(), memo.end(), matches);
-    if (it != memo.end()) entry = *it;
-  }
-  if (entry == nullptr) {
-    FabricSim fabric(space);
-    fabric.full_configure(bs);
-    entry = std::make_shared<const ConfiguredEntry>(
-        ConfiguredEntry{hash, bs, std::move(fabric)});
-    std::lock_guard lock(memo_mutex);
-    if (memo.size() < kMaxConfiguredFabrics &&
-        std::none_of(memo.begin(), memo.end(), matches)) {
-      memo.push_back(entry);
-    }
-  }
-  return entry->fabric;
-}
 
 FabricSim::FabricSim(std::shared_ptr<const ConfigSpace> space,
                      const ArchVariants& variants)

@@ -280,17 +280,4 @@ class FabricSim {
   Rng corrupt_rng_{0xC0FFEE};  ///< deterministic readback-hazard corruption
 };
 
-/// A copy of the fabric that `FabricSim(space)` plus `full_configure(bs)`
-/// produces (baseline architecture), taken from a process-wide memo: that
-/// state is a pure function of the device geometry and the bitstream's
-/// content, and building it costs milliseconds where the copy costs a
-/// fraction of one. Entries are matched by content, never by address: the
-/// geometry must be equal and the frames identical, so a bitstream edited in
-/// place or a new design at a recycled address gets its own fabric. The memo
-/// is thread-safe, builds outside its lock and holds at most 16 fabrics;
-/// past that a request builds without inserting. Follow the copy with a
-/// harness restart(), as configure() would.
-FabricSim configured_fabric(const std::shared_ptr<const ConfigSpace>& space,
-                            const Bitstream& bs);
-
 }  // namespace vscrub

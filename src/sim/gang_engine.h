@@ -18,18 +18,21 @@ class GangEngineBase {
   virtual void run(const BitAddress* addrs, std::size_t count,
                    const GangSim::RunParams& p, GangSim::LaneResult* results,
                    GangSim::RunStats* stats) = 0;
-  virtual const EvalPlan& plan() const = 0;
 };
 
 // The portable engine: 256 lanes in four u64 limbs at the baseline ISA.
 namespace gang_scalar {
-std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design);
+std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design,
+                                            const FabricSim& configured,
+                                            const EvalPlan& plan);
 }  // namespace gang_scalar
 
 #if VSCRUB_HAVE_ISA_AVX512
 // The AVX-512 engine: 512 lanes, one vector per lane word.
 namespace gang_avx512 {
-std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design);
+std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design,
+                                            const FabricSim& configured,
+                                            const EvalPlan& plan);
 }  // namespace gang_avx512
 #endif
 

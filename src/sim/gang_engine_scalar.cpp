@@ -9,8 +9,10 @@ namespace gang_scalar {
 #include "sim/wide_word.inc"
 #include "sim/gang_engine.inc"
 
-std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design) {
-  return std::make_unique<GangEngine<4>>(design);
+std::unique_ptr<GangEngineBase> make_engine(const PlacedDesign& design,
+                                            const FabricSim& configured,
+                                            const EvalPlan& plan) {
+  return std::make_unique<GangEngine<4>>(design, configured, plan);
 }
 
 }  // namespace gang_scalar

@@ -6,20 +6,21 @@
 
 namespace vscrub {
 
-GangSim::GangSim(const PlacedDesign& design)
-    : isa_(resolve_simd_isa(SimdIsa::kAuto)), width_(gang_width_of(isa_)) {
+GangSim::GangSim(const PlacedDesign& design, const FabricSim& configured,
+                 const EvalPlan& plan)
+    : isa_(resolve_simd_isa(SimdIsa::kAuto)),
+      width_(gang_width_of(isa_)),
+      plan_(&plan) {
 #if VSCRUB_HAVE_ISA_AVX512
   if (isa_ == SimdIsa::kAvx512) {
-    engine_ = gang_avx512::make_engine(design);
+    engine_ = gang_avx512::make_engine(design, configured, plan);
     return;
   }
 #endif
-  engine_ = gang_scalar::make_engine(design);
+  engine_ = gang_scalar::make_engine(design, configured, plan);
 }
 
 GangSim::~GangSim() = default;
-
-const EvalPlan& GangSim::plan() const { return engine_->plan(); }
 
 void GangSim::run(const BitAddress* addrs, std::size_t count,
                   const RunParams& p, LaneResult* results, RunStats* stats) {

@@ -18,7 +18,9 @@
 // (see sim/simd.h). Both produce identical verdicts, which
 // tests/test_gang_wide asserts differentially. Golden combinational settles
 // run from an ahead-of-time compiled eval plan (sim/eval_plan.h); a design
-// whose golden cone does not compile to one is not gang-capable.
+// whose golden cone does not compile to one is not gang-capable. The plan and
+// the configured fabric (the engine's decode oracle is a copy) are built once
+// per design by seu/design_baseline.h.
 //
 // Early exit: once a lane's configuration is repaired (the persistence
 // phase), its state is a pure function of state the golden lane also holds —
@@ -75,10 +77,12 @@ class GangSim {
 
   /// Requires a BRAM-free design with no legitimate dynamic LUT state
   /// (flips may still *create* SRL16/RAM16 sites — those are modeled
-  /// per-lane). Runs the host's engine (resolve_simd_isa(kAuto)). Throws
-  /// EvalPlanError when the golden cone does not compile to a plan, and
-  /// SimdIsaError on an unusable VSCRUB_FORCE_ISA.
-  explicit GangSim(const PlacedDesign& design);
+  /// per-lane). `configured` is the fabric full_configure() gives and `plan`
+  /// its compiled golden cone, borrowed for the engine's lifetime. Runs the
+  /// host's engine (resolve_simd_isa(kAuto)); throws SimdIsaError on an
+  /// unusable VSCRUB_FORCE_ISA.
+  GangSim(const PlacedDesign& design, const FabricSim& configured,
+          const EvalPlan& plan);
   ~GangSim();
 
   /// Evaluates `count` (<= max_variants()) candidate bit flips against one
@@ -93,11 +97,12 @@ class GangSim {
   /// The SIMD tier executing.
   SimdIsa isa() const { return isa_; }
   /// The compiled golden eval plan the engine settles with.
-  const EvalPlan& plan() const;
+  const EvalPlan& plan() const { return *plan_; }
 
  private:
   SimdIsa isa_;
   u32 width_;
+  const EvalPlan* plan_;
   std::unique_ptr<GangEngineBase> engine_;
 };
 

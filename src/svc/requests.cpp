@@ -1,5 +1,6 @@
 #include "svc/requests.h"
 
+#include <charconv>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -8,7 +9,6 @@
 #include "designs/test_designs.h"
 #include "pnr/pnr.h"
 #include "radiation/environment.h"
-#include "seu/cache_key.h"
 #include "seu/report.h"
 #include "sim/simd.h"
 #include "store/verdict_store.h"
@@ -37,77 +37,49 @@ DeviceGeometry device_by_name(const std::string& name) {
   if (name == "xcv300") return device_xcv300ish();
   if (name == "xcv1000") return device_xcv1000ish();
   if (name.rfind("tiny:", 0) == 0) {
-    const auto x = name.find('x', 5);
-    VSCRUB_CHECK(x != std::string::npos, "tiny device format is tiny:RxC");
-    return device_tiny(static_cast<u16>(std::stoi(name.substr(5, x - 5))),
-                       static_cast<u16>(std::stoi(name.substr(x + 1))), 2);
+    // Device names come from clients: R and C are whole decimal fields (no
+    // sign, no trailing text) of at most the XCV1000's 64x96.
+    unsigned rows = 0, cols = 0;
+    const char* end = name.data() + name.size();
+    const auto r = std::from_chars(name.data() + 5, end, rows);
+    const bool has_x = r.ec == std::errc{} && r.ptr != end && *r.ptr == 'x';
+    const auto c = has_x ? std::from_chars(r.ptr + 1, end, cols) : r;
+    if (!has_x || c.ec != std::errc{} || c.ptr != end || rows > 64 ||
+        cols > 96) {
+      throw Error("bad device '" + name + "' (tiny:RxC, at most 64x96)");
+    }
+    return device_tiny(static_cast<u16>(rows), static_cast<u16>(cols), 2);
   }
   throw Error("unknown device '" + name + "' (see `vscrubctl devices`)");
 }
-
-namespace {
-
-/// One memo entry: a compiled design plus its cache-key plans, one per
-/// persistence setting, each built on first use under the entry's mutex (a
-/// concurrent request for the same plan waits for it rather than building
-/// its own).
-struct DesignMemoEntry {
-  std::shared_ptr<const PlacedDesign> design;
-  std::mutex plan_mutex;
-  std::shared_ptr<const CacheKeyPlan> plans[2];  ///< [persistence]
-};
-
-std::shared_ptr<const CacheKeyPlan> memoized_key_plan(DesignMemoEntry& entry,
-                                                      bool persistence) {
-  std::lock_guard lock(entry.plan_mutex);
-  std::shared_ptr<const CacheKeyPlan>& plan = entry.plans[persistence];
-  if (plan == nullptr) {
-    plan = std::make_shared<const CacheKeyPlan>(build_cache_key_plan(
-        *entry.design, InjectionOptions{}.with_persistence(persistence)));
-  }
-  return plan;
-}
-
-}  // namespace
 
 /// Compiled designs are pure functions of (design, device), and campaigns
 /// only ever read them (fault injection works on copies of the golden
 /// bitstream), so the daemon memoizes place-and-route process-wide: a warm
 /// served request pays a map lookup, not a compile. The cache is capped —
 /// parameterized `tiny:RxC` device names are unbounded — and overflow simply
-/// compiles without inserting (and without a plan).
-RequestDesign request_design(const std::string& design,
-                             const std::string& device,
-                             std::optional<bool> plan_persistence) {
+/// compiles without inserting.
+std::shared_ptr<const PlacedDesign> request_design(const std::string& design,
+                                                   const std::string& device) {
   static std::mutex cache_mutex;
   static std::map<std::pair<std::string, std::string>,
-                  std::shared_ptr<DesignMemoEntry>>
+                  std::shared_ptr<const PlacedDesign>>
       cache;
   constexpr std::size_t kMaxCachedDesigns = 16;
   const std::pair<std::string, std::string> key{design, device};
-  std::shared_ptr<DesignMemoEntry> entry;
   {
     std::lock_guard lock(cache_mutex);
-    if (const auto it = cache.find(key); it != cache.end()) entry = it->second;
+    if (const auto it = cache.find(key); it != cache.end()) return it->second;
   }
-  if (entry == nullptr) {
-    auto compiled = std::make_shared<DesignMemoEntry>();
-    compiled->design = std::make_shared<const PlacedDesign>(
-        compile(std::make_shared<const Netlist>(design_by_name(design)),
-                std::make_shared<const ConfigSpace>(device_by_name(device)),
-                {}));
-    std::lock_guard lock(cache_mutex);
-    if (cache.size() >= kMaxCachedDesigns && !cache.contains(key)) {
-      return {compiled->design, nullptr};
-    }
-    // A racing compile may have beaten us; share theirs.
-    entry = cache.emplace(key, std::move(compiled)).first->second;
+  auto compiled = std::make_shared<const PlacedDesign>(
+      compile(std::make_shared<const Netlist>(design_by_name(design)),
+              std::make_shared<const ConfigSpace>(device_by_name(device)), {}));
+  std::lock_guard lock(cache_mutex);
+  if (cache.size() >= kMaxCachedDesigns && !cache.contains(key)) {
+    return compiled;
   }
-  RequestDesign out{entry->design, nullptr};
-  if (plan_persistence.has_value()) {
-    out.key_plan = memoized_key_plan(*entry, *plan_persistence);
-  }
-  return out;
+  // A racing compile may have beaten us; share theirs.
+  return cache.emplace(key, std::move(compiled)).first->second;
 }
 
 CampaignOptions campaign_options_from(const FlatJson& params,
@@ -166,25 +138,18 @@ u32 served_gang_width_default() { return preferred_gang_width(); }
 
 namespace {
 
-/// A campaign or (`delta`) recampaign request on the memoized design, with
-/// the memoized key plan when the campaign will key verdicts (a store or
-/// remote tier is attached).
+/// A campaign or (`delta`) recampaign request on the memoized design.
 JsonReport run_campaign_request(const FlatJson& params,
                                 const RequestContext& ctx, bool delta) {
   VSCRUB_CHECK(!delta || ctx.store != nullptr,
                "recampaign requests need a server started with --cache-dir");
-  const bool keyed = ctx.store != nullptr || ctx.remote_store != nullptr;
-  const RequestDesign rd = request_design(
-      spec_string(params, Param::kDesign), spec_string(params, Param::kDevice),
-      keyed ? std::optional<bool>(spec_bool(params, Param::kPersistence))
-            : std::nullopt);
-  const CampaignOptions options =
-      campaign_options_from(params, ctx).with_key_plan(rd.key_plan.get());
+  const auto design = request_design(spec_string(params, Param::kDesign),
+                                     spec_string(params, Param::kDevice));
+  const CampaignOptions options = campaign_options_from(params, ctx);
   if (delta) {
-    return recampaign_report_json(*rd.design,
-                                  run_recampaign(*rd.design, options));
+    return recampaign_report_json(*design, run_recampaign(*design, options));
   }
-  return campaign_report_json(*rd.design, run_campaign(*rd.design, options));
+  return campaign_report_json(*design, run_campaign(*design, options));
 }
 
 /// The environment (scaled from the paper's XCV1000 rate to this device)
@@ -203,31 +168,25 @@ void apply_mission_params(const FlatJson& params, PayloadOptions& options,
   }
 }
 
-/// The mission and fleet design: lfsrmult on the request's device, with the
-/// memoized key plan when the sensitivity campaign keys verdicts (its
-/// injection options are the defaults, persistence off).
-RequestDesign mission_request_design(const FlatJson& params,
-                                     const RequestContext& ctx) {
-  return request_design(
-      "lfsrmult", spec_string(params, Param::kDevice),
-      ctx.store != nullptr ? std::optional<bool>(false) : std::nullopt);
+/// The mission and fleet design: lfsrmult on the request's device.
+std::shared_ptr<const PlacedDesign> mission_design(const FlatJson& params) {
+  return request_design("lfsrmult", spec_string(params, Param::kDevice));
 }
 
 /// The sensitivity campaign missions are judged against — shared pool and
 /// store, so concurrent mission requests for the same device reuse each
 /// other's verdicts instead of re-simulating the map.
-CampaignResult mission_sensitivity_campaign(const RequestDesign& rd,
+CampaignResult mission_sensitivity_campaign(const PlacedDesign& design,
                                             const RequestContext& ctx) {
   CampaignOptions copts;
   copts.sample_bits = 10000;
-  copts.with_key_plan(rd.key_plan.get());
   if (ctx.store != nullptr) copts.with_shared_store(ctx.store);
   if (ctx.pool != nullptr) copts.with_shared_pool(ctx.pool);
   const std::atomic<bool>* cancelled = ctx.cancelled;
   copts.with_progress([cancelled](const CampaignProgress&) {
     return cancelled == nullptr || !cancelled->load(std::memory_order_relaxed);
   });
-  return run_campaign(*rd.design, copts);
+  return run_campaign(design, copts);
 }
 
 JsonReport run_mission_request(const FlatJson& params,
@@ -251,9 +210,9 @@ JsonReport run_fleet_request(const FlatJson& params,
 
 MissionReport fly_mission(const FlatJson& params, const RequestContext& ctx,
                           PayloadOptions& options) {
-  const RequestDesign rd = mission_request_design(params, ctx);
-  const PlacedDesign& design = *rd.design;
-  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
+  const auto shared = mission_design(params);
+  const PlacedDesign& design = *shared;
+  const CampaignResult camp = mission_sensitivity_campaign(design, ctx);
   apply_mission_params(params, options, design.space->total_bits());
   const std::string policy = spec_string(params, Param::kScrubPolicy);
   if (!policy.empty()) options.scrub.policy = make_scrub_policy(policy);
@@ -264,9 +223,9 @@ MissionReport fly_mission(const FlatJson& params, const RequestContext& ctx,
 
 FleetRun fly_fleet(const FlatJson& params, const RequestContext& ctx,
                    u32 threads) {
-  const RequestDesign rd = mission_request_design(params, ctx);
-  const PlacedDesign& design = *rd.design;
-  const CampaignResult camp = mission_sensitivity_campaign(rd, ctx);
+  const auto shared = mission_design(params);
+  const PlacedDesign& design = *shared;
+  const CampaignResult camp = mission_sensitivity_campaign(design, ctx);
   FleetRun run;
   FleetOptions& options = run.options;
   options.missions = static_cast<u32>(spec_u64(params, Param::kMissions));

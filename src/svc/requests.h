@@ -9,7 +9,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "fabric/geometry.h"
@@ -21,7 +20,6 @@
 
 namespace vscrub {
 
-struct CacheKeyPlan;
 class VerdictStore;
 
 /// The built-in design generators by CLI name (lfsr, mult, vmult, counter,
@@ -29,27 +27,17 @@ class VerdictStore;
 Netlist design_by_name(const std::string& name);
 
 /// The device geometries by CLI name (campaign, xcv50, xcv100, xcv300,
-/// xcv1000, tiny:RxC). Throws Error on an unknown name.
+/// xcv1000, tiny:RxC). R and C are decimal digits only, at most the
+/// XCV1000's 64 rows and 96 columns, at least 4 each, and R a multiple of 4.
+/// Throws Error on an unknown or malformed name.
 DeviceGeometry device_by_name(const std::string& name);
 
-/// A served request's compiled design and, when asked for, its cache-key
-/// plan, both from the process-wide memo.
-struct RequestDesign {
-  std::shared_ptr<const PlacedDesign> design;
-  /// build_cache_key_plan(*design, InjectionOptions{}.with_persistence(p)):
-  /// requests vary no other verdict-affecting injection option. Null when
-  /// no plan was asked for, or when the memo was full (the campaign then
-  /// builds its own).
-  std::shared_ptr<const CacheKeyPlan> key_plan;
-};
-
-/// The compiled design for (design, device) — compiled once per process
-/// and memoized — plus, when `plan_persistence` is set, its cache-key plan
-/// for that persistence setting, built once per entry and shared by every
-/// later request. Throws Error on an unknown design or device name.
-RequestDesign request_design(const std::string& design,
-                             const std::string& device,
-                             std::optional<bool> plan_persistence = std::nullopt);
+/// The compiled design for (design, device), compiled once per process and
+/// memoized; its fixed products (golden trace, key plans, ...) come from its
+/// DesignBaseline (seu/design_baseline.h). Throws Error on an unknown design
+/// or device name.
+std::shared_ptr<const PlacedDesign> request_design(const std::string& design,
+                                                   const std::string& device);
 
 /// Everything a request executes against. All pointers are borrowed and may
 /// be null: a null store disables verdict caching (and fails recampaigns), a

@@ -78,8 +78,7 @@ struct Built {
 /// A served path: the worker compiles the request's design and device.
 Built served(const FlatJson& params) {
   return {request_design(spec_string(params, Param::kDesign),
-                         spec_string(params, Param::kDevice))
-              .design,
+                         spec_string(params, Param::kDevice)),
           campaign_options_from(params, RequestContext{}), params};
 }
 

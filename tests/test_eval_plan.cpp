@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/vscrub.h"
+#include "seu/design_baseline.h"
 #include "sim/eval_plan.h"
-#include "sim/gang_sim.h"
 #include "svc/requests.h"
 
 using namespace vscrub;
@@ -163,9 +163,9 @@ TEST(EvalPlan, GangCapableDesignsFoldEveryConstantLutInput) {
   // constant zero: an undriven-source wire.)
   for (const char* name : {"lfsr", "mult", "vmult", "counter", "multadd",
                            "lfsrmult", "selfcheck"}) {
-    const RequestDesign rd = request_design(name, "campaign");
-    const GangSim gang(*rd.design);
-    const EvalPlan& plan = gang.plan();
+    const auto baseline = DesignBaseline::of(*request_design(name, "campaign"));
+    ASSERT_NE(baseline->plan(), nullptr) << name;
+    const EvalPlan& plan = *baseline->plan();
     std::size_t luts = 0;
     for (const EvalPlan::Op& op : plan.ops) {
       if (op.kind != EvalPlan::OpKind::kLut) continue;

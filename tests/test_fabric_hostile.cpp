@@ -504,7 +504,7 @@ TEST(RemoteTier, OneLookupAnswersExactFallbackAndMissAndFeedsTheLocalStore) {
   {
     ServerBox hub(cfg);
     const std::shared_ptr<const PlacedDesign> design =
-        request_design("lfsrmult", "campaign").design;
+        request_design("lfsrmult", "campaign");
     CampaignOptions opts =
         CampaignOptions{}.with_sample(8000, 41).with_threads(1);
     opts.with_range(0, 3);
@@ -605,7 +605,7 @@ TEST(RemoteTier, HubBackedCampaignIsPerBitIdenticalIncludingFallbackVerdicts) {
   {
     ServerBox hub(cfg);
     const std::shared_ptr<const PlacedDesign> design =
-        request_design("lfsrmult", "campaign").design;
+        request_design("lfsrmult", "campaign");
     const CampaignOptions opts =
         CampaignOptions{}.with_sample(8000, 41).with_threads(2);
     const CampaignResult one_shot = run_campaign(*design, opts);

@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "core/vscrub.h"
-#include "sim/eval_plan.h"
-#include "sim/gang_sim.h"
+#include "seu/design_baseline.h"
 
 using namespace vscrub;
 
@@ -136,7 +135,7 @@ TEST(GangInjection, DesignsWithoutAnEvalPlanRunScalar) {
   PlacedDesign design = compile(loop_netlist(true), device_tiny(4, 6));
   design.netlist = std::make_shared<const Netlist>(loop_netlist(false));
 
-  EXPECT_THROW(GangSim{design}, EvalPlanError);
+  EXPECT_EQ(DesignBaseline::of(design)->plan(), nullptr);
   SeuInjector inj(design, InjectionOptions{});
   EXPECT_FALSE(inj.gang_capable());
 

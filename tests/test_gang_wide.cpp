@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/vscrub.h"
+#include "seu/design_baseline.h"
 #include "sim/gang_sim.h"
 #include "svc/requests.h"
 
@@ -198,7 +199,7 @@ TEST(GangWide, AutoChunksMatchSmallChunksPerBitAndFillTheGangs) {
                     .with_chunk_size(chunk)
                     .with_injection(InjectionOptions{}));
   };
-  const PlacedDesign& mult = *request_design("mult", "campaign").design;
+  const PlacedDesign& mult = *request_design("mult", "campaign");
   for (u64 seed = 1; seed <= 3; ++seed) {
     const std::string tag = "mult 8000 seed " + std::to_string(seed);
     const CampaignResult small = run(mult, 8000, seed, 64);
@@ -214,7 +215,7 @@ TEST(GangWide, AutoChunksMatchSmallChunksPerBitAndFillTheGangs) {
   }
   for (const char* name :
        {"lfsrmult", "mult", "multadd", "vmult", "selfcheck", "lfsr"}) {
-    const PlacedDesign& design = *request_design(name, "campaign").design;
+    const PlacedDesign& design = *request_design(name, "campaign");
     expect_same_verdict_map(run(design, 2000, 1, 64), run(design, 2000, 1, 0),
                             std::string(name) + " 2000 seed 1");
   }
@@ -231,7 +232,8 @@ TEST(GangWide, WidthFollowsTheHostTier) {
   EXPECT_EQ(served_gang_width_default(), preferred_gang_width());
 
   const auto design = compile(designs::counter_adder(4), device_tiny(4, 6));
-  GangSim sim(design);
+  const auto baseline = DesignBaseline::of(design);
+  GangSim sim(design, baseline->fabric(), *baseline->plan());
   EXPECT_EQ(sim.isa(), isa);
   EXPECT_EQ(sim.width(), preferred_gang_width());
   EXPECT_EQ(sim.max_variants(), static_cast<int>(sim.width()) - 1);
@@ -261,9 +263,13 @@ TEST(GangWide, UnsupportedWidthsRaiseTypedErrorsListingTheLegalOnes) {
 
 TEST(GangWide, ForceIsaEnvironmentOverridePinsAutoDispatch) {
   const auto design = compile(designs::counter_adder(4), device_tiny(4, 6));
+  const auto baseline = DesignBaseline::of(design);
+  const auto engine = [&] {
+    return GangSim(design, baseline->fabric(), *baseline->plan());
+  };
   {
     ScopedEnv force("VSCRUB_FORCE_ISA", "scalar");
-    GangSim sim(design);
+    const GangSim sim = engine();
     EXPECT_EQ(sim.isa(), SimdIsa::kScalar);
     EXPECT_EQ(sim.width(), 256u);
     EXPECT_EQ(preferred_gang_width(), 256u);
@@ -272,7 +278,7 @@ TEST(GangWide, ForceIsaEnvironmentOverridePinsAutoDispatch) {
   }
   for (const char* junk : {"not-an-isa", "avx2"}) {
     ScopedEnv force("VSCRUB_FORCE_ISA", junk);
-    EXPECT_THROW(GangSim{design}, SimdIsaError) << junk;
+    EXPECT_THROW(engine(), SimdIsaError) << junk;
     try {
       (void)preferred_gang_width();
       FAIL() << junk << " accepted";

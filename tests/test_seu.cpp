@@ -11,6 +11,8 @@
 #include "designs/test_designs.h"
 #include "pnr/pnr.h"
 #include "seu/campaign.h"
+#include "seu/design_baseline.h"
+#include "sim/gang_sim.h"
 #include "sim/harness.h"
 #include "svc/partition.h"
 #include "svc/requests.h"
@@ -256,7 +258,7 @@ TEST(Campaign, NormalizedSensitivityIsSizeInvariant) {
   EXPECT_LT(ratio, 1.6);
 }
 
-// ---- configured_fabric(): the per-process memo of configured fabrics ----
+// ---- DesignBaseline: a design's fixed products, built once per process ----
 
 /// Asserts two fabrics agree in every value and structure array: outputs,
 /// wires, FFs, half-latches, BRAM output registers, pin and wire sources and
@@ -317,8 +319,7 @@ void expect_same_fabric(const FabricSim& a, const FabricSim& b,
   }
 }
 
-/// What the memo's consumers did before it existed: a new fabric,
-/// full_configure() and a harness restart.
+/// A new fabric, full_configure() and a harness restart.
 FabricSim freshly_configured(const PlacedDesign& design) {
   FabricSim sim(design.space);
   DesignHarness harness(design, sim);
@@ -326,9 +327,10 @@ FabricSim freshly_configured(const PlacedDesign& design) {
   return sim;
 }
 
-/// The memo's copy plus a harness restart, as the consumers now do it.
-FabricSim memo_configured(const PlacedDesign& design) {
-  FabricSim sim = configured_fabric(design.space, design.bitstream);
+/// The baseline's fabric copied plus a harness restart, as its borrowers
+/// (the injector, the gang engine's decode oracle) do it.
+FabricSim baseline_configured(const PlacedDesign& design) {
+  FabricSim sim = DesignBaseline::of(design)->fabric();
   DesignHarness harness(design, sim);
   harness.restart();
   return sim;
@@ -340,14 +342,15 @@ TEST(ConfiguredFabric, CopyPlusRestartEqualsFreshConfigure) {
                              "lfsrmult", "fir", "selfcheck", "bram"}) {
       const std::string context = std::string(name) + " on " + device;
       if (context == "bram on campaign") continue;  // the device has no BRAM
-      const auto design = request_design(name, device).design;
+      const auto design = request_design(name, device);
       const FabricSim fresh = freshly_configured(*design);
       // The first call may build the entry, the second must hit it; both
       // must equal the fresh fabric.
-      expect_same_fabric(memo_configured(*design), fresh, context);
-      expect_same_fabric(memo_configured(*design), fresh, context + " (warm)");
+      expect_same_fabric(baseline_configured(*design), fresh, context);
+      expect_same_fabric(baseline_configured(*design), fresh,
+                         context + " (warm)");
       // And they keep agreeing once the design runs.
-      FabricSim a = memo_configured(*design);
+      FabricSim a = baseline_configured(*design);
       FabricSim b = freshly_configured(*design);
       DesignHarness ha(*design, a), hb(*design, b);
       ha.restart();
@@ -364,14 +367,14 @@ TEST(ConfiguredFabric, CopyPlusRestartEqualsFreshConfigure) {
 
 TEST(ConfiguredFabric, EditedBitstreamsAndRecycledAddressesGetFreshFabrics) {
   PlacedDesign design = compile(designs::counter_adder(4), device_tiny(8, 8));
-  const FabricSim before = memo_configured(design);
+  const FabricSim before = baseline_configured(design);
 
   // Flip a LUT truth bit of the bitstream in place: same object, same
   // address, new content.
   const BitAddress addr = design.space->address_of(
       TileCoord{1, 1}, ConfigSpace::tile_bit_of_field(FieldKind::kLutTruth, 0));
   design.bitstream.flip_bit(addr);
-  const FabricSim edited = memo_configured(design);
+  const FabricSim edited = baseline_configured(design);
   expect_same_fabric(edited, freshly_configured(design), "edited");
   const u32 t = design.space->geometry().tile_index(TileCoord{1, 1});
   EXPECT_NE(edited.tile_state(t).lut_cells[0],
@@ -379,17 +382,17 @@ TEST(ConfiguredFabric, EditedBitstreamsAndRecycledAddressesGetFreshFabrics) {
 
   // Flipping it back finds the original content again.
   design.bitstream.flip_bit(addr);
-  expect_same_fabric(memo_configured(design), before, "restored");
+  expect_same_fabric(baseline_configured(design), before, "restored");
 
   // A different design compiled onto the same device, very likely at the
   // address the first one just vacated.
   auto first = std::make_unique<PlacedDesign>(
       compile(designs::lfsr_cluster(2), device_tiny(8, 12)));
-  const FabricSim first_fabric = memo_configured(*first);
+  const FabricSim first_fabric = baseline_configured(*first);
   first.reset();
   auto second = std::make_unique<PlacedDesign>(
       compile(designs::mult_tree(4), device_tiny(8, 12)));
-  const FabricSim second_fabric = memo_configured(*second);
+  const FabricSim second_fabric = baseline_configured(*second);
   expect_same_fabric(second_fabric, freshly_configured(*second), "recycled");
   bool differs = false;
   for (u32 i = 0; i < second->space->geometry().tile_count() && !differs; ++i) {
@@ -400,24 +403,186 @@ TEST(ConfiguredFabric, EditedBitstreamsAndRecycledAddressesGetFreshFabrics) {
   EXPECT_TRUE(differs) << "the two designs configure identical LUTs";
 }
 
+TEST(ConfiguredFabric, NetlistsDifferingUnderAnEqualBitstreamGetTheirOwnEntry) {
+  // The golden trace comes from the netlist, so an AND gate and an OR gate
+  // sharing one bitstream and harness must not share a baseline.
+  const auto gate = [](u16 truth) {
+    Netlist nl("gate");
+    const NetId a = nl.add_input("a");
+    const NetId b = nl.add_input("b");
+    nl.add_output("o", nl.add_lut(truth, {a, b}));
+    return nl;
+  };
+  const PlacedDesign and_gate = compile(gate(0x8), device_tiny(4, 6));
+  PlacedDesign or_netlist = and_gate;
+  or_netlist.netlist = std::make_shared<const Netlist>(gate(0xE));
+  const auto a = DesignBaseline::of(and_gate);
+  const auto b = DesignBaseline::of(or_netlist);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_NE(a->golden({}), b->golden({}));
+  EXPECT_EQ(a->golden({}), DesignHarness::reference_trace(
+                               *and_gate.netlist, a->golden({}).size()));
+  expect_same_fabric(a->fabric(), b->fabric(), "equal bitstreams");
+}
+
 TEST(ConfiguredFabric, ConcurrentRequestsGetEqualFabrics) {
   const PlacedDesign design =
       compile(designs::lfsr_cluster(2), device_tiny(8, 16));
+  // Whether or not the memo has room for it, this entry's products are
+  // built once: every asker below waits for the one build of each.
+  const auto shared = DesignBaseline::of(design);
   constexpr int kThreads = 8;
   std::vector<std::optional<FabricSim>> got(kThreads);
+  std::vector<const EvalPlan*> plans(kThreads);
+  std::vector<const CacheKeyPlan*> key_plans(kThreads);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&design, &got, i] {
-      got[static_cast<std::size_t>(i)].emplace(
-          configured_fabric(design.space, design.bitstream));
+    threads.emplace_back([&, i] {
+      const auto at = static_cast<std::size_t>(i);
+      got[at].emplace(DesignBaseline::of(design)->fabric());
+      plans[at] = shared->plan();
+      key_plans[at] = &shared->key_plan({});
     });
   }
   for (std::thread& th : threads) th.join();
   FabricSim fresh(design.space);
   fresh.full_configure(design.bitstream);
+  ASSERT_NE(plans[0], nullptr);
   for (int i = 0; i < kThreads; ++i) {
-    expect_same_fabric(*got[static_cast<std::size_t>(i)], fresh,
-                       "thread " + std::to_string(i));
+    const auto at = static_cast<std::size_t>(i);
+    expect_same_fabric(*got[at], fresh, "thread " + std::to_string(i));
+    EXPECT_EQ(plans[at], plans[0]) << "thread " << i;
+    EXPECT_EQ(key_plans[at], key_plans[0]) << "thread " << i;
+  }
+}
+
+TEST(DesignBaseline, InjectorsOnOneDesignRunOnePlanAndOneTrace) {
+  const PlacedDesign design =
+      compile(designs::mult_tree(4), device_tiny(8, 12));
+  const auto baseline = DesignBaseline::of(design);
+  SeuInjector a(baseline, {});
+  SeuInjector b(baseline, {});
+  ASSERT_TRUE(a.gang_capable());
+  ASSERT_TRUE(b.gang_capable());
+  EXPECT_EQ(&a.baseline(), &b.baseline());
+  EXPECT_EQ(&a.golden(), &b.golden());
+  EXPECT_EQ(&a.golden(), &baseline->golden({}));
+  EXPECT_EQ(&baseline->observable(), &baseline->observable());
+
+  // The plan is built once, and an engine borrows it rather than compiling
+  // its own: each injector builds its engine exactly like this one.
+  const EvalPlan* plan = baseline->plan();
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(baseline->plan(), plan);
+  const GangSim engine(baseline->design(), baseline->fabric(), *plan);
+  EXPECT_EQ(&engine.plan(), plan);
+
+  // Both injectors' engines give the scalar loop's verdicts.
+  std::vector<BitAddress> bits;
+  for (u64 linear = 0; bits.size() < 64 && linear < design.space->total_bits();
+       linear += 97) {
+    const BitAddress addr = design.space->address_of_linear(linear);
+    if (a.gang_eligible(addr)) bits.push_back(addr);
+  }
+  ASSERT_EQ(bits.size(), 64u);
+  const std::vector<InjectionResult> ra = a.run_gang(bits);
+  const std::vector<InjectionResult> rb = b.run_gang(bits);
+  EXPECT_GT(a.phases().gang_runs, 0u);
+  SeuInjector scalar(baseline, InjectionOptions{}.with_gang_width(1));
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    const InjectionResult want = scalar.inject(bits[i]);
+    EXPECT_EQ(ra[i].output_error, want.output_error) << i;
+    EXPECT_EQ(rb[i].output_error, want.output_error) << i;
+    EXPECT_EQ(ra[i].first_error_cycle, want.first_error_cycle) << i;
+    EXPECT_EQ(rb[i].first_error_cycle, want.first_error_cycle) << i;
+  }
+}
+
+TEST(DesignBaseline, EachVerdictOptionSetGetsItsOwnTraceAndKeyPlan) {
+  const auto baseline = DesignBaseline::of(
+      compile(designs::mult_tree(4), device_tiny(8, 12)));
+  const InjectionOptions plain;
+  const InjectionOptions reseeded =
+      InjectionOptions{}.with_stim_seed(plain.stim_seed + 1);
+  const InjectionOptions persistent =
+      InjectionOptions{}.with_persistence_window(32, 16);
+
+  // Built once per option set: every ask returns the same objects, also for
+  // options no verdict depends on and for a warmup the design shrinks to the
+  // same effective count.
+  const std::vector<OutputWord>& golden = baseline->golden(plain);
+  const CacheKeyPlan& plan = baseline->key_plan(plain);
+  for (const InjectionOptions& same :
+       {plain, InjectionOptions{}.with_gang_width(1).with_pruning(false),
+        InjectionOptions{}.with_warmup_cycles(40)}) {
+    EXPECT_EQ(&baseline->golden(same), &golden);
+    EXPECT_EQ(&baseline->key_plan(same), &plan);
+  }
+  EXPECT_EQ(golden.size(), baseline->effective(plain).warmup_cycles +
+                               std::size_t{plain.observe_cycles});
+
+  // Same bitstream, other stimulus seed: its own trace and plan.
+  EXPECT_NE(&baseline->golden(reseeded), &golden);
+  EXPECT_NE(&baseline->key_plan(reseeded), &plan);
+  EXPECT_NE(baseline->golden(reseeded), golden);
+  EXPECT_EQ(baseline->golden(reseeded),
+            DesignHarness::reference_trace(*baseline->design().netlist,
+                                           golden.size(), reseeded.stim_seed));
+  EXPECT_NE(baseline->key_plan(reseeded).stimulus_hash, plan.stimulus_hash);
+  EXPECT_EQ(baseline->key_plan(reseeded).arch_fingerprint,
+            plan.arch_fingerprint);
+
+  // Other persistence window: a longer trace and another fingerprint.
+  EXPECT_NE(&baseline->golden(persistent), &golden);
+  EXPECT_EQ(baseline->golden(persistent).size(), golden.size() + 48);
+  EXPECT_NE(baseline->key_plan(persistent).arch_fingerprint,
+            plan.arch_fingerprint);
+  EXPECT_EQ(baseline->key_plan(persistent).frame_hashes, plan.frame_hashes);
+  EXPECT_FALSE(baseline->baseline_oscillates(persistent));
+}
+
+/// FNV-1a, byte by byte, over a key plan's per-tile influence hashes.
+u64 influence_fold(const CacheKeyPlan& plan) {
+  u64 h = 0xCBF29CE484222325ULL;
+  for (const u64 v : plan.tile_influence) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(DesignBaseline, KeyPlansArePinned) {
+  // Taken before the key plan moved into the baseline. Stored verdicts are
+  // found by these keys, so a drift must fail here rather than turn every
+  // warm store cold.
+  struct Pin {
+    const char* design;
+    bool persistence;
+    u64 arch_fingerprint, stimulus_hash, whole_design_hash, influence;
+  };
+  const Pin pins[] = {
+      {"mult", false, 3163359013673541823ull, 9957998893996728456ull,
+       2569855570608884046ull, 13937109161420166901ull},
+      {"mult", true, 9789511132576982494ull, 16442422310098038328ull,
+       2569855570608884046ull, 13937109161420166901ull},
+      {"lfsrmult", false, 3163359013673541823ull, 2304149618532674557ull,
+       7956173619229723788ull, 7974822877112803515ull},
+      {"lfsrmult", true, 9789511132576982494ull, 4870077252301756485ull,
+       7956173619229723788ull, 7974822877112803515ull},
+  };
+  for (const Pin& pin : pins) {
+    const std::string context =
+        std::string(pin.design) + (pin.persistence ? " persistence" : "");
+    const CacheKeyPlan plan = build_cache_key_plan(
+        *request_design(pin.design, "campaign"),
+        InjectionOptions{}.with_persistence(pin.persistence));
+    EXPECT_EQ(plan.arch_fingerprint, pin.arch_fingerprint) << context;
+    EXPECT_EQ(plan.stimulus_hash, pin.stimulus_hash) << context;
+    EXPECT_EQ(plan.whole_design_hash, pin.whole_design_hash) << context;
+    EXPECT_FALSE(plan.whole_design_influence) << context;
+    EXPECT_EQ(influence_fold(plan), pin.influence) << context;
   }
 }
 

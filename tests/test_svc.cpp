@@ -18,6 +18,7 @@
 #include "core/cli.h"
 #include "core/vscrub.h"
 #include "seu/cache_key.h"
+#include "seu/design_baseline.h"
 #include "sim/simd.h"
 #include "store/verdict_store.h"
 #include "svc/client.h"
@@ -1067,12 +1068,11 @@ TEST(ServiceSessionApi, WaitForTimesOutWithoutConsumingTheJob) {
 }
 
 // ---------------------------------------------------------------------------
-// The key-plan memo: one cache-key plan per (design, device, persistence)
+// The key-plan memo: one cache-key plan per design baseline and persistence
 // ---------------------------------------------------------------------------
 
 void expect_same_plan(const CacheKeyPlan& want, const CacheKeyPlan& got) {
   EXPECT_EQ(want.arch_fingerprint, got.arch_fingerprint);
-  EXPECT_EQ(want.design_identity, got.design_identity);
   EXPECT_EQ(want.stimulus_hash, got.stimulus_hash);
   EXPECT_EQ(want.frame_hashes, got.frame_hashes);
   EXPECT_EQ(want.tile_influence, got.tile_influence);
@@ -1081,88 +1081,92 @@ void expect_same_plan(const CacheKeyPlan& want, const CacheKeyPlan& got) {
 }
 
 TEST(KeyPlanMemo, MemoizedPlanEqualsAFreshBuildAndIsSharedPerPersistence) {
-  const RequestDesign plain = request_design("mult", "campaign", false);
-  ASSERT_NE(plain.key_plan, nullptr);
-  expect_same_plan(
-      build_cache_key_plan(*plain.design,
-                           InjectionOptions{}.with_persistence(false)),
-      *plain.key_plan);
+  const auto design = request_design("mult", "campaign");
+  const auto baseline = DesignBaseline::of(*design);
+  const CacheKeyPlan& plain =
+      baseline->key_plan(InjectionOptions{}.with_persistence(false));
 
-  // A later request for the same (design, device, persistence) gets the
-  // same compiled design and the same plan object, not a rebuild.
-  const RequestDesign again = request_design("mult", "campaign", false);
-  EXPECT_EQ(again.design, plain.design);
-  EXPECT_EQ(again.key_plan, plain.key_plan);
+  // The same design compiled again is found by content: the same baseline
+  // and the same plan object, not a rebuild.
+  const PlacedDesign recompiled =
+      compile(design_by_name("mult"), device_by_name("campaign"));
+  const auto again = DesignBaseline::of(recompiled);
+  EXPECT_EQ(again.get(), baseline.get());
+  EXPECT_EQ(&again->key_plan(InjectionOptions{}), &plain);
+  expect_same_plan(build_cache_key_plan(recompiled, {}), plain);
 
   // Persistence changes the arch fingerprint: its own plan, built once.
-  const RequestDesign persistent = request_design("mult", "campaign", true);
-  ASSERT_NE(persistent.key_plan, nullptr);
-  EXPECT_EQ(persistent.design, plain.design);
-  EXPECT_NE(persistent.key_plan, plain.key_plan);
-  EXPECT_NE(persistent.key_plan->arch_fingerprint,
-            plain.key_plan->arch_fingerprint);
-  expect_same_plan(
-      build_cache_key_plan(*plain.design,
-                           InjectionOptions{}.with_persistence(true)),
-      *persistent.key_plan);
-  EXPECT_EQ(request_design("mult", "campaign", true).key_plan,
-            persistent.key_plan);
+  const CacheKeyPlan& persistent =
+      baseline->key_plan(InjectionOptions{}.with_persistence(true));
+  EXPECT_NE(&persistent, &plain);
+  EXPECT_NE(persistent.arch_fingerprint, plain.arch_fingerprint);
+  EXPECT_EQ(&again->key_plan(InjectionOptions{}.with_persistence(true)),
+            &persistent);
+  expect_same_plan(build_cache_key_plan(
+                       recompiled, InjectionOptions{}.with_persistence(true)),
+                   persistent);
 
-  // No plan unless one is asked for.
-  EXPECT_EQ(request_design("mult", "campaign").key_plan, nullptr);
+  // The served memo still compiles a (design, device) once.
+  EXPECT_EQ(request_design("mult", "campaign"), design);
 }
 
-TEST(KeyPlanMemo, CampaignWithTheMemoizedPlanMatchesItsOwnPlan) {
-  const RequestDesign rd = request_design("lfsrmult", "campaign", false);
-  const auto run = [&](const CacheKeyPlan* plan, const char* name) {
+TEST(KeyPlanMemo, CampaignOnARecompiledDesignMatchesTheMemoizedOne) {
+  const auto memoized = request_design("lfsrmult", "campaign");
+  const PlacedDesign recompiled =
+      compile(design_by_name("lfsrmult"), device_by_name("campaign"));
+  const auto run = [&](const PlacedDesign& design, const char* name) {
     const std::string dir = fresh_dir(name);
-    const CampaignResult r = run_campaign(*rd.design, CampaignOptions{}
-                                                          .with_sample(1500, 5)
-                                                          .with_cache(dir)
-                                                          .with_key_plan(plan));
+    const CampaignResult r = run_campaign(
+        design, CampaignOptions{}.with_sample(1500, 5).with_cache(dir));
     std::filesystem::remove_all(dir);
     return r;
   };
-  const CampaignResult own = run(nullptr, "plan_own");
-  const CampaignResult memo = run(rd.key_plan.get(), "plan_memo");
-  EXPECT_EQ(memo.sensitive_digest(*rd.design), own.sensitive_digest(*rd.design));
+  const CampaignResult memo = run(*memoized, "plan_memo");
+  const CampaignResult own = run(recompiled, "plan_own");
+  EXPECT_EQ(memo.sensitive_digest(*memoized),
+            own.sensitive_digest(recompiled));
   EXPECT_EQ(memo.failures, own.failures);
   EXPECT_EQ(memo.cache_stores, own.cache_stores);
 }
 
-TEST(KeyPlanMemo, MismatchedPlanIsATypedErrorNotACampaign) {
-  const RequestDesign mult = request_design("mult", "campaign", false);
-  const RequestDesign lfsrmult = request_design("lfsrmult", "campaign", false);
-  const std::string dir = fresh_dir("plan_mismatch");
-  const auto options = [&](const CacheKeyPlan* plan, bool persistence) {
-    return CampaignOptions{}
-        .with_sample(200, 3)
-        .with_cache(dir)
-        .with_key_plan(plan)
-        .with_injection(InjectionOptions{}.with_persistence(persistence));
-  };
-  // Another design's plan.
-  EXPECT_THROW(run_campaign(*lfsrmult.design, options(mult.key_plan.get(), false)),
-               KeyPlanMismatchError);
-  // The right design, other injection options.
-  EXPECT_THROW(run_campaign(*mult.design, options(mult.key_plan.get(), true)),
-               KeyPlanMismatchError);
-  // Another stimulus seed.
-  CampaignOptions reseeded = options(mult.key_plan.get(), false);
-  reseeded.injection.stim_seed += 1;
-  EXPECT_THROW(run_campaign(*mult.design, reseeded), KeyPlanMismatchError);
-  // Checked even when no store would read the plan.
-  EXPECT_THROW(run_campaign(*lfsrmult.design,
-                            CampaignOptions{}.with_sample(200, 3).with_key_plan(
-                                mult.key_plan.get())),
-               KeyPlanMismatchError);
-  // Nothing ran: no store was opened, no manifest written.
-  EXPECT_FALSE(std::filesystem::exists(dir));
-  // The matching plan runs.
-  EXPECT_EQ(run_campaign(*mult.design, options(mult.key_plan.get(), false))
-                .injections,
-            200u);
-  std::filesystem::remove_all(dir);
+// ---------------------------------------------------------------------------
+// Device names from clients
+// ---------------------------------------------------------------------------
+
+TEST(DeviceNames, TinyDimensionsParseStrictly) {
+  const DeviceGeometry ok = device_by_name("tiny:8x16");
+  EXPECT_EQ(ok.rows, 8);
+  EXPECT_EQ(ok.cols, 16);
+  const DeviceGeometry largest = device_by_name("tiny:64x96");
+  EXPECT_EQ(largest.rows, 64);
+  EXPECT_EQ(largest.cols, 96);
+  // Wrapping (65540 is 4 mod 65536), trailing junk, a sign, a missing
+  // field, a field past the XCV1000's 64x96, and the geometry rules.
+  for (const char* bad :
+       {"tiny:65540x16", "tiny:8x16junk", "tiny:-4x8", "tiny:x8", "tiny:8x",
+        "tiny:8", "tiny:+8x16", "tiny: 8x16", "tiny:68x16", "tiny:8x100",
+        "tiny:6x10", "tiny:0x8", "tiny:8x2"}) {
+    EXPECT_THROW(device_by_name(bad), Error) << bad;
+  }
+
+  ServiceConfig config;
+  config.executors = 1;
+  config.pool_threads = 2;
+  CampaignService svc(config);
+  u64 id = 40;
+  for (const char* bad : {"tiny:65540x16", "tiny:8x16junk", "tiny:-4x8",
+                          "tiny:x8"}) {
+    FrameLog log;
+    svc.handle({FrameKind::kCampaign, ++id,
+                std::string(R"({"design": "lfsr", "device": ")") + bad +
+                    R"(", "sample": 100})"},
+               log.emit());
+    const Frame reply = log.wait_terminal();
+    EXPECT_EQ(reply.kind, FrameKind::kError) << bad;
+    EXPECT_NE(FlatJson::parse(reply.payload).get_string("error").find(bad),
+              std::string::npos)
+        << reply.payload;
+  }
 }
 
 }  // namespace
