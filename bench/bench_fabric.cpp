@@ -26,13 +26,13 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "svc/client.h"
 #include "svc/config.h"
 #include "svc/fabric.h"
 #include "svc/partition.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
 #include "svc/service.h"
+#include "svc/session.h"
 
 namespace vscrub::bench {
 namespace {
@@ -112,8 +112,6 @@ ServiceConfig worker_config(int index) {
   std::filesystem::remove(config.socket_path);
   config.executors = 1;
   config.pool_threads = 1;  // serial worker: the sweep measures the fabric
-  config.spool_dir = kPrefix + std::to_string(index) + ".spool";
-  std::filesystem::remove_all(config.spool_dir);
   return config;
 }
 
@@ -152,7 +150,7 @@ void run_report() {
 
   // Ground truth and serial baseline in one: the campaign served one-shot
   // by a single single-threaded worker.
-  ServiceClient client = ServiceClient::connect_unix(sockets[0]);
+  ServiceSession client = ServiceSession::connect_unix(sockets[0]);
   const auto one_shot_start = std::chrono::steady_clock::now();
   const Frame one_shot =
       client.call(FrameKind::kCampaign, campaign_payload(sample));
@@ -273,9 +271,6 @@ void run_report() {
   json.write(bench_json_path("BENCH_fabric.json"));
   std::printf("\n");
 
-  for (int i = 0; i < 5; ++i) {
-    std::filesystem::remove_all(kPrefix + std::to_string(i) + ".spool");
-  }
   std::filesystem::remove_all(hub_dir);
 }
 

@@ -9,8 +9,10 @@
 //     here inverted: we report how much slower our software fabric model is
 //     than the modeled SLAAC-1V hardware, which is exactly the speed-up a
 //     hardware testbed buys.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <vector>
 
 #include "bench_util.h"
 #include "seu/design_baseline.h"
@@ -106,7 +108,19 @@ void run_report() {
     return run_campaign(design, copts);
   };
   const CampaignResult scalar_camp = sampled(1);
-  const CampaignResult camp = sampled(preferred_gang_width());
+  // The gang campaign is timed as the median of kGangRuns runs in this
+  // process, with the fastest and slowest beside it: one run per fresh
+  // process spreads 2-3x between processes.
+  constexpr std::size_t kGangRuns = 5;
+  std::vector<CampaignResult> gang_camps;
+  for (std::size_t i = 0; i < kGangRuns; ++i) {
+    gang_camps.push_back(sampled(preferred_gang_width()));
+  }
+  std::sort(gang_camps.begin(), gang_camps.end(),
+            [](const CampaignResult& a, const CampaignResult& b) {
+              return a.wall_seconds < b.wall_seconds;
+            });
+  const CampaignResult& camp = gang_camps[kGangRuns / 2];
   const double scalar_us_per_bit = scalar_camp.wall_seconds * 1e6 /
                                    static_cast<double>(scalar_camp.injections);
   const double sw_us_per_bit =
@@ -133,8 +147,11 @@ void run_report() {
           ? static_cast<double>(camp.phases.gang_lanes) / camp.phases.gang_s
           : 0.0;
   const char* isa = simd_isa_name(resolve_simd_isa(SimdIsa::kAuto));
-  const bool digests_match =
-      scalar_camp.sensitive_digest(design) == camp.sensitive_digest(design);
+  const bool digests_match = std::all_of(
+      gang_camps.begin(), gang_camps.end(), [&](const CampaignResult& r) {
+        return r.sensitive_digest(design) ==
+               scalar_camp.sensitive_digest(design);
+      });
   rule();
   std::printf("software fabric model, scalar loop: %.0f us per injected bit "
               "(%.0f bits/s)\n",
@@ -146,6 +163,10 @@ void run_report() {
               scalar_us_per_bit / sw_us_per_bit, lanes_per_run,
               early_exit_rate * 100, gang_rate,
               digests_match ? "identical" : "DIVERGED");
+  std::printf("gang campaign wall clock: median %.3f s of %zu runs "
+              "(min %.3f s, max %.3f s)\n",
+              camp.wall_seconds, kGangRuns, gang_camps.front().wall_seconds,
+              gang_camps.back().wall_seconds);
   if (sw_us_per_bit >= iter_us) {
     std::printf("hardware-testbed speed-up implied: %.0fx per bit — and the\n"
                 "paper's comparison point, gate-level software simulation of\n"
@@ -164,6 +185,9 @@ void run_report() {
   BenchJson json;
   json.set("injections", static_cast<double>(camp.injections));
   json.set("wall_s", camp.wall_seconds);
+  json.set("wall_s_min", gang_camps.front().wall_seconds);
+  json.set("wall_s_max", gang_camps.back().wall_seconds);
+  json.set("gang_timed_runs", static_cast<double>(kGangRuns));
   json.set("bits_per_s",
            static_cast<double>(camp.injections) / camp.wall_seconds);
   json.set("scalar_wall_s", scalar_camp.wall_seconds);

@@ -22,7 +22,6 @@
 #include <thread>
 
 #include "bench_util.h"
-#include "svc/client.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
 #include "svc/requests.h"
@@ -34,7 +33,6 @@ namespace {
 
 constexpr const char* kSocket = "/tmp/vscrub_bench_svc.sock";
 constexpr const char* kStore = "/tmp/vscrub_bench_svc_store";
-constexpr const char* kSpool = "/tmp/vscrub_bench_svc_spool";
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -84,7 +82,6 @@ void run_report() {
   rule();
 
   std::filesystem::remove_all(kStore);
-  std::filesystem::remove_all(kSpool);
   const std::string payload = JsonReport("campaign_request")
                                   .set_string("design", "lfsrmult")
                                   .set_string("device", "campaign")
@@ -136,7 +133,7 @@ void run_report() {
     // steady state — the regime the p50 target is about — not first-compute.
     {
       RunningServer warm_server(config);
-      ServiceClient warm = ServiceClient::connect_unix(kSocket);
+      ServiceSession warm = ServiceSession::connect_unix(kSocket);
       (void)warm.call(FrameKind::kCampaign, payload);
     }
     RunningServer running(config);
@@ -144,7 +141,7 @@ void run_report() {
     // Ping round-trip cost over the real socket (frame encode + send + server
     // dispatch + reply decode), amortized over many probes.
     {
-      ServiceClient client = ServiceClient::connect_unix(kSocket);
+      ServiceSession client = ServiceSession::connect_unix(kSocket);
       constexpr int kPings = 2000;
       const auto start = std::chrono::steady_clock::now();
       for (int i = 0; i < kPings; ++i) client.ping();
@@ -158,7 +155,7 @@ void run_report() {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
-        ServiceClient client = ServiceClient::connect_unix(kSocket);
+        ServiceSession client = ServiceSession::connect_unix(kSocket);
         for (int r = 0; r < kRequestsPerClient; ++r) {
           const Frame reply = client.call(FrameKind::kCampaign, payload);
           if (reply.kind != FrameKind::kResult) continue;
@@ -174,7 +171,7 @@ void run_report() {
       results += ok[c];
     }
 
-    ServiceClient client = ServiceClient::connect_unix(kSocket);
+    ServiceSession client = ServiceSession::connect_unix(kSocket);
     const FlatJson stats = FlatJson::parse(client.stats().payload);
     p50 = stats.get_double("request_latency_ms_p50");
     p99 = stats.get_double("request_latency_ms_p99");
@@ -209,7 +206,7 @@ void run_report() {
     std::vector<u64> was_served(kClients, 0);
     for (std::size_t c = 0; c < kClients; ++c) {
       burst.emplace_back([&, c] {
-        ServiceClient client = ServiceClient::connect_unix(kSocket);
+        ServiceSession client = ServiceSession::connect_unix(kSocket);
         const Frame reply = client.call(FrameKind::kCampaign, payload);
         if (reply.kind == FrameKind::kBusy) was_busy[c] = 1;
         if (reply.kind == FrameKind::kResult) was_served[c] = 1;
@@ -220,7 +217,7 @@ void run_report() {
       busy += was_busy[c];
       served += was_served[c];
     }
-    ServiceClient client = ServiceClient::connect_unix(kSocket);
+    ServiceSession client = ServiceSession::connect_unix(kSocket);
     admission_rejects =
         FlatJson::parse(client.stats().payload).get_u64("admission_rejects");
   }
@@ -254,7 +251,7 @@ void run_report() {
 
     // Warm the shared store once so churn measures serving, not first-compute.
     {
-      ServiceClient warm = ServiceClient::connect_unix(kSocket);
+      ServiceSession warm = ServiceSession::connect_unix(kSocket);
       (void)warm.call(FrameKind::kCampaign, churn_payload);
     }
 
@@ -362,8 +359,7 @@ void run_report() {
     config.queue_capacity = 64;
     config.executors = 1;  // preemption is the only path for the short jobs
     config.pool_threads = 3;
-    config.preempt_chunks = 1;
-    config.spool_dir = kSpool;
+    config.preempt_chunks = 1;  // parked checkpoints stay in memory
     RunningServer running(config);
 
     ServiceSession bulk = ServiceSession::connect_unix(kSocket);
@@ -431,7 +427,6 @@ void run_report() {
   json.set("preempt_digest_match", static_cast<double>(preempt_digest_match));
   json.write(bench_json_path("BENCH_service.json"));
   std::filesystem::remove_all(kStore);
-  std::filesystem::remove_all(kSpool);
 }
 
 void BM_FrameEncode(benchmark::State& state) {

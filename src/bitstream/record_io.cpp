@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "common/crc.h"
 #include "common/log.h"
@@ -57,6 +58,15 @@ std::array<u8, 4> RecordWriter::trailer() const {
           static_cast<u8>(crc >> 16), static_cast<u8>(crc >> 24)};
 }
 
+std::vector<u8> RecordWriter::sealed() const {
+  const std::array<u8, 4> crc = trailer();
+  std::vector<u8> out;
+  out.reserve(buf_.size() + crc.size());
+  out.insert(out.end(), buf_.begin(), buf_.end());
+  out.insert(out.end(), crc.begin(), crc.end());
+  return out;
+}
+
 void RecordWriter::write(const std::string& path) const {
   const std::array<u8, 4> crc = trailer();
   write_file_atomic(path, {std::span(buf_), std::span(crc)});
@@ -99,51 +109,68 @@ void write_file_atomic(const std::string& path,
   }
 }
 
-RecordReader::RecordReader(const std::string& path, const std::string& magic)
-    : path_(path) {
+bool read_file(const std::string& path, std::vector<u8>* out) {
   const File f(std::fopen(path.c_str(), "rb"));
-  VSCRUB_CHECK(f != nullptr, "cannot open " + path);
-  std::fseek(f.get(), 0, SEEK_END);
-  const long size = std::ftell(f.get());
-  VSCRUB_CHECK(size > 0, "empty record " + path);
-  std::fseek(f.get(), 0, SEEK_SET);
-  buf_.resize(static_cast<std::size_t>(size));
-  VSCRUB_CHECK(std::fread(buf_.data(), 1, buf_.size(), f.get()) == buf_.size(),
-               "short read from " + path);
+  if (!f) return false;
+  out->clear();
+  u8 buf[65536];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
+    out->insert(out->end(), buf, buf + n);
+  }
+  return std::ferror(f.get()) == 0;
+}
 
-  VSCRUB_CHECK(buf_.size() > magic.size() + 4, "record too small: " + path);
+namespace {
+
+std::vector<u8> load_record(const std::string& path) {
+  std::vector<u8> bytes;
+  VSCRUB_CHECK(read_file(path, &bytes), "cannot read " + path);
+  VSCRUB_CHECK(!bytes.empty(), "empty record " + path);
+  return bytes;
+}
+
+}  // namespace
+
+RecordReader::RecordReader(const std::string& path, const std::string& magic)
+    : RecordReader(load_record(path), magic, path) {}
+
+RecordReader::RecordReader(std::vector<u8> record, const std::string& magic,
+                           std::string source)
+    : buf_(std::move(record)), source_(std::move(source)) {
+  VSCRUB_CHECK(buf_.size() > magic.size() + 4, "record too small: " + source_);
   VSCRUB_CHECK(std::equal(magic.begin(), magic.end(), buf_.begin()),
-               "bad record magic in " + path);
+               "bad record magic in " + source_);
   // CRC trailer covers everything before it.
   pos_ = buf_.size() - 4;
   const u32 stored_crc = get_u32();
   buf_.resize(buf_.size() - 4);
   VSCRUB_CHECK(crc32(buf_) == stored_crc,
-               "record CRC mismatch (corrupted file): " + path);
+               "record CRC mismatch (corrupted file): " + source_);
   pos_ = magic.size();
 }
 
 u8 RecordReader::get_u8() {
-  VSCRUB_CHECK(pos_ + 1 <= buf_.size(), "record truncated: " + path_);
+  VSCRUB_CHECK(pos_ + 1 <= buf_.size(), "record truncated: " + source_);
   return buf_[pos_++];
 }
 
 u16 RecordReader::get_u16() {
-  VSCRUB_CHECK(pos_ + 2 <= buf_.size(), "record truncated: " + path_);
+  VSCRUB_CHECK(pos_ + 2 <= buf_.size(), "record truncated: " + source_);
   const u16 v = static_cast<u16>(buf_[pos_] | (buf_[pos_ + 1] << 8));
   pos_ += 2;
   return v;
 }
 
 u32 RecordReader::get_u32() {
-  VSCRUB_CHECK(pos_ + 4 <= buf_.size(), "record truncated: " + path_);
+  VSCRUB_CHECK(pos_ + 4 <= buf_.size(), "record truncated: " + source_);
   u32 v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<u32>(buf_[pos_++]) << (8 * i);
   return v;
 }
 
 u64 RecordReader::get_u64() {
-  VSCRUB_CHECK(pos_ + 8 <= buf_.size(), "record truncated: " + path_);
+  VSCRUB_CHECK(pos_ + 8 <= buf_.size(), "record truncated: " + source_);
   u64 v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<u64>(buf_[pos_++]) << (8 * i);
   return v;
@@ -151,7 +178,7 @@ u64 RecordReader::get_u64() {
 
 std::string RecordReader::get_string() {
   const u32 n = get_u32();
-  VSCRUB_CHECK(pos_ + n <= buf_.size(), "record truncated: " + path_);
+  VSCRUB_CHECK(pos_ + n <= buf_.size(), "record truncated: " + source_);
   std::string s(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
@@ -159,7 +186,7 @@ std::string RecordReader::get_string() {
 }
 
 void RecordReader::get_bytes(u8* out, std::size_t n) {
-  VSCRUB_CHECK(pos_ + n <= buf_.size(), "record truncated: " + path_);
+  VSCRUB_CHECK(pos_ + n <= buf_.size(), "record truncated: " + source_);
   std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
             buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n), out);
   pos_ += n;

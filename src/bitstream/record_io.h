@@ -1,11 +1,11 @@
-// CRC-protected on-disk records: the little-endian, magic-tagged,
-// crc32-trailed container shared by bitstream images ("VSCB1"), campaign
-// checkpoints ("VSCK1"), manifests and verdict-store segments ("VVS1"). A
-// RecordWriter accumulates fields and either writes the whole record
-// atomically (tmp file + rename), so a reader never observes a half-written
-// file, or appends it to a log file in one system call; a RecordReader
-// verifies magic and CRC up front and then hands out fields with bounds
-// checking.
+// CRC-protected records: the little-endian, magic-tagged, crc32-trailed
+// container shared by bitstream images ("VSCB1"), campaign checkpoints
+// ("VSCK5"), manifests and verdict-store segments ("VVS1"). A RecordWriter
+// accumulates fields and either hands back the sealed bytes, writes the
+// whole record atomically (tmp file + rename), so a reader never observes a
+// half-written file, or appends it to a log file in one system call; a
+// RecordReader, over a file or over bytes, verifies magic and CRC up front
+// and then hands out fields with bounds checking.
 #pragma once
 
 #include <array>
@@ -34,6 +34,10 @@ class RecordWriter {
 
   const std::vector<u8>& bytes() const { return buf_; }
 
+  /// The whole record: everything accumulated so far plus its crc32
+  /// trailer, the bytes write() would put in a file.
+  std::vector<u8> sealed() const;
+
   /// Appends the crc32 trailer (over everything accumulated so far) and
   /// writes the record to `path` atomically: the bytes land in `path`.tmp
   /// first and are renamed into place, so an interrupted write leaves any
@@ -60,6 +64,10 @@ class RecordReader {
   /// the cursor on the first field after the magic. Throws (VSCRUB_CHECK) on
   /// any mismatch.
   RecordReader(const std::string& path, const std::string& magic);
+  /// The same over a record already in memory; `source` names it in error
+  /// messages.
+  RecordReader(std::vector<u8> record, const std::string& magic,
+               std::string source = "record");
 
   u8 get_u8();
   u16 get_u16();
@@ -73,7 +81,7 @@ class RecordReader {
  private:
   std::vector<u8> buf_;  ///< payload without the CRC trailer
   std::size_t pos_ = 0;
-  std::string path_;  ///< for error messages
+  std::string source_;  ///< for error messages
 };
 
 /// Writes `size` bytes to `path`.tmp, then renames it into place, so a
@@ -84,6 +92,10 @@ void write_file_atomic(const std::string& path, const void* data,
 /// The same for a file made of `pieces` written back to back.
 void write_file_atomic(const std::string& path,
                        std::initializer_list<std::span<const u8>> pieces);
+
+/// Reads the whole of `path` into `out`; false when the file is missing or
+/// unreadable.
+bool read_file(const std::string& path, std::vector<u8>* out);
 
 /// True when `path` exists and carries the given magic tag (cheap sniff; no
 /// CRC verification).

@@ -45,7 +45,7 @@ const char* version();
 
 /// Workbench API version. Bumped to 4 with the session-oriented service
 /// API: ServiceSession::submit() returns a JobHandle (poll/wait/cancel,
-/// streaming events) and ServiceClient is a thin wrapper over it;
+/// streaming events), and call() is submit + wait;
 /// ServerOptions/ServiceOptions merged into one validated ServiceConfig
 /// (svc/config.h) with fair-share scheduling (--sched-weight) and campaign
 /// preemption (--preempt) knobs; the served gang width is the host

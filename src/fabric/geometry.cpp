@@ -44,4 +44,32 @@ DeviceGeometry device_tiny(u16 rows, u16 cols, u16 bram_columns) {
                         .bram_columns = bram_columns, .frame_pad_slots = 2};
 }
 
+const std::vector<NamedDevice>& device_catalog() {
+  static const std::vector<NamedDevice> catalog = {
+      {"campaign", device_tiny(12, 16)},
+      {"xcv50", device_xcv50ish()},
+      {"xcv100", device_xcv100ish()},
+      {"xcv300", device_xcv300ish()},
+      {"xcv1000", device_xcv1000ish()},
+  };
+  return catalog;
+}
+
+std::string describe_device(const DeviceGeometry& geom) {
+  const std::string size = geom.name + " " + std::to_string(geom.rows) + "x" +
+                           std::to_string(geom.cols);
+  for (const NamedDevice& d : device_catalog()) {
+    if (d.geometry == geom) return std::string(d.name) + " (" + size + ")";
+  }
+  return size;
+}
+
+std::string devices_with_bram() {
+  std::string names;
+  for (const NamedDevice& d : device_catalog()) {
+    if (d.geometry.bram_columns > 0) names += std::string(d.name) + ", ";
+  }
+  return names + "tiny:RxC";
+}
+
 }  // namespace vscrub

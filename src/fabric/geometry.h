@@ -76,4 +76,20 @@ DeviceGeometry device_xcv1000ish();
 /// Small parts for unit tests and fast campaigns.
 DeviceGeometry device_tiny(u16 rows, u16 cols, u16 bram_columns = 0);
 
+/// The devices requests name ("campaign", "xcv50", ...), in `vscrubctl
+/// devices` order. The parameterized "tiny:RxC" (with BRAM columns) is
+/// parsed on top of these by device_by_name (svc/requests.h).
+struct NamedDevice {
+  const char* name;
+  DeviceGeometry geometry;
+};
+const std::vector<NamedDevice>& device_catalog();
+
+/// `geom` for a message: its catalog name when it is a catalog device, then
+/// its kind and size ("campaign (tiny 12x16)").
+std::string describe_device(const DeviceGeometry& geom);
+/// The devices a design with BRAM can use: the catalog devices with BRAM
+/// columns, then tiny:RxC ("xcv50, ..., tiny:RxC").
+std::string devices_with_bram();
+
 }  // namespace vscrub

@@ -136,7 +136,10 @@ PackPlaceResult pack_and_place(const Netlist& nl, const DeviceGeometry& geom,
   for (CellId id = 0; id < nl.cell_count(); ++id) {
     const Cell& c = nl.cell(id);
     if (c.kind != CellKind::kBram) continue;
-    VSCRUB_CHECK(geom.bram_columns > 0, "design uses BRAM but device has none");
+    VSCRUB_CHECK(geom.bram_columns > 0,
+                 "design uses BRAM but device " + describe_device(geom) +
+                     " has no BRAM columns; use one that has: " +
+                     devices_with_bram());
     PlacedDesign::BramBinding binding;
     binding.cell = id;
     binding.bram_col = next_bram_col;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <utility>
 
+#include "bitstream/record_io.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "seu/cache_key.h"
@@ -74,46 +75,6 @@ class SwapTable {
   unsigned shift_ = 0;
 };
 
-/// Aggregates over completed chunks; guarded by the campaign merge mutex.
-struct Aggregates {
-  u64 injections = 0;
-  u64 failures = 0;
-  u64 persistent = 0;
-  u64 pruned = 0;
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
-  // Remote-tier counters are telemetry only: they are not checkpointed, so
-  // a resumed range restarts them at zero.
-  u64 remote_hits = 0;
-  u64 remote_publishes = 0;
-  i64 modeled_ps = 0;
-  InjectionPhases phases;
-  std::vector<CampaignResult::SensitiveBit> sensitive;
-  std::unordered_map<u8, u64> by_field;
-};
-
-CampaignCheckpoint to_checkpoint(const Aggregates& agg,
-                                 const std::vector<u8>& done, u64 fingerprint,
-                                 u64 total_injections, u64 chunk_size) {
-  CampaignCheckpoint ck;
-  ck.fingerprint = fingerprint;
-  ck.total_injections = total_injections;
-  ck.chunk_size = chunk_size;
-  ck.done = done;
-  ck.injections = agg.injections;
-  ck.failures = agg.failures;
-  ck.persistent = agg.persistent;
-  ck.pruned = agg.pruned;
-  ck.cache_hits = agg.cache_hits;
-  ck.cache_misses = agg.cache_misses;
-  ck.modeled_ps = agg.modeled_ps;
-  ck.phases = agg.phases;
-  ck.sensitive_bits = agg.sensitive;
-  ck.failures_by_field.assign(agg.by_field.begin(), agg.by_field.end());
-  std::sort(ck.failures_by_field.begin(), ck.failures_by_field.end());
-  return ck;
-}
-
 }  // namespace
 
 u64 universe_size(u64 total_bits, const CampaignOptions& options) {
@@ -152,6 +113,24 @@ std::vector<u64> campaign_universe(u64 total_bits,
     sj = {j, vi};
   }
   return bits;
+}
+
+CampaignTally& CampaignTally::operator+=(const CampaignTally& o) {
+  injections += o.injections;
+  failures += o.failures;
+  persistent += o.persistent;
+  cache_hits += o.cache_hits;
+  cache_misses += o.cache_misses;
+  remote_hits += o.remote_hits;
+  remote_publishes += o.remote_publishes;
+  modeled_hardware_time += o.modeled_hardware_time;
+  phases += o.phases;
+  sensitive_bits.insert(sensitive_bits.end(), o.sensitive_bits.begin(),
+                        o.sensitive_bits.end());
+  for (const auto& [kind, count] : o.failures_by_field) {
+    failures_by_field[kind] += count;
+  }
+  return *this;
 }
 
 std::unordered_set<u64> CampaignResult::sensitive_set(
@@ -230,53 +209,54 @@ CampaignResult run_campaign(const PlacedDesign& design,
         modeled_injection_iteration_time(design, options.injection);
   }
 
-  // Resume: a compatible checkpoint pre-marks its chunks done and seeds the
-  // aggregates; anything else is ignored (and overwritten on the next save).
-  Aggregates agg;
-  std::vector<u8> done((nchunks + 7) / 8, 0);
+  // The merge state, guarded by merge_mutex below: the done bitmap and the
+  // tally of the done chunks — exactly what a checkpoint saves. A compatible
+  // checkpoint (the caller's record, else the file at checkpoint_path)
+  // pre-marks its chunks done and seeds the tally; anything else is ignored
+  // (and overwritten on the next save).
+  CampaignCheckpoint state{fingerprint, n, chunk_size,
+                           std::vector<u8>((nchunks + 7) / 8, 0), {}};
+  const bool checkpointing =
+      !options.checkpoint_path.empty() || options.on_checkpoint;
+  std::vector<u8> resume = options.resume_checkpoint;
+  std::string resume_source = "the resume record";
+  if (resume.empty() && !options.checkpoint_path.empty()) {
+    resume_source = options.checkpoint_path;
+    if (!read_file(options.checkpoint_path, &resume)) resume.clear();
+  }
   u64 resumed_chunks = 0;
-  if (!options.checkpoint_path.empty()) {
+  if (!resume.empty()) {
     CampaignCheckpoint prev;
     bool loaded = false;
     try {
-      loaded = load_campaign_checkpoint(options.checkpoint_path, &prev);
+      loaded = decode_campaign_checkpoint(std::move(resume), &prev);
     } catch (const Error& e) {
-      VSCRUB_WARN("campaign: unreadable checkpoint ", options.checkpoint_path,
-                  " (", e.what(), "); starting fresh");
+      VSCRUB_WARN("campaign: unreadable checkpoint ", resume_source, " (",
+                  e.what(), "); starting fresh");
     }
     if (loaded && prev.fingerprint == fingerprint &&
         prev.total_injections == n && prev.chunk_size == chunk_size &&
-        prev.done.size() == done.size()) {
-      done = prev.done;
+        prev.done.size() == state.done.size()) {
+      state = std::move(prev);
       for (u64 c = 0; c < nchunks; ++c) {
-        resumed_chunks += static_cast<u64>((done[c >> 3] >> (c & 7)) & 1);
-      }
-      agg.injections = prev.injections;
-      agg.failures = prev.failures;
-      agg.persistent = prev.persistent;
-      agg.pruned = prev.pruned;
-      agg.cache_hits = prev.cache_hits;
-      agg.cache_misses = prev.cache_misses;
-      agg.modeled_ps = prev.modeled_ps;
-      agg.phases = prev.phases;
-      agg.sensitive = std::move(prev.sensitive_bits);
-      for (const auto& [kind, count] : prev.failures_by_field) {
-        agg.by_field[kind] = count;
+        resumed_chunks +=
+            static_cast<u64>((state.done[c >> 3] >> (c & 7)) & 1);
       }
       VSCRUB_INFO("campaign: resumed ", resumed_chunks, "/", nchunks,
-                  " chunks (", agg.injections, " injections) from ",
-                  options.checkpoint_path);
+                  " chunks (", state.tally.injections, " injections) from ",
+                  resume_source);
     } else if (loaded) {
-      VSCRUB_INFO("campaign: checkpoint ", options.checkpoint_path,
+      VSCRUB_INFO("campaign: checkpoint ", resume_source,
                   " belongs to a different campaign; starting fresh");
     }
   }
-  result.resumed_injections = agg.injections;
+  CampaignTally& tally = state.tally;
+  result.resumed_injections = tally.injections;
 
   // Chunks completed in *this* run never get re-claimed (the cursor is
   // monotonic), so workers only need the pre-run bitmap to skip resumed
   // work — an immutable snapshot, readable without the merge lock.
-  const std::vector<u8> resumed_done = done;
+  const std::vector<u8> resumed_done = state.done;
 
   std::mutex merge_mutex;
   std::atomic<bool> stop{false};
@@ -285,35 +265,36 @@ CampaignResult run_campaign(const PlacedDesign& design,
   u64 chunks_since_checkpoint = 0;      // guarded by merge_mutex
   bool checkpoint_saved = false;        // guarded by merge_mutex
 
-  const auto make_progress = [&](double elapsed_s) {
+  const auto make_progress = [&](const CampaignTally& t, double elapsed_s) {
     // Rate and ETA from this run's own work; resumed chunks were free.
     CampaignProgress p;
-    p.injections_done = agg.injections;
+    p.injections_done = t.injections;
     p.injections_total = n;
-    p.failures = agg.failures;
-    p.persistent = agg.persistent;
-    p.pruned = agg.pruned;
-    p.cache_hits = agg.cache_hits;
+    p.failures = t.failures;
+    p.persistent = t.persistent;
+    p.pruned = t.phases.pruned;
+    p.cache_hits = t.cache_hits;
     p.chunks_done = chunks_done;
     p.chunks_total = nchunks;
     p.chunks_resumed = resumed_chunks;
     p.elapsed_s = elapsed_s;
-    const u64 run_injections = agg.injections - result.resumed_injections;
+    const u64 run_injections = t.injections - result.resumed_injections;
     p.bits_per_s =
         elapsed_s > 0 ? static_cast<double>(run_injections) / elapsed_s : 0.0;
     p.eta_s = p.bits_per_s > 0
-                  ? static_cast<double>(n - agg.injections) / p.bits_per_s
+                  ? static_cast<double>(n - t.injections) / p.bits_per_s
                   : 0.0;
-    p.phases = agg.phases;
+    p.phases = t.phases;
     return p;
   };
   const auto save_checkpoint = [&] {
     chunks_since_checkpoint = 0;
     checkpoint_saved = true;
-    save_campaign_checkpoint(
-        options.checkpoint_path,
-        to_checkpoint(agg, done, fingerprint, n, chunk_size));
-    if (options.on_checkpoint) options.on_checkpoint();
+    const std::vector<u8> bytes = encode_campaign_checkpoint(state);
+    if (!options.checkpoint_path.empty()) {
+      write_file_atomic(options.checkpoint_path, bytes.data(), bytes.size());
+    }
+    if (options.on_checkpoint) options.on_checkpoint(bytes);
   };
 
   // Scheduling: an external shared pool when the caller provides one (the
@@ -335,25 +316,22 @@ CampaignResult run_campaign(const PlacedDesign& design,
     if ((resumed_done[c >> 3] >> (c & 7)) & 1) return;
     if (stop.load(std::memory_order_relaxed)) return;
 
-    u64 local_failures = 0, local_persistent = 0;
-    u64 local_hits = 0, local_misses = 0;
-    SimTime local_time;
-    std::vector<CampaignResult::SensitiveBit> local_sensitive;
-    std::unordered_map<u8, u64> local_by_field;
+    CampaignTally local;
+    local.injections = end - begin;
     const auto consume = [&](const InjectionResult& r, bool from_cache) {
-      local_time += r.modeled_time;
+      local.modeled_hardware_time += r.modeled_time;
       if (r.output_error) {
-        ++local_failures;
-        if (r.persistent) ++local_persistent;
+        ++local.failures;
+        if (r.persistent) ++local.persistent;
         if (options.record_sensitive_bits) {
-          local_sensitive.push_back({r.addr, r.persistent,
-                                     r.first_error_cycle,
-                                     r.error_output_mask_lo, from_cache});
+          local.sensitive_bits.push_back({r.addr, r.persistent,
+                                          r.first_error_cycle,
+                                          r.error_output_mask_lo, from_cache});
         }
         const auto ref = space.tile_ref_of(r.addr);
         if (ref.valid) {
           const auto& meaning = ConfigSpace::meaning_of_tile_bit(ref.tile_bit);
-          ++local_by_field[static_cast<u8>(meaning.kind)];
+          ++local.failures_by_field[static_cast<u8>(meaning.kind)];
         }
       }
     };
@@ -405,24 +383,22 @@ CampaignResult run_campaign(const PlacedDesign& design,
     if (store) {
       store->find_batch(miss_keys, &found);
       keep_misses([&](const VerdictKey&, const StoredVerdict&) {
-        ++local_hits;
+        ++local.cache_hits;
       });
-      local_misses = miss_bits.size();
+      local.cache_misses = miss_bits.size();
     }
 
     // Remote tier: hits replay exactly like local store hits and are fed
     // into the local store under the key that matched, so later chunks stop
     // asking the wire.
-    u64 local_remote_hits = 0;
     if (remote != nullptr && !miss_bits.empty()) {
       remote->lookup_batch(miss_keys, &found);
       keep_misses([&](const VerdictKey& key, const StoredVerdict& v) {
-        ++local_remote_hits;
+        ++local.remote_hits;
         if (store) store->put(key, v);
       });
     }
 
-    InjectionPhases phase_delta;
     std::vector<std::pair<VerdictKey, StoredVerdict>> publish;
     if (!miss_bits.empty()) {
       // One injector per worker, built on first miss (it copies a fabric:
@@ -468,28 +444,17 @@ CampaignResult run_campaign(const PlacedDesign& design,
           record(r);
         }
       }
-      phase_delta = injector.phases();
+      local.phases = injector.phases();
       injector.reset_phases();
     }
     // Publish the chunk's fresh verdicts in one round trip, outside the
     // merge lock: a slow coordinator stalls this worker, not the campaign.
     if (remote != nullptr && !publish.empty()) remote->publish_batch(publish);
+    local.remote_publishes = publish.size();
 
     std::lock_guard lock(merge_mutex);
-    agg.injections += end - begin;
-    agg.failures += local_failures;
-    agg.persistent += local_persistent;
-    agg.pruned += phase_delta.pruned;
-    agg.cache_hits += local_hits;
-    agg.cache_misses += local_misses;
-    agg.remote_hits += local_remote_hits;
-    agg.remote_publishes += publish.size();
-    agg.modeled_ps += local_time.ps();
-    agg.phases += phase_delta;
-    agg.sensitive.insert(agg.sensitive.end(), local_sensitive.begin(),
-                         local_sensitive.end());
-    for (const auto& [k, v] : local_by_field) agg.by_field[k] += v;
-    done[c >> 3] = static_cast<u8>(done[c >> 3] | (1u << (c & 7)));
+    tally += local;
+    state.done[c >> 3] = static_cast<u8>(state.done[c >> 3] | (1u << (c & 7)));
     ++chunks_done;
 
     if (options.on_progress && ++chunks_since_progress >=
@@ -499,11 +464,11 @@ CampaignResult run_campaign(const PlacedDesign& design,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
-      if (!options.on_progress(make_progress(elapsed))) {
+      if (!options.on_progress(make_progress(tally, elapsed))) {
         stop.store(true, std::memory_order_relaxed);
       }
     }
-    if (!options.checkpoint_path.empty() &&
+    if (checkpointing &&
         ++chunks_since_checkpoint >=
             std::max<u64>(1, options.checkpoint_every_chunks)) {
       save_checkpoint();
@@ -521,26 +486,15 @@ CampaignResult run_campaign(const PlacedDesign& design,
   });
   if (chunk_error) std::rethrow_exception(chunk_error);
 
-  // Final checkpoint first: it reads `agg`, which the moves below gut. A
+  // Final checkpoint first: it reads the tally, which the move below guts. A
   // periodic save that already covers every merged chunk is not repeated.
-  if (!options.checkpoint_path.empty() &&
-      (chunks_since_checkpoint > 0 || !checkpoint_saved)) {
+  if (checkpointing && (chunks_since_checkpoint > 0 || !checkpoint_saved)) {
     save_checkpoint();
   }
 
   result.interrupted = stop.load(std::memory_order_relaxed);
-  result.injections = agg.injections;
-  result.failures = agg.failures;
-  result.persistent = agg.persistent;
-  result.pruned = agg.pruned;
-  result.cache_hits = agg.cache_hits;
-  result.cache_misses = agg.cache_misses;
-  result.remote_hits = agg.remote_hits;
-  result.remote_publishes = agg.remote_publishes;
-  result.modeled_hardware_time = SimTime::picoseconds(agg.modeled_ps);
-  result.phases = agg.phases;
-  result.sensitive_bits = std::move(agg.sensitive);
-  result.failures_by_field = std::move(agg.by_field);
+  static_cast<CampaignTally&>(result) = std::move(tally);
+  result.pruned = result.phases.pruned;
   if (options.record_sampled_bits) result.sampled_bits = bits;
   std::sort(result.sensitive_bits.begin(), result.sensitive_bits.end(),
             [](const auto& a, const auto& b) { return a.addr < b.addr; });
@@ -583,7 +537,9 @@ CampaignResult run_campaign(const PlacedDesign& design,
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (options.on_progress) options.on_progress(make_progress(result.wall_seconds));
+  if (options.on_progress) {
+    options.on_progress(make_progress(result, result.wall_seconds));
+  }
 
   VSCRUB_INFO("campaign ", design.netlist->name(), ": ", result.injections,
               " injections (", result.resumed_injections, " resumed, ",

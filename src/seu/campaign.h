@@ -2,13 +2,14 @@
 // space, scheduled as fixed-size bit chunks pulled by pool workers from an
 // atomic cursor, with live progress telemetry, periodic checkpointing, and
 // the aggregate statistics of Tables I and II plus the per-bit correlation
-// data of §III-A.
+// data of §III-A — one CampaignTally from chunk to checkpoint to result.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "seu/injector.h"
@@ -74,18 +75,24 @@ struct CampaignOptions {
   /// when checkpointing is on).
   std::function<bool(const CampaignProgress&)> on_progress;
   u64 progress_every_chunks = 8;
-  /// When set, campaign progress is checkpointed here every
-  /// `checkpoint_every_chunks` completed chunks (plus once at the end, unless
-  /// the last periodic save already covers every chunk), and
-  /// a compatible checkpoint found at this path resumes the campaign from
-  /// where it stopped. An incompatible checkpoint (different device, design,
-  /// options, or chunking) is ignored and overwritten.
+  /// Checkpointing is on when `checkpoint_path` or `on_checkpoint` is set:
+  /// every `checkpoint_every_chunks` completed chunks (plus once at the end,
+  /// unless the last periodic save already covers every chunk) the campaign
+  /// encodes one VSCK record (seu/checkpoint.h). A set path gets the record
+  /// written atomically, and a compatible checkpoint found there resumes the
+  /// campaign from where it stopped; nothing else reads or writes a file.
+  /// An incompatible checkpoint (different device, design, options, chunking
+  /// or record version) is ignored and overwritten.
   std::string checkpoint_path;
   u64 checkpoint_every_chunks = 32;
-  /// Called (serialized, from worker threads) right after each periodic or
-  /// final checkpoint save. The fabric worker uses this to ship the freshly
-  /// written VSCK record to its coordinator as a range heartbeat.
-  std::function<void()> on_checkpoint;
+  /// Called (serialized, from worker threads) with each save's record, right
+  /// after it is written. A preempted served job keeps it in memory; a
+  /// fabric worker ships it to its coordinator as a range heartbeat.
+  std::function<void(const std::vector<u8>&)> on_checkpoint;
+  /// A VSCK record to resume from instead of the file at checkpoint_path
+  /// (a preempted job's last save, or a blob a coordinator sent with a
+  /// range). An incompatible or corrupt record starts the campaign fresh.
+  std::vector<u8> resume_checkpoint;
 
   /// When set, opens a content-addressed verdict store in this directory:
   /// bits whose key (arch fingerprint, stimulus, frame content, influence
@@ -185,11 +192,45 @@ struct CampaignOptions {
   }
 };
 
-struct CampaignResult {
-  u64 device_bits = 0;   ///< total configuration bits of the device
+/// The counters of a set of completed chunks — one chunk, a campaign's
+/// merge so far, a checkpoint's payload, or a finished run — summed with
+/// operator+=. Chunk order never matters except for the order of
+/// sensitive_bits, which a finished campaign sorts by address.
+struct CampaignTally {
+  struct SensitiveBit {
+    BitAddress addr;
+    bool persistent;
+    u32 first_error_cycle;
+    u64 error_output_mask_lo;
+    /// Provenance: true when the verdict was replayed from the store rather
+    /// than produced by a fresh injection in this run.
+    bool from_cache = false;
+  };
+
   u64 injections = 0;    ///< bits actually injected
   u64 failures = 0;      ///< injections producing output errors
   u64 persistent = 0;    ///< failures that survived repair without reset
+  /// Verdict-store telemetry (all zero without a store).
+  u64 cache_hits = 0;    ///< injections answered from the store
+  u64 cache_misses = 0;  ///< injections that had to run (includes pruned)
+  /// Remote-tier telemetry (all zero without a remote tier).
+  u64 remote_hits = 0;       ///< verdicts answered by the remote tier
+  u64 remote_publishes = 0;  ///< fresh verdicts published to the remote tier
+  SimTime modeled_hardware_time;  ///< SLAAC-1V time for the same injections
+  /// Host wall clock by injection phase, summed across workers; its
+  /// `pruned` counts the injections short-circuited by observability
+  /// pruning.
+  InjectionPhases phases;
+  std::vector<SensitiveBit> sensitive_bits;
+  /// Sensitive-bit counts by configuration-field kind (routing vs LUT vs
+  /// control), for the cross-section analysis.
+  std::unordered_map<u8, u64> failures_by_field;
+
+  CampaignTally& operator+=(const CampaignTally& o);
+};
+
+struct CampaignResult : CampaignTally {
+  u64 device_bits = 0;   ///< total configuration bits of the device
   std::size_t design_slices = 0;
   double utilization = 0.0;
 
@@ -214,45 +255,23 @@ struct CampaignResult {
     return sensitivity() * static_cast<double>(device_bits);
   }
 
-  SimTime modeled_hardware_time;  ///< SLAAC-1V time for the same campaign
   double wall_seconds = 0.0;
 
   /// True when a progress callback stopped the campaign early; the counters
-  /// above then cover only the chunks that completed.
+  /// then cover only the chunks that completed.
   bool interrupted = false;
   /// Injections restored from a checkpoint rather than run in this process.
   u64 resumed_injections = 0;
-  /// Injections short-circuited by observability pruning (still counted in
-  /// `injections`; pruning does not change any result, only host time).
+  /// phases.pruned: injections short-circuited by observability pruning
+  /// (still counted in `injections`; pruning does not change any result,
+  /// only host time).
   u64 pruned = 0;
-  /// Host wall clock by injection phase, summed across workers.
-  InjectionPhases phases;
 
-  /// Verdict-store telemetry (all zero unless options.cache_dir was set).
-  bool cache_enabled = false;
-  u64 cache_hits = 0;    ///< injections answered from the store
-  u64 cache_misses = 0;  ///< injections that had to run (includes pruned)
+  bool cache_enabled = false;  ///< a verdict store was open
   u64 cache_stores = 0;  ///< fresh verdicts persisted by the final flush
-  /// Remote-tier telemetry (all zero unless options.remote_store was set).
-  u64 remote_hits = 0;       ///< verdicts answered by the remote tier
-  u64 remote_publishes = 0;  ///< fresh verdicts published to the remote tier
 
-  struct SensitiveBit {
-    BitAddress addr;
-    bool persistent;
-    u32 first_error_cycle;
-    u64 error_output_mask_lo;
-    /// Provenance: true when the verdict was replayed from the store rather
-    /// than produced by a fresh injection in this run.
-    bool from_cache = false;
-  };
-  std::vector<SensitiveBit> sensitive_bits;
   /// The injected bit universe (only when options.record_sampled_bits).
   std::vector<u64> sampled_bits;
-
-  /// Sensitive-bit counts by configuration-field kind (routing vs LUT vs
-  /// control), for the cross-section analysis.
-  std::unordered_map<u8, u64> failures_by_field;
 
   /// The sensitivity map as a linear-bit-index set, the form the beam
   /// validation and mission simulator consume.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "bitstream/record_io.h"
 #include "common/log.h"
@@ -11,8 +12,9 @@ namespace {
 
 // VSCK2 added the gang-engine counters to the phase block; VSCK3 added the
 // verdict-store counters and per-sensitive-bit cache provenance; VSCK4 added
-// the gang wall-clock to the phase block.
-const std::string kMagic = "VSCK4";
+// the gang wall-clock to the phase block; VSCK5 added the remote-tier
+// counters and dropped the copy of `pruned` outside the phase block.
+const std::string kMagic = "VSCK5";
 
 u64 fnv1a(u64 h, u64 v) {
   for (int i = 0; i < 8; ++i) {
@@ -102,24 +104,25 @@ u64 campaign_fingerprint(const PlacedDesign& design,
   return h;
 }
 
-void save_campaign_checkpoint(const std::string& path,
-                              const CampaignCheckpoint& ck) {
+std::vector<u8> encode_campaign_checkpoint(const CampaignCheckpoint& ck) {
+  const CampaignTally& t = ck.tally;
   RecordWriter w(kMagic);
   w.put_u64(ck.fingerprint);
   w.put_u64(ck.total_injections);
   w.put_u64(ck.chunk_size);
   w.put_u64(ck.done.size());
   w.put_bytes(ck.done.data(), ck.done.size());
-  w.put_u64(ck.injections);
-  w.put_u64(ck.failures);
-  w.put_u64(ck.persistent);
-  w.put_u64(ck.pruned);
-  w.put_u64(ck.cache_hits);
-  w.put_u64(ck.cache_misses);
-  w.put_u64(static_cast<u64>(ck.modeled_ps));
-  put_phases(w, ck.phases);
-  w.put_u64(ck.sensitive_bits.size());
-  for (const auto& sb : ck.sensitive_bits) {
+  w.put_u64(t.injections);
+  w.put_u64(t.failures);
+  w.put_u64(t.persistent);
+  w.put_u64(t.cache_hits);
+  w.put_u64(t.cache_misses);
+  w.put_u64(t.remote_hits);
+  w.put_u64(t.remote_publishes);
+  w.put_u64(static_cast<u64>(t.modeled_hardware_time.ps()));
+  put_phases(w, t.phases);
+  w.put_u64(t.sensitive_bits.size());
+  for (const auto& sb : t.sensitive_bits) {
     w.put_u8(static_cast<u8>(sb.addr.frame.kind));
     w.put_u16(sb.addr.frame.col);
     w.put_u16(sb.addr.frame.frame);
@@ -129,18 +132,25 @@ void save_campaign_checkpoint(const std::string& path,
     w.put_u64(sb.error_output_mask_lo);
     w.put_u8(static_cast<u8>(sb.from_cache));
   }
-  w.put_u64(ck.failures_by_field.size());
-  for (const auto& [kind, count] : ck.failures_by_field) {
+  // Sorted by kind, so equal tallies encode to equal bytes.
+  std::vector<std::pair<u8, u64>> fields(t.failures_by_field.begin(),
+                                         t.failures_by_field.end());
+  std::sort(fields.begin(), fields.end());
+  w.put_u64(fields.size());
+  for (const auto& [kind, count] : fields) {
     w.put_u8(kind);
     w.put_u64(count);
   }
-  w.write(path);
+  return w.sealed();
 }
 
-bool load_campaign_checkpoint(const std::string& path,
-                              CampaignCheckpoint* ck) {
-  if (!record_exists(path, kMagic)) return false;
-  RecordReader r(path, kMagic);
+bool decode_campaign_checkpoint(std::vector<u8> record,
+                                CampaignCheckpoint* ck) {
+  if (record.size() < kMagic.size() ||
+      !std::equal(kMagic.begin(), kMagic.end(), record.begin())) {
+    return false;
+  }
+  RecordReader r(std::move(record), kMagic, "checkpoint");
   ck->fingerprint = r.get_u64();
   ck->total_injections = r.get_u64();
   ck->chunk_size = r.get_u64();
@@ -153,21 +163,24 @@ bool load_campaign_checkpoint(const std::string& path,
                "checkpoint: done bitmap larger than record");
   ck->done.resize(done_n);
   r.get_bytes(ck->done.data(), ck->done.size());
-  ck->injections = r.get_u64();
-  ck->failures = r.get_u64();
-  ck->persistent = r.get_u64();
-  ck->pruned = r.get_u64();
-  ck->cache_hits = r.get_u64();
-  ck->cache_misses = r.get_u64();
-  ck->modeled_ps = static_cast<i64>(r.get_u64());
-  ck->phases = get_phases(r);
+  CampaignTally& t = ck->tally;
+  t = CampaignTally{};
+  t.injections = r.get_u64();
+  t.failures = r.get_u64();
+  t.persistent = r.get_u64();
+  t.cache_hits = r.get_u64();
+  t.cache_misses = r.get_u64();
+  t.remote_hits = r.get_u64();
+  t.remote_publishes = r.get_u64();
+  t.modeled_hardware_time = SimTime::picoseconds(static_cast<i64>(r.get_u64()));
+  t.phases = get_phases(r);
   // Each sensitive-bit entry is 23 bytes on the wire (u8+u16+u16+u32+u8+u32+
   // u64+u8), each failures_by_field entry 9 (u8+u64).
   const u64 sens_n = r.get_u64();
   VSCRUB_CHECK(sens_n <= r.remaining() / 23,
                "checkpoint: sensitive-bit count larger than record");
-  ck->sensitive_bits.resize(sens_n);
-  for (auto& sb : ck->sensitive_bits) {
+  t.sensitive_bits.resize(sens_n);
+  for (auto& sb : t.sensitive_bits) {
     sb.addr.frame.kind = static_cast<ColumnKind>(r.get_u8());
     sb.addr.frame.col = r.get_u16();
     sb.addr.frame.frame = r.get_u16();
@@ -180,10 +193,9 @@ bool load_campaign_checkpoint(const std::string& path,
   const u64 fields_n = r.get_u64();
   VSCRUB_CHECK(fields_n <= r.remaining() / 9,
                "checkpoint: failure-field count larger than record");
-  ck->failures_by_field.resize(fields_n);
-  for (auto& [kind, count] : ck->failures_by_field) {
-    kind = r.get_u8();
-    count = r.get_u64();
+  for (u64 i = 0; i < fields_n; ++i) {
+    const u8 kind = r.get_u8();
+    t.failures_by_field[kind] = r.get_u64();
   }
   return true;
 }

@@ -1,12 +1,14 @@
-// Campaign checkpoint/resume: periodic serialization of the chunk scheduler's
-// progress (done bitmap + partial aggregates) as a CRC-protected "VSCK3"
-// record, so a multi-hour exhaustive campaign killed mid-run restarts from
-// its last checkpoint instead of from bit zero. The fingerprint binds a
-// checkpoint to the exact (device, design, options, chunking) it was taken
-// under — any mismatch and the campaign silently starts fresh.
+// Campaign checkpoint/resume: the chunk scheduler's progress (done bitmap +
+// the tally of the done chunks) as a CRC-protected "VSCK5" byte record, so a
+// campaign stopped mid-run — killed, cancelled, preempted, or a fabric range
+// whose worker died — restarts from its last checkpoint instead of from bit
+// zero. The record is encoded once per save; where it goes (a file, a
+// preempted job's memory, a coordinator) is the caller's business. The
+// fingerprint binds a checkpoint to the exact (device, design, options,
+// chunking) it was taken under — any mismatch and the campaign silently
+// starts fresh.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "seu/campaign.h"
@@ -18,25 +20,7 @@ struct CampaignCheckpoint {
   u64 total_injections = 0;  ///< size of the bit universe
   u64 chunk_size = 0;        ///< resolved chunk size the bitmap is indexed by
   std::vector<u8> done;      ///< chunk done bitmap, bit c = chunk c finished
-
-  // Aggregates over the done chunks only.
-  u64 injections = 0;
-  u64 failures = 0;
-  u64 persistent = 0;
-  u64 pruned = 0;
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
-  i64 modeled_ps = 0;
-  InjectionPhases phases;
-  std::vector<CampaignResult::SensitiveBit> sensitive_bits;
-  std::vector<std::pair<u8, u64>> failures_by_field;
-
-  bool chunk_done(u64 c) const {
-    return (done[c >> 3] >> (c & 7)) & 1;
-  }
-  void set_chunk_done(u64 c) {
-    done[c >> 3] = static_cast<u8>(done[c >> 3] | (1u << (c & 7)));
-  }
+  CampaignTally tally;       ///< over the done chunks only
 };
 
 /// Identity of a campaign for checkpoint-compatibility purposes: device
@@ -46,12 +30,13 @@ u64 campaign_fingerprint(const PlacedDesign& design,
                          const CampaignOptions& options, u64 total_injections,
                          u64 chunk_size);
 
-/// Writes the checkpoint atomically (tmp + rename).
-void save_campaign_checkpoint(const std::string& path,
-                              const CampaignCheckpoint& ck);
+/// The checkpoint as one sealed VSCK5 record.
+std::vector<u8> encode_campaign_checkpoint(const CampaignCheckpoint& ck);
 
-/// Loads a checkpoint; returns false when the file is missing or carries a
-/// different magic. Throws on a corrupted (CRC-failing) record.
-bool load_campaign_checkpoint(const std::string& path, CampaignCheckpoint* ck);
+/// Decodes a record; returns false when it carries a different magic (an
+/// older VSCK version or a foreign record: not this campaign's checkpoint).
+/// Throws Error on a corrupted (truncated, CRC-failing or oversized) record.
+bool decode_campaign_checkpoint(std::vector<u8> record,
+                                CampaignCheckpoint* ck);
 
 }  // namespace vscrub

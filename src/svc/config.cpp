@@ -88,7 +88,7 @@ const std::vector<ServiceConfigFlag>& service_config_flags() {
        "preempt a served campaign after N chunks when another tenant "
        "waits; it checkpoints and resumes later (0 = off)"},
       {"--spool-dir", true, "DIR",
-       "checkpoint directory when --cache-dir is unset"},
+       "directory for --checkpoint-every files when --cache-dir is unset"},
       {"--stats-json", true, "FILE",
        "write service stats JSON after the drain"},
       {"--worker", true, "PATH",
@@ -166,11 +166,6 @@ void ServiceConfig::validate() const {
     throw ServiceConfigError(
         "serve: --preempt does not apply to sharded campaigns; drop it or "
         "the --worker sockets");
-  }
-  if (preempt_chunks > 0 && checkpoint_dir().empty()) {
-    throw ServiceConfigError(
-        "serve: --preempt needs a checkpoint directory; pass --cache-dir "
-        "or --spool-dir");
   }
   if (lease_ms == 0) {
     throw ServiceConfigError("serve: --lease-ms must be >= 1");

@@ -79,9 +79,11 @@ struct ServiceConfig {
   u64 retry_after_ms = 250;
   /// Bound on the request-latency histogram (deterministic reservoir).
   u64 latency_reservoir = 1024;
-  /// Campaigns checkpoint (VSCK4) every this many chunks so a cancelled or
-  /// hard-stopped request leaves a resumable trail; 0 disables periodic
-  /// checkpointing (preemption checkpoints are separate — see preempt_chunks).
+  /// Campaigns write a checkpoint file (VSCK5, under checkpoint_dir())
+  /// every this many chunks so a cancelled or hard-stopped request leaves a
+  /// resumable file; 0 disables periodic checkpointing. The only served
+  /// path that writes checkpoint files: preemption keeps its checkpoints in
+  /// memory.
   u64 checkpoint_every_chunks = 0;
 
   // ---- scheduler -------------------------------------------------------
@@ -92,11 +94,12 @@ struct ServiceConfig {
   /// Preemption quantum: a running campaign that has completed this many
   /// chunks while a different tenant has work queued is checkpointed and
   /// requeued at its tenant's head, and the scheduler picks the next lane.
-  /// 0 disables preemption. Requires a checkpoint directory (cache_dir or
-  /// spool_dir).
+  /// 0 disables preemption. The checkpoint stays in memory with the job, so
+  /// preemption needs no directory.
   u64 preempt_chunks = 0;
-  /// Directory for preemption/periodic checkpoints when cache_dir is empty
-  /// (or should not hold scratch state). Empty = use cache_dir.
+  /// Directory for periodic (checkpoint_every_chunks) checkpoint files when
+  /// cache_dir is empty (or should not hold scratch state). Empty = use
+  /// cache_dir.
   std::string spool_dir;
 
   // ---- fleet -----------------------------------------------------------
@@ -123,7 +126,8 @@ struct ServiceConfig {
   /// ServiceConfigError naming the first violated constraint.
   void validate() const;
 
-  /// Where served campaigns checkpoint: spool_dir when set, else cache_dir.
+  /// Where periodic checkpoint files go: spool_dir when set, else
+  /// cache_dir.
   std::string checkpoint_dir() const {
     return spool_dir.empty() ? cache_dir : spool_dir;
   }

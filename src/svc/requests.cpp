@@ -31,11 +31,9 @@ Netlist design_by_name(const std::string& name) {
 }
 
 DeviceGeometry device_by_name(const std::string& name) {
-  if (name == "campaign") return device_tiny(12, 16);
-  if (name == "xcv50") return device_xcv50ish();
-  if (name == "xcv100") return device_xcv100ish();
-  if (name == "xcv300") return device_xcv300ish();
-  if (name == "xcv1000") return device_xcv1000ish();
+  for (const NamedDevice& d : device_catalog()) {
+    if (name == d.name) return d.geometry;
+  }
   if (name.rfind("tiny:", 0) == 0) {
     // Device names come from clients: R and C are whole decimal fields (no
     // sign, no trailing text) of at most the XCV1000's 64x96.
@@ -109,16 +107,14 @@ CampaignOptions campaign_options_from(const FlatJson& params,
   if (range_end > 0) {
     options.with_range(params.get_u64("range_begin", 0), range_end);
   }
-  if (!ctx.checkpoint_path.empty()) {
-    if (ctx.checkpoint_every_chunks > 0) {
-      options.with_checkpoint(ctx.checkpoint_path, ctx.checkpoint_every_chunks);
-    } else {
-      options.with_checkpoint(ctx.checkpoint_path);
-    }
-    options.on_checkpoint = ctx.on_checkpoint;
+  options.checkpoint_path = ctx.checkpoint_path;
+  if (ctx.checkpoint_every_chunks > 0) {
+    options.checkpoint_every_chunks = ctx.checkpoint_every_chunks;
   }
+  options.on_checkpoint = ctx.on_checkpoint;
+  options.resume_checkpoint = ctx.resume_checkpoint;
   // Cancel beats preemption: both stop the campaign at the chunk boundary
-  // (writing the checkpoint), but a cancelled job must deliver its
+  // (saving the checkpoint), but a cancelled job must deliver its
   // interrupted report, so the service checks the cancel flag before
   // deciding a stop was a preemption.
   const std::atomic<bool>* cancelled = ctx.cancelled;

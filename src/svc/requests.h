@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fabric/geometry.h"
 #include "netlist/netlist.h"
@@ -52,19 +53,24 @@ struct RequestContext {
   std::function<void(const CampaignProgress&)> on_progress;
   /// Preemption hook, polled with chunks_done at every chunk boundary the
   /// progress callback sees. Returning true stops the campaign exactly like
-  /// a cancel — at the boundary, writing its checkpoint — but the service
+  /// a cancel — at the boundary, saving its checkpoint — but the service
   /// requeues the job instead of delivering the interrupted report, and the
-  /// next dispatch resumes from the checkpoint bit-identically. May be empty.
+  /// next dispatch resumes from that checkpoint bit-identically. May be
+  /// empty.
   std::function<bool(u64)> preempt_poll;
-  /// When set, campaigns checkpoint here (VSCK) so a cancelled, preempted or
-  /// hard-stopped request leaves a resumable trail. Empty = no checkpoints.
+  /// When set, campaigns also write each checkpoint here (VSCK), so a
+  /// cancelled or hard-stopped request leaves a resumable file. Empty = no
+  /// checkpoint file.
   std::string checkpoint_path;
   /// Checkpoint cadence in chunks (0 = the campaign default).
   u64 checkpoint_every_chunks = 0;
-  /// Fires after every checkpoint save (periodic and final); the fabric
-  /// worker ships the fresh VSCK bytes to its coordinator from here. May be
-  /// empty.
-  std::function<void()> on_checkpoint;
+  /// Gets every checkpoint record (periodic and final): a preempting
+  /// service keeps the last one with the job, a fabric worker ships it to
+  /// its coordinator. Setting it turns checkpointing on. May be empty.
+  std::function<void(const std::vector<u8>&)> on_checkpoint;
+  /// A VSCK record to resume from (a preempted job's last save, or a
+  /// coordinator's blob). Empty = resume from checkpoint_path, if any.
+  std::vector<u8> resume_checkpoint;
   /// Second-tier verdict source behind the local store (borrowed, may be
   /// null): the fabric wires the coordinator's store in here so workers
   /// reuse each other's verdicts.

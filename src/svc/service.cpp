@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "bitstream/record_io.h"
 #include "common/log.h"
 #include "svc/campaign_spec.h"
 #include "svc/fabric.h"
@@ -39,10 +38,9 @@ CampaignService::CampaignService(const ServiceConfig& config)
   if (!config_.cache_dir.empty()) {
     store_ = std::make_unique<VerdictStore>(config_.cache_dir);
   }
-  // Preemption and periodic checkpointing both write VSCK files under the
-  // checkpoint directory; make sure it exists before the first campaign
-  // tries to stop there.
-  if ((config_.preempt_chunks > 0 || config_.checkpoint_every_chunks > 0) &&
+  // Periodic checkpointing writes VSCK files under the checkpoint
+  // directory; make sure it exists before the first campaign saves there.
+  if (config_.checkpoint_every_chunks > 0 &&
       !config_.checkpoint_dir().empty()) {
     std::error_code ec;
     std::filesystem::create_directories(config_.checkpoint_dir(), ec);
@@ -415,10 +413,10 @@ bool CampaignService::run_job(Job& job) {
         coordinator() ? run_sharded(job, params)
                       : run_local(job, params, &preempted, &checkpoint_path);
     if (preempted && !job.cancelled->load(std::memory_order_relaxed)) {
-      // The campaign stopped at a chunk boundary and wrote its VSCK
-      // checkpoint; the interrupted report is discarded and the job parks
-      // at its lane's head. The next dispatch resumes from the checkpoint
-      // and the eventual report is bit-identical to an uninterrupted run.
+      // The campaign stopped at a chunk boundary and saved its checkpoint
+      // into the job; the interrupted report is discarded and the job parks
+      // at its lane's head. The next dispatch resumes from that record and
+      // the eventual report is bit-identical to an uninterrupted run.
       {
         std::lock_guard mlock(metrics_mutex_);
         metrics_.counter("preemptions").add();
@@ -441,9 +439,10 @@ bool CampaignService::run_job(Job& job) {
       }
     }
     reply(job.emit, FrameKind::kResult, id, report);
-    // A finished (non-cancelled) campaign's checkpoint is scratch state:
-    // remove it. Cancelled campaigns keep theirs — the resumable trail is
-    // the documented point of cancel-at-chunk-boundary.
+    // A finished (non-cancelled) campaign's checkpoint file is scratch
+    // state: remove it. Cancelled campaigns keep theirs — under
+    // --checkpoint-every the resumable file is the point of
+    // cancel-at-chunk-boundary.
     if (!checkpoint_path.empty() &&
         !job.cancelled->load(std::memory_order_relaxed)) {
       std::error_code ec;
@@ -465,6 +464,10 @@ bool CampaignService::run_job(Job& job) {
     }
     reply(job.emit, FrameKind::kError, id, error_report("failed", e.what()));
   }
+  // A coordinator's store is the fleet's verdict hub: its workers publish
+  // into it, and nothing else flushes it before the drain. Persist each
+  // sharded campaign's verdicts once its reply is out, off the reply path.
+  if (coordinator() && store_) store_->flush();
   return true;
 }
 
@@ -479,7 +482,7 @@ JsonReport CampaignService::run_local(Job& job, const FlatJson& params,
   const bool campaign_kind = job.request.kind == FrameKind::kCampaign ||
                              job.request.kind == FrameKind::kRecampaign;
   if (campaign_kind && !config_.checkpoint_dir().empty() &&
-      (config_.checkpoint_every_chunks > 0 || config_.preempt_chunks > 0)) {
+      config_.checkpoint_every_chunks > 0) {
     ctx.checkpoint_path = checkpoint_path_for(job);
     ctx.checkpoint_every_chunks = config_.checkpoint_every_chunks;
   }
@@ -515,33 +518,21 @@ JsonReport CampaignService::run_local(Job& job, const FlatJson& params,
     };
   }
 
-  // Fabric wiring (campaign kinds only): a worker job may ship each VSCK
-  // checkpoint to its coordinator as a kCheckpoint frame, resume from a
-  // blob the coordinator sent along with the range, and probe the
-  // coordinator's verdict store behind the local one.
+  // Checkpoint records stay in memory unless --checkpoint-every named a
+  // file above. A preemptible job keeps its last save to resume from on
+  // its next dispatch; a fabric worker job ships each save to its
+  // coordinator as a kCheckpoint frame and resumes from the blob the
+  // coordinator sent along with the range.
   std::unique_ptr<VsrpRemoteStore> remote;
   if (campaign_kind) {
+    const bool keep = config_.preempt_chunks > 0;
     const bool ship = params.get_bool("ship_checkpoints", false);
-    const bool needs_dir = ship || params.has("resume_checkpoint");
-    if (needs_dir && ctx.checkpoint_path.empty()) {
-      if (config_.checkpoint_dir().empty()) {
-        throw RefusedRequest("no_checkpoint_dir",
-                             "checkpoint shipping needs a daemon started "
-                             "with a spool directory");
-      }
-      // The constructor only creates the directory when the daemon's own
-      // preemption/periodic cadence needs it; a fabric request may be the
-      // first thing that writes there.
-      std::error_code ec;
-      std::filesystem::create_directories(config_.checkpoint_dir(), ec);
-      ctx.checkpoint_path = checkpoint_path_for(job);
-      ctx.checkpoint_every_chunks = config_.checkpoint_every_chunks;
-    }
-    if (params.has("resume_checkpoint")) {
+    if (!job.checkpoint.empty()) {
+      ctx.resume_checkpoint = job.checkpoint;
+    } else if (params.has("resume_checkpoint")) {
       try {
-        const std::vector<u8> blob =
+        ctx.resume_checkpoint =
             hex_decode(params.get_string("resume_checkpoint"));
-        write_file_atomic(ctx.checkpoint_path, blob.data(), blob.size());
       } catch (const Error& e) {
         throw RefusedRequest("bad_request", e.what());
       }
@@ -553,11 +544,16 @@ JsonReport CampaignService::run_local(Job& job, const FlatJson& params,
       const u64 range_cadence = params.get_u64("checkpoint_every_chunks", 0);
       if (range_cadence > 0) ctx.checkpoint_every_chunks = range_cadence;
       if (ctx.checkpoint_every_chunks == 0) ctx.checkpoint_every_chunks = 16;
-      ctx.on_checkpoint = [this, emit, id, path = ctx.checkpoint_path] {
-        std::vector<u8> bytes;
-        if (!read_file_bytes(path, &bytes)) return;
-        reply(emit, FrameKind::kCheckpoint, id,
-              JsonReport("checkpoint").set_string("blob", hex_encode(bytes)));
+    }
+    if (keep || ship) {
+      ctx.on_checkpoint = [this, &job, keep, ship, emit,
+                           id](const std::vector<u8>& record) {
+        if (keep) job.checkpoint = record;
+        if (ship) {
+          reply(emit, FrameKind::kCheckpoint, id,
+                JsonReport("checkpoint")
+                    .set_string("blob", hex_encode(record)));
+        }
       };
     }
     const std::string remote_socket =

@@ -20,12 +20,12 @@
 //
 // Long campaigns preempt at chunk boundaries: when a running campaign has
 // consumed its quantum (ServiceConfig::preempt_chunks) while a DIFFERENT
-// tenant has work queued, it checkpoints (VSCK4), is requeued at its
-// tenant's head, and the executor picks the next lane. On redispatch the
-// campaign resumes from its checkpoint, so the final report — including the
-// order-independent sensitive-set digest — is bit-identical to an
-// uninterrupted run. Restart-from-checkpoint is the scheduler primitive.
-// Sharded campaigns do not preempt.
+// tenant has work queued, it checkpoints into its Job (a VSCK record in
+// memory, no file), is requeued at its tenant's head, and the executor picks
+// the next lane. On redispatch the campaign resumes from that record, so the
+// final report — including the order-independent sensitive-set digest — is
+// bit-identical to an uninterrupted run. Restart-from-checkpoint is the
+// scheduler primitive. Sharded campaigns do not preempt.
 //
 // Concurrency shape: executor threads are dedicated — they block on the
 // queue and on campaign completion, and only the campaign's *chunks* run on
@@ -97,8 +97,8 @@ class CampaignService : public FrameService {
 
   /// Validates `config` (throws ServiceConfigError) and starts the
   /// executors, plus the injection pool unless `config` names workers. The
-  /// checkpoint directory is created when preemption or periodic
-  /// checkpointing needs one.
+  /// checkpoint directory is created when periodic checkpointing writes
+  /// there.
   explicit CampaignService(const ServiceConfig& config);
   /// Drains (queued and running requests finish) and joins the executors.
   ~CampaignService() override;
@@ -131,8 +131,9 @@ class CampaignService : public FrameService {
 
   /// Flips the cancel flag of the queued or running request that `client_id`
   /// submitted as `request_id`; false when no such job is live. Campaigns
-  /// stop at their next chunk boundary, checkpoint, and still deliver their
-  /// (interrupted) result.
+  /// stop at their next chunk boundary and still deliver their
+  /// (interrupted) result; under --checkpoint-every they leave their
+  /// checkpoint file behind, and otherwise no file at all.
   bool cancel(u64 request_id, u64 client_id = 0);
   /// Cancels every live request `client_id` owns — the transport calls this
   /// when a connection dies, so work whose replies can no longer be
@@ -171,6 +172,8 @@ class CampaignService : public FrameService {
     /// but partially-run) job redispatches it so it can deliver its
     /// interrupted result, same as a running cancel.
     bool started = false;
+    /// The campaign's last checkpoint record: where a preempted job resumes.
+    std::vector<u8> checkpoint;
   };
 
   /// One queued-or-running job's cancel handle.
@@ -191,7 +194,8 @@ class CampaignService : public FrameService {
   bool run_job(Job& job);
   /// The two executors run_job chooses between. run_local runs the request
   /// in this process; it reports a preemption through `preempted` and the
-  /// scratch checkpoint it wrote through `checkpoint_path`. run_sharded
+  /// checkpoint file --checkpoint-every wrote through `checkpoint_path`
+  /// (empty when none). run_sharded
   /// runs a campaign across config_.workers. Both throw on failure.
   JsonReport run_local(Job& job, const FlatJson& params, bool* preempted,
                        std::string* checkpoint_path);

@@ -4,8 +4,8 @@
 // demultiplexes every inbound frame to the job it belongs to. submit()
 // returns immediately with a JobHandle; any number of jobs ride one session
 // concurrently, each with poll()/wait()/cancel() and an optional streaming
-// event callback for its kAccepted/kProgress frames. The old blocking
-// ServiceClient (svc/client.h) is a thin wrapper over this.
+// event callback for its kAccepted/kProgress frames; call() is the
+// blocking submit + wait.
 //
 // Lifetimes: a JobHandle keeps the underlying session core (socket + reader)
 // alive, so a handle may outlive the ServiceSession object that produced it

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 #include "common/log.h"
@@ -157,20 +156,6 @@ std::vector<u8> hex_decode(const std::string& text) {
     out[i] = static_cast<u8>((hi << 4) | lo);
   }
   return out;
-}
-
-bool read_file_bytes(const std::string& path, std::vector<u8>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  u8 buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->insert(out->end(), buf, buf + n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 std::string encode_store_lookup(std::span<const VerdictKeyPair> pairs) {

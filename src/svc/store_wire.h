@@ -26,11 +26,6 @@ namespace vscrub {
 std::string hex_encode(std::span<const u8> bytes);
 std::vector<u8> hex_decode(const std::string& text);
 
-/// Whole-file read for checkpoint shipping: false when the file is missing
-/// or unreadable. (Writes go through bitstream/record_io's
-/// write_file_atomic.)
-bool read_file_bytes(const std::string& path, std::vector<u8>* out);
-
 // ---------------------------------------------------------------------------
 // Store-verb payloads. Fixed-width little-endian binary, not JSON: every
 // payload opens with a u32 slot count, and every decoder checks the exact

@@ -5,9 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "bitstream/record_io.h"
 #include "core/vscrub.h"
+#include "seu/checkpoint.h"
+#include "store/remote_store.h"
 
 using namespace vscrub;
 
@@ -40,6 +46,43 @@ void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
   }
   EXPECT_EQ(a.failures_by_field, b.failures_by_field);
 }
+
+/// The rest of the tally: store and remote-tier counters, pruning, the gang
+/// engine's counters and cache provenance. Deterministic whenever both runs
+/// see the same verdict sources and chunking.
+void expect_same_tally_counters(const CampaignTally& a,
+                                const CampaignTally& b) {
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.remote_hits, b.remote_hits);
+  EXPECT_EQ(a.remote_publishes, b.remote_publishes);
+  EXPECT_EQ(a.phases.pruned, b.phases.pruned);
+  EXPECT_EQ(a.phases.gang_runs, b.phases.gang_runs);
+  EXPECT_EQ(a.phases.gang_lanes, b.phases.gang_lanes);
+  EXPECT_EQ(a.phases.gang_early_exits, b.phases.gang_early_exits);
+  EXPECT_EQ(a.phases.gang_fallbacks, b.phases.gang_fallbacks);
+  ASSERT_EQ(a.sensitive_bits.size(), b.sensitive_bits.size());
+  for (std::size_t i = 0; i < a.sensitive_bits.size(); ++i) {
+    EXPECT_EQ(a.sensitive_bits[i].from_cache, b.sensitive_bits[i].from_cache)
+        << "sensitive bit " << i;
+  }
+}
+
+/// A remote tier answering from a store frozen at construction: publishes
+/// are dropped, so every run sees the same answers.
+class FrozenRemote : public RemoteVerdictClient {
+ public:
+  explicit FrozenRemote(const std::string& dir) : store_(dir) {}
+  void lookup_batch(const std::vector<VerdictKeyPair>& pairs,
+                    std::vector<VerdictLookup>* out) override {
+    store_.find_batch(pairs, out);
+  }
+  void publish_batch(const std::vector<std::pair<VerdictKey, StoredVerdict>>&
+                     /*entries*/) override {}
+
+ private:
+  VerdictStore store_;
+};
 
 }  // namespace
 
@@ -143,35 +186,79 @@ TEST(CampaignDeterminism, GangMatchesScalarWithPruningOff) {
 
 TEST(CampaignDeterminism, CheckpointResumeRoundTrip) {
   const auto design = compile(designs::counter_adder(4), device_tiny(4, 6));
-  const std::string path =
-      ::testing::TempDir() + "vscrub_campaign_checkpoint_test.vsck";
-  std::remove(path.c_str());
+  const std::string dir = ::testing::TempDir() + "vscrub_ckpt_roundtrip/";
+  const std::string path = dir + "campaign.vsck";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  // Every tally field must come back through a checkpoint, the store and
+  // remote-tier counters included, so each run sees the same verdict
+  // sources: its own copy of a local store seeded by one sample and a
+  // frozen remote tier seeded by another.
+  const auto seed_store = [&](const std::string& store_dir, u64 seed) {
+    run_campaign(design, CampaignOptions{}
+                             .with_sample(900, seed)
+                             .with_threads(2)
+                             .with_cache(store_dir));
+  };
+  seed_store(dir + "local_seed", 5);
+  seed_store(dir + "remote_seed", 6);
+  FrozenRemote remote(dir + "remote_seed");
+  int copies = 0;
+  const auto store_copy = [&] {
+    const std::string copy = dir + "local" + std::to_string(copies++);
+    std::filesystem::copy(dir + "local_seed", copy,
+                          std::filesystem::copy_options::recursive);
+    return copy;
+  };
 
   CampaignOptions opts = CampaignOptions{}
                              .with_exhaustive()
                              .with_threads(2)
-                             .with_chunk_size(64);
-  const auto uninterrupted = run_campaign(design, opts);
+                             .with_chunk_size(64)
+                             .with_remote_store(&remote);
+  auto uninterrupted_opts = opts;
+  const auto uninterrupted =
+      run_campaign(design, uninterrupted_opts.with_cache(store_copy()));
+  EXPECT_GT(uninterrupted.cache_hits, 0u);
+  EXPECT_GT(uninterrupted.remote_hits, 0u);
+  EXPECT_GT(uninterrupted.remote_publishes, 0u);
+  EXPECT_GT(uninterrupted.phases.gang_runs, 0u);
 
   // Interrupt after a few chunks: the progress callback asks the campaign
   // to stop, and the final checkpoint captures the completed chunks.
+  const std::string resume_store = store_copy();
   auto interrupted_opts = opts;
-  interrupted_opts.with_checkpoint(path, 2).with_progress(
-      [](const CampaignProgress& p) { return p.chunks_done < 4; }, 1);
+  interrupted_opts.with_cache(resume_store)
+      .with_checkpoint(path, 2)
+      .with_progress(
+          [](const CampaignProgress& p) { return p.chunks_done < 4; }, 1);
   const auto partial = run_campaign(design, interrupted_opts);
   EXPECT_TRUE(partial.interrupted);
   EXPECT_LT(partial.injections, uninterrupted.injections);
   EXPECT_GT(partial.injections, 0u);
 
   // Resume: picks up the checkpoint, runs only the remaining chunks, and
-  // lands on the same final result as the uninterrupted campaign.
+  // lands on the same final tally as the uninterrupted campaign.
   auto resume_opts = opts;
-  resume_opts.with_checkpoint(path, 8);
+  resume_opts.with_cache(resume_store).with_checkpoint(path, 8);
   const auto resumed = run_campaign(design, resume_opts);
   EXPECT_FALSE(resumed.interrupted);
   EXPECT_EQ(resumed.resumed_injections, partial.injections);
   expect_same_result(uninterrupted, resumed);
-  EXPECT_EQ(uninterrupted.pruned, resumed.pruned);
+  expect_same_tally_counters(uninterrupted, resumed);
+
+  // The same resume from the record in memory, without the file.
+  std::vector<u8> record;
+  ASSERT_TRUE(read_file(path, &record));
+  CampaignCheckpoint saved;
+  ASSERT_TRUE(decode_campaign_checkpoint(record, &saved));
+  EXPECT_EQ(saved.tally.injections, resumed.injections);
+  auto from_bytes_opts = opts;
+  from_bytes_opts.resume_checkpoint = record;
+  const auto from_bytes = run_campaign(design, from_bytes_opts);
+  EXPECT_EQ(from_bytes.resumed_injections, resumed.injections);
+  expect_same_tally_counters(resumed, from_bytes);
 
   // A checkpoint from different options must be ignored, not resumed.
   auto mismatched = opts;
@@ -180,5 +267,5 @@ TEST(CampaignDeterminism, CheckpointResumeRoundTrip) {
   EXPECT_EQ(fresh.resumed_injections, 0u);
   EXPECT_EQ(fresh.injections, 2000u);
 
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }

@@ -33,7 +33,6 @@
 #include "seu/cache_key.h"
 #include "seu/campaign.h"
 #include "store/verdict_store.h"
-#include "svc/client.h"
 #include "svc/config.h"
 #include "svc/fabric.h"
 #include "svc/partition.h"
@@ -41,6 +40,7 @@
 #include "svc/requests.h"
 #include "svc/server.h"
 #include "svc/service.h"
+#include "svc/session.h"
 #include "svc/store_wire.h"
 
 namespace vscrub {
@@ -142,13 +142,14 @@ struct ServerBox {
   std::thread runner;
 };
 
-ServiceConfig worker_config(const char* socket_name, const std::string& spool) {
+/// A plain worker: no store and no spool directory — checkpoint shipping
+/// and resume need no files.
+ServiceConfig worker_config(const char* socket_name) {
   ServiceConfig config;
   config.socket_path = ::testing::TempDir() + socket_name;
   std::filesystem::remove(config.socket_path);
   config.executors = 2;
   config.pool_threads = 2;
-  config.spool_dir = spool;
   return config;
 }
 
@@ -167,7 +168,7 @@ std::string campaign_payload(const char* design, u64 sample,
 /// plain worker — the report every sharded/hostile variant must reproduce.
 FlatJson one_shot_report(const std::string& socket, const char* design,
                          u64 sample) {
-  ServiceClient client = ServiceClient::connect_unix(socket);
+  ServiceSession client = ServiceSession::connect_unix(socket);
   const Frame reply =
       client.call(FrameKind::kCampaign, campaign_payload(design, sample));
   EXPECT_EQ(reply.kind, FrameKind::kResult) << reply.payload;
@@ -225,10 +226,8 @@ FabricOptions fabric_options(const std::vector<std::string>& workers,
 // ---------------------------------------------------------------------------
 
 TEST(FabricHostile, WorkerDeadAfterCheckpointRangeResumesElsewhere) {
-  const std::string spool_a = fresh_dir("fab_die_a");
-  const std::string spool_b = fresh_dir("fab_die_b");
-  ServiceConfig ca = worker_config("fab_die_a.sock", spool_a);
-  ServiceConfig cb = worker_config("fab_die_b.sock", spool_b);
+  ServiceConfig ca = worker_config("fab_die_a.sock");
+  ServiceConfig cb = worker_config("fab_die_b.sock");
   ServerBox hostile(ca, std::make_unique<HostileWorkerService>(
                             ca, HostileWorkerService::Mode::
                                     kDieAfterFirstCheckpoint));
@@ -248,15 +247,11 @@ TEST(FabricHostile, WorkerDeadAfterCheckpointRangeResumesElsewhere) {
   // And the seam is invisible in the merge: bit-identical to one-shot.
   expect_merged_matches(result.merged,
                         one_shot_report(cb.socket_path, "lfsr", 4000));
-  std::filesystem::remove_all(spool_a);
-  std::filesystem::remove_all(spool_b);
 }
 
 TEST(FabricHostile, SilentWorkerForfeitsLeaseAndSurvivorsAbsorbTheRange) {
-  const std::string spool_a = fresh_dir("fab_hang_a");
-  const std::string spool_b = fresh_dir("fab_hang_b");
-  ServiceConfig ca = worker_config("fab_hang_a.sock", spool_a);
-  ServiceConfig cb = worker_config("fab_hang_b.sock", spool_b);
+  ServiceConfig ca = worker_config("fab_hang_a.sock");
+  ServiceConfig cb = worker_config("fab_hang_b.sock");
   ServerBox hostile(ca, std::make_unique<HostileWorkerService>(
                             ca, HostileWorkerService::Mode::kBlackHole));
   ServerBox honest(cb);
@@ -270,15 +265,11 @@ TEST(FabricHostile, SilentWorkerForfeitsLeaseAndSurvivorsAbsorbTheRange) {
   EXPECT_FALSE(result.interrupted);
   expect_merged_matches(result.merged,
                         one_shot_report(cb.socket_path, "lfsr", 2000));
-  std::filesystem::remove_all(spool_a);
-  std::filesystem::remove_all(spool_b);
 }
 
 TEST(FabricHostile, ZombieResultAfterReassignmentIsNotDoubleCounted) {
-  const std::string spool_a = fresh_dir("fab_zombie_a");
-  const std::string spool_b = fresh_dir("fab_zombie_b");
-  ServiceConfig ca = worker_config("fab_zombie_a.sock", spool_a);
-  ServiceConfig cb = worker_config("fab_zombie_b.sock", spool_b);
+  ServiceConfig ca = worker_config("fab_zombie_a.sock");
+  ServiceConfig cb = worker_config("fab_zombie_b.sock");
   ServerBox hostile(ca, std::make_unique<HostileWorkerService>(
                             ca, HostileWorkerService::Mode::kZombieTerminal));
   ServerBox honest(cb);
@@ -294,8 +285,6 @@ TEST(FabricHostile, ZombieResultAfterReassignmentIsNotDoubleCounted) {
   EXPECT_FALSE(result.interrupted);
   expect_merged_matches(result.merged,
                         one_shot_report(cb.socket_path, "lfsr", 2000));
-  std::filesystem::remove_all(spool_a);
-  std::filesystem::remove_all(spool_b);
 }
 
 TEST(FabricHostile, FleetWithNoLiveWorkersIsATypedError) {
@@ -308,15 +297,13 @@ TEST(FabricHostile, FleetWithNoLiveWorkersIsATypedError) {
   // A worker that connects but never speaks: the lease expires, the link is
   // declared lost, and with no survivors the fabric fails typed — it must
   // never hang on an outstanding range.
-  const std::string spool = fresh_dir("fab_only_hang");
-  ServiceConfig config = worker_config("fab_only_hang.sock", spool);
+  ServiceConfig config = worker_config("fab_only_hang.sock");
   ServerBox hostile(config, std::make_unique<HostileWorkerService>(
                                 config,
                                 HostileWorkerService::Mode::kBlackHole));
   FabricOptions silent =
       fabric_options({config.socket_path}, "lfsr", 500, /*lease_ms=*/300);
   EXPECT_THROW(run_fabric_campaign(silent), Error);
-  std::filesystem::remove_all(spool);
 }
 
 // ---------------------------------------------------------------------------
@@ -324,11 +311,9 @@ TEST(FabricHostile, FleetWithNoLiveWorkersIsATypedError) {
 // ---------------------------------------------------------------------------
 
 TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
-  const std::string spool_a = fresh_dir("fab_coord_a");
-  const std::string spool_b = fresh_dir("fab_coord_b");
   const std::string hub = fresh_dir("fab_coord_hub");
-  ServiceConfig ca = worker_config("fab_coord_a.sock", spool_a);
-  ServiceConfig cb = worker_config("fab_coord_b.sock", spool_b);
+  ServiceConfig ca = worker_config("fab_coord_a.sock");
+  ServiceConfig cb = worker_config("fab_coord_b.sock");
   ServerBox worker_a(ca);
   ServerBox worker_b(cb);
 
@@ -339,7 +324,7 @@ TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
   coord.cache_dir = hub;
   ServerBox coordinator(coord);
 
-  ServiceClient client = ServiceClient::connect_unix(coord.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(coord.socket_path);
   const FlatJson pong = FlatJson::parse(client.ping().payload);
   EXPECT_EQ(pong.get_string("role"), "coordinator");
   EXPECT_EQ(pong.get_u64("workers"), 2u);
@@ -381,14 +366,37 @@ TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
   EXPECT_GT(stats.get_u64("store_publishes"), 0u);
   EXPECT_GT(stats.get_u64("store_lookup_hits"), 0u);
 
-  std::filesystem::remove_all(spool_a);
-  std::filesystem::remove_all(spool_b);
+  // The hub persists each sharded campaign's verdicts after its reply, not
+  // only at the drain: wait out that flush, then open the same directory
+  // from a fresh service and replay the whole campaign from it.
+  FlatJson hub_stats = stats;
+  for (int i = 0; i < 400 && hub_stats.get_u64("store_flushes") < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    hub_stats = FlatJson::parse(client.stats().payload);
+  }
+  EXPECT_GE(hub_stats.get_u64("store_flushes"), 1u);
+  EXPECT_GT(hub_stats.get_u64("store_entries"), 0u);
+  ServiceConfig reader;
+  reader.cache_dir = hub;
+  CampaignService fresh(reader);
+  ASSERT_NE(fresh.store(), nullptr);
+  EXPECT_GT(fresh.store()->size(), 0u);
+  FrameLog replay;
+  fresh.handle({FrameKind::kCampaign, 1, campaign_payload("lfsrmult", 1200)},
+               replay.emit(), 0);
+  fresh.wait_drained();
+  ASSERT_EQ(replay.frames.back().kind, FrameKind::kResult)
+      << replay.frames.back().payload;
+  const FlatJson replayed = FlatJson::parse(replay.frames.back().payload);
+  EXPECT_EQ(replayed.get_u64("cache_hits"), replayed.get_u64("injections"));
+  EXPECT_EQ(replayed.get_u64("sensitive_digest"),
+            expected.get_u64("sensitive_digest"));
+
   std::filesystem::remove_all(hub);
 }
 
 TEST(FabricHostile, CoordinatorQueuesFleetCampaignsInStrideOrder) {
-  const std::string spool = fresh_dir("fab_fair_w");
-  ServiceConfig cw = worker_config("fab_fair_w.sock", spool);
+  ServiceConfig cw = worker_config("fab_fair_w.sock");
   ServerBox worker(cw);
 
   ServiceConfig coord;
@@ -400,7 +408,6 @@ TEST(FabricHostile, CoordinatorQueuesFleetCampaignsInStrideOrder) {
   // ranges; the combination is refused at configuration time.
   ServiceConfig preempting = coord;
   preempting.preempt_chunks = 2;
-  preempting.spool_dir = spool;
   EXPECT_THROW(preempting.validate(), ServiceConfigError);
 
   std::mutex mutex;
@@ -442,7 +449,6 @@ TEST(FabricHostile, CoordinatorQueuesFleetCampaignsInStrideOrder) {
   EXPECT_EQ(FlatJson::parse(svc.stats_report().to_json())
                 .get_u64("admission_rejects", 0),
             0u);
-  std::filesystem::remove_all(spool);
 }
 
 // ---------------------------------------------------------------------------
@@ -590,7 +596,7 @@ TEST(RemoteTier, BatchesPastOneFrameSplitAndStillAnswerEverySlot) {
     EXPECT_EQ(remote.publishes(), n);
     EXPECT_EQ(remote.failed_frames(), 0u);
 
-    ServiceClient client = ServiceClient::connect_unix(cfg.socket_path);
+    ServiceSession client = ServiceSession::connect_unix(cfg.socket_path);
     const FlatJson stats = FlatJson::parse(client.stats().payload);
     EXPECT_EQ(stats.get_u64("store_frames"), 4u);  // two per verb
     EXPECT_EQ(stats.get_u64("store_lookups"), n);
@@ -935,7 +941,7 @@ TEST(FabricFuzz, GarbageAtALiveCoordinatorSocketGetsTypedErrorThenClose) {
   ::close(fd);
 
   // The hostile episode cost one connection; the coordinator still serves.
-  ServiceClient client = ServiceClient::connect_unix(coord.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(coord.socket_path);
   EXPECT_EQ(FlatJson::parse(client.ping().payload).get_string("role"),
             "coordinator");
 }

@@ -156,13 +156,20 @@ CampaignCheckpoint sample_checkpoint() {
   ck.total_injections = 512;
   ck.chunk_size = 64;
   ck.done.assign(8, 0x55);
-  ck.injections = 448;
-  ck.failures = 17;
-  ck.persistent = 3;
-  ck.pruned = 12;
-  ck.modeled_ps = 123456789;
-  ck.phases.corrupt_s = 1.5;
-  ck.phases.run_s = 2.5;
+  CampaignTally& t = ck.tally;
+  t.injections = 448;
+  t.failures = 17;
+  t.persistent = 3;
+  t.cache_hits = 40;
+  t.cache_misses = 408;
+  t.remote_hits = 6;
+  t.remote_publishes = 21;
+  t.modeled_hardware_time = SimTime::picoseconds(123456789);
+  t.phases.corrupt_s = 1.5;
+  t.phases.run_s = 2.5;
+  t.phases.pruned = 12;
+  t.phases.gang_runs = 4;
+  t.phases.gang_lanes = 300;
   for (u32 i = 0; i < 5; ++i) {
     CampaignResult::SensitiveBit sb;
     sb.addr = BitAddress{FrameAddress{ColumnKind::kClb, static_cast<u16>(i),
@@ -171,11 +178,135 @@ CampaignCheckpoint sample_checkpoint() {
     sb.persistent = (i & 1) != 0;
     sb.first_error_cycle = i * 11;
     sb.error_output_mask_lo = u64{1} << i;
-    ck.sensitive_bits.push_back(sb);
+    t.sensitive_bits.push_back(sb);
   }
-  ck.failures_by_field.emplace_back(u8{2}, u64{9});
-  ck.failures_by_field.emplace_back(u8{5}, u64{8});
+  t.failures_by_field[2] = 9;
+  t.failures_by_field[5] = 8;
   return ck;
+}
+
+// Attempts a decode that must NOT succeed: clean failure (false return or a
+// vscrub::Error) is fine, resuming with data is not. Any other outcome
+// (crash, uncaught foreign exception) fails the test harness itself.
+void expect_clean_rejection(const std::vector<u8>& record, const char* what) {
+  CampaignCheckpoint out;
+  bool loaded = false;
+  try {
+    loaded = decode_campaign_checkpoint(record, &out);
+  } catch (const Error&) {
+    return;  // clean, typed failure
+  }
+  EXPECT_FALSE(loaded) << what << ": corrupt record accepted";
+}
+
+TEST(CheckpointFuzz, RoundTripsIntact) {
+  const CampaignCheckpoint ck = sample_checkpoint();
+  CampaignCheckpoint out;
+  ASSERT_TRUE(decode_campaign_checkpoint(encode_campaign_checkpoint(ck), &out));
+  EXPECT_EQ(out.fingerprint, ck.fingerprint);
+  EXPECT_EQ(out.total_injections, ck.total_injections);
+  EXPECT_EQ(out.chunk_size, ck.chunk_size);
+  EXPECT_EQ(out.done, ck.done);
+  EXPECT_EQ(out.tally.injections, ck.tally.injections);
+  EXPECT_EQ(out.tally.failures, ck.tally.failures);
+  EXPECT_EQ(out.tally.persistent, ck.tally.persistent);
+  EXPECT_EQ(out.tally.cache_hits, ck.tally.cache_hits);
+  EXPECT_EQ(out.tally.cache_misses, ck.tally.cache_misses);
+  EXPECT_EQ(out.tally.remote_hits, ck.tally.remote_hits);
+  EXPECT_EQ(out.tally.remote_publishes, ck.tally.remote_publishes);
+  EXPECT_EQ(out.tally.modeled_hardware_time, ck.tally.modeled_hardware_time);
+  EXPECT_EQ(out.tally.phases.pruned, ck.tally.phases.pruned);
+  EXPECT_EQ(out.tally.phases.gang_lanes, ck.tally.phases.gang_lanes);
+  EXPECT_EQ(out.tally.phases.run_s, ck.tally.phases.run_s);
+  EXPECT_EQ(out.tally.sensitive_bits.size(), ck.tally.sensitive_bits.size());
+  EXPECT_EQ(out.tally.failures_by_field, ck.tally.failures_by_field);
+  // One encoding per tally: a decoded record re-encodes to the same bytes.
+  EXPECT_EQ(encode_campaign_checkpoint(out), encode_campaign_checkpoint(ck));
+}
+
+TEST(CheckpointFuzz, TruncatedCheckpointsFailCleanly) {
+  const std::vector<u8> full = encode_campaign_checkpoint(sample_checkpoint());
+  ASSERT_GT(full.size(), 16u);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    expect_clean_rejection(
+        std::vector<u8>(full.begin(),
+                        full.begin() + static_cast<std::ptrdiff_t>(len)),
+        "truncation");
+  }
+}
+
+TEST(CheckpointFuzz, BitFlippedCheckpointsNeverResume) {
+  const std::vector<u8> full = encode_campaign_checkpoint(sample_checkpoint());
+  // Every single-bit flip anywhere in the record — header, counts, payload,
+  // CRC trailer — must be rejected (crc32 catches all single-bit errors).
+  for (std::size_t byte = 0; byte < full.size(); ++byte) {
+    for (int bit = 0; bit < 8; bit += 3) {
+      std::vector<u8> flipped = full;
+      flipped[byte] = static_cast<u8>(flipped[byte] ^ (1u << bit));
+      expect_clean_rejection(flipped, "bit flip");
+    }
+  }
+}
+
+TEST(CheckpointFuzz, OversizedCountsRejectedBeforeAllocation) {
+  // A record with a valid magic and CRC but an absurd element count must be
+  // rejected by the size guards, not attempt a huge resize. (CRC-valid
+  // hostile input models a corrupt-then-rewritten cursor.)
+  const auto header = [](RecordWriter& w) {
+    w.put_u64(1);    // fingerprint
+    w.put_u64(512);  // total_injections
+    w.put_u64(64);   // chunk_size
+  };
+  {
+    RecordWriter w("VSCK5");
+    header(w);
+    w.put_u64(u64{1} << 60);  // done bitmap "size": absurd
+    expect_clean_rejection(w.sealed(), "oversized done bitmap");
+  }
+  {
+    RecordWriter w("VSCK5");
+    header(w);
+    w.put_u64(0);  // done bitmap empty
+    for (int i = 0; i < 8; ++i) w.put_u64(0);   // counters + modeled time
+    for (int i = 0; i < 10; ++i) w.put_u64(0);  // phases block
+    w.put_u64(u64{1} << 59);  // sensitive-bit count: absurd
+    expect_clean_rejection(w.sealed(), "oversized sensitive-bit table");
+  }
+  {
+    RecordWriter w("VSCK5");
+    header(w);
+    w.put_u64(0);  // done bitmap empty
+    for (int i = 0; i < 8; ++i) w.put_u64(0);   // counters + modeled time
+    for (int i = 0; i < 10; ++i) w.put_u64(0);  // phases block
+    w.put_u64(0);             // no sensitive bits
+    w.put_u64(u64{1} << 58);  // failure-field count: absurd
+    expect_clean_rejection(w.sealed(), "oversized failure-field table");
+  }
+  {
+    // The same layout with sane counts decodes: the guards above fire on
+    // the counts alone, not on a malformed prefix.
+    RecordWriter w("VSCK5");
+    header(w);
+    w.put_u64(0);
+    for (int i = 0; i < 8; ++i) w.put_u64(0);
+    for (int i = 0; i < 10; ++i) w.put_u64(0);
+    w.put_u64(0);
+    w.put_u64(0);
+    CampaignCheckpoint out;
+    EXPECT_TRUE(decode_campaign_checkpoint(w.sealed(), &out));
+  }
+}
+
+TEST(CheckpointFuzz, WrongMagicIsIgnoredNotFatal) {
+  RecordWriter foreign("VSCB1");  // a bitstream-image record, not a checkpoint
+  foreign.put_u64(42);
+  CampaignCheckpoint out;
+  EXPECT_FALSE(decode_campaign_checkpoint(foreign.sealed(), &out))
+      << "foreign record types must be skipped so campaigns start fresh";
+  // A checkpoint of the previous version reads as a different campaign.
+  std::vector<u8> older = encode_campaign_checkpoint(sample_checkpoint());
+  older[4] = '4';  // "VSCK5" -> "VSCK4"
+  EXPECT_FALSE(decode_campaign_checkpoint(older, &out));
 }
 
 std::vector<u8> read_file(const std::string& path) {
@@ -188,110 +319,6 @@ void write_file(const std::string& path, const std::vector<u8>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-}
-
-// Attempts a load that must NOT succeed: clean failure (false return or a
-// vscrub::Error) is fine, resuming with data is not. Any other outcome
-// (crash, uncaught foreign exception) fails the test harness itself.
-void expect_clean_rejection(const std::string& path, const char* what) {
-  CampaignCheckpoint out;
-  bool loaded = false;
-  try {
-    loaded = load_campaign_checkpoint(path, &out);
-  } catch (const Error&) {
-    return;  // clean, typed failure
-  }
-  EXPECT_FALSE(loaded) << what << ": corrupt record accepted";
-}
-
-TEST(CheckpointFuzz, RoundTripsIntact) {
-  const std::string path = ::testing::TempDir() + "ckfuzz_roundtrip.vsck";
-  const CampaignCheckpoint ck = sample_checkpoint();
-  save_campaign_checkpoint(path, ck);
-  CampaignCheckpoint out;
-  ASSERT_TRUE(load_campaign_checkpoint(path, &out));
-  EXPECT_EQ(out.fingerprint, ck.fingerprint);
-  EXPECT_EQ(out.done, ck.done);
-  EXPECT_EQ(out.sensitive_bits.size(), ck.sensitive_bits.size());
-  EXPECT_EQ(out.failures_by_field, ck.failures_by_field);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFuzz, TruncatedCheckpointsFailCleanly) {
-  const std::string path = ::testing::TempDir() + "ckfuzz_trunc.vsck";
-  save_campaign_checkpoint(path, sample_checkpoint());
-  const std::vector<u8> full = read_file(path);
-  ASSERT_GT(full.size(), 16u);
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    write_file(path, std::vector<u8>(full.begin(),
-                                     full.begin() +
-                                         static_cast<std::ptrdiff_t>(len)));
-    expect_clean_rejection(path, "truncation");
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFuzz, BitFlippedCheckpointsNeverResume) {
-  const std::string path = ::testing::TempDir() + "ckfuzz_flip.vsck";
-  save_campaign_checkpoint(path, sample_checkpoint());
-  const std::vector<u8> full = read_file(path);
-  // Every single-bit flip anywhere in the record — header, counts, payload,
-  // CRC trailer — must be rejected (crc32 catches all single-bit errors).
-  for (std::size_t byte = 0; byte < full.size(); ++byte) {
-    for (int bit = 0; bit < 8; bit += 3) {
-      std::vector<u8> flipped = full;
-      flipped[byte] = static_cast<u8>(flipped[byte] ^ (1u << bit));
-      write_file(path, flipped);
-      expect_clean_rejection(path, "bit flip");
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFuzz, OversizedCountsRejectedBeforeAllocation) {
-  // A record with a valid magic and CRC but an absurd element count must be
-  // rejected by the size guards, not attempt a huge resize. (CRC-valid
-  // hostile input models a corrupt-then-rewritten cursor.)
-  const std::string path = ::testing::TempDir() + "ckfuzz_oversize.vsck";
-  {
-    RecordWriter w("VSCK3");
-    w.put_u64(1);              // fingerprint
-    w.put_u64(512);            // total_injections
-    w.put_u64(64);             // chunk_size
-    w.put_u64(u64{1} << 60);   // done bitmap "size": absurd
-    w.write(path);
-    expect_clean_rejection(path, "oversized done bitmap");
-  }
-  {
-    RecordWriter w("VSCK3");
-    w.put_u64(1);    // fingerprint
-    w.put_u64(512);  // total_injections
-    w.put_u64(64);   // chunk_size
-    w.put_u64(0);    // done bitmap empty
-    w.put_u64(0);    // injections
-    w.put_u64(0);    // failures
-    w.put_u64(0);    // persistent
-    w.put_u64(0);    // pruned
-    w.put_u64(0);    // cache_hits
-    w.put_u64(0);    // cache_misses
-    w.put_u64(0);    // modeled_ps
-    for (int i = 0; i < 9; ++i) w.put_u64(0);  // phases block
-    w.put_u64(u64{1} << 59);  // sensitive-bit count: absurd
-    w.write(path);
-    expect_clean_rejection(path, "oversized sensitive-bit table");
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointFuzz, WrongMagicIsIgnoredNotFatal) {
-  const std::string path = ::testing::TempDir() + "ckfuzz_magic.vsck";
-  RecordWriter w("VSCB1");  // a bitstream-image record, not a checkpoint
-  w.put_u64(42);
-  w.write(path);
-  CampaignCheckpoint out;
-  EXPECT_FALSE(load_campaign_checkpoint(path, &out))
-      << "foreign record types must be skipped so campaigns start fresh";
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@
 #include "seu/design_baseline.h"
 #include "sim/simd.h"
 #include "store/verdict_store.h"
-#include "svc/client.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
 #include "svc/requests.h"
@@ -277,9 +276,7 @@ TEST(ServiceConfigTest, FlagTableDrivesSetAndRejectsJunk) {
 
 TEST(ServiceConfigTest, ValidateNamesTheInconsistentCombo) {
   ServiceConfig config;
-  config.preempt_chunks = 2;  // preemption checkpoints need a directory
-  EXPECT_THROW(config.validate(), ServiceConfigError);
-  config.spool_dir = "/tmp/spool";
+  config.preempt_chunks = 2;  // preemption keeps its checkpoints in memory
   EXPECT_NO_THROW(config.validate());
   config.queue_capacity = 0;
   EXPECT_THROW(config.validate(), ServiceConfigError);
@@ -650,13 +647,14 @@ TEST(CampaignService, CancelMidFlightDeliversInterruptedResult) {
 }
 
 TEST(CampaignService, PreemptedCampaignResumesFromCheckpointBitIdentical) {
-  const std::string spool = fresh_dir("svc_preempt_spool");
+  // No spool or cache directory: the parked campaign's checkpoint lives in
+  // its job, not in a file.
   ServiceConfig config;
   config.executors = 1;  // one executor: preemption is the ONLY way B runs
   config.pool_threads = 2;
   config.queue_capacity = 8;
   config.preempt_chunks = 1;
-  config.spool_dir = spool;
+  ASSERT_TRUE(config.checkpoint_dir().empty());
   CampaignService svc(config);
 
   // Tenant "alice" starts a long campaign with per-chunk telemetry.
@@ -715,7 +713,6 @@ TEST(CampaignService, PreemptedCampaignResumesFromCheckpointBitIdentical) {
           .with_sample(4000, 99));
   EXPECT_EQ(report.get_u64("sensitive_digest"), direct.sensitive_digest(design));
   EXPECT_EQ(report.get_u64("failures"), direct.failures);
-  std::filesystem::remove_all(spool);
 }
 
 TEST(CampaignService, ServedGangWidthDefaultIsTheWidestCompiledTier) {
@@ -773,7 +770,7 @@ TEST(CampaignService, RecampaignWithoutStoreIsTypedFailure) {
 }
 
 // ---------------------------------------------------------------------------
-// Loopback integration: SocketServer + ServiceClient
+// Loopback integration: SocketServer + ServiceSession
 // ---------------------------------------------------------------------------
 
 struct LoopbackServer {
@@ -824,8 +821,8 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
   clients.reserve(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      ServiceClient client =
-          ServiceClient::connect_unix(options.socket_path);
+      ServiceSession client =
+          ServiceSession::connect_unix(options.socket_path);
       const Frame reply = client.call(FrameKind::kCampaign, payload);
       EXPECT_EQ(reply.kind, FrameKind::kResult) << reply.payload;
       if (reply.kind != FrameKind::kResult) return;
@@ -860,7 +857,7 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
   EXPECT_GT(total_hits, 0u);
 
   // The shared store also serves delta re-campaigns across the same socket.
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
   const Frame re = client.call(FrameKind::kRecampaign, payload);
   ASSERT_EQ(re.kind, FrameKind::kResult) << re.payload;
   const FlatJson rr = FlatJson::parse(re.payload);
@@ -893,7 +890,7 @@ TEST(ServiceLoopback, FailedCheckpointWriteFailsTheRequestNotTheDaemon) {
   // first checkpoint write, on a pool worker, throws.
   std::filesystem::remove_all(spool);
 
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
   const Frame reply = client.call(
       FrameKind::kCampaign,
       R"({"design": "lfsr", "device": "campaign", "sample": 2000,)"
@@ -913,14 +910,14 @@ TEST(ServiceLoopback, AcceptedAndProgressStreamBeforeResult) {
   ServiceConfig options = loopback_config("svc_progress.sock");
   LoopbackServer loop(options);
 
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
   const std::string payload =
       R"({"design": "lfsr", "device": "campaign", "sample": 2000,)"
       R"( "chunk": 64, "progress": true, "progress_every_chunks": 1})";
-  const u64 id = client.send_request(FrameKind::kCampaign, payload);
+  JobHandle job = client.submit(FrameKind::kCampaign, payload);
   u64 progress_frames = 0;
   u64 last_done = 0;
-  const Frame reply = client.wait(id, [&](const Frame& f) {
+  const Frame reply = job.wait([&](const Frame& f) {
     if (f.kind != FrameKind::kProgress) return;
     ++progress_frames;
     const FlatJson p = FlatJson::parse(f.payload);
@@ -939,14 +936,14 @@ TEST(ServiceLoopback, DrainDeliversInFlightResultThenExits) {
   ServiceConfig options = loopback_config("svc_drain.sock");
   LoopbackServer loop(options);
 
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
-  const u64 id = client.send_request(
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
+  JobHandle job = client.submit(
       FrameKind::kCampaign,
       R"({"design": "lfsrmult", "device": "campaign", "sample": 1500})");
   // Stop the server the moment the request is admitted: the drain must still
   // finish the in-flight campaign and deliver its result.
   std::atomic<bool> stopped{false};
-  const Frame reply = client.wait(id, [&](const Frame& f) {
+  const Frame reply = job.wait([&](const Frame& f) {
     if (f.kind == FrameKind::kAccepted && !stopped.exchange(true)) {
       loop.server.request_stop();
     }
@@ -1132,6 +1129,28 @@ TEST(KeyPlanMemo, CampaignOnARecompiledDesignMatchesTheMemoizedOne) {
 // ---------------------------------------------------------------------------
 // Device names from clients
 // ---------------------------------------------------------------------------
+
+TEST(DeviceNames, BramOnADeviceWithoutBramNamesTheDevicesThatHaveIt) {
+  // The default device has no BRAM columns: compiling `bram` there fails
+  // with a message naming that device and every device that would work.
+  try {
+    compile(design_by_name("bram"), device_by_name("campaign"));
+    FAIL() << "bram compiled on a device without BRAM columns";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("campaign (tiny 12x16)"), std::string::npos) << what;
+    EXPECT_NE(what.find(devices_with_bram()), std::string::npos) << what;
+  }
+  // Every device the message offers takes the design.
+  EXPECT_EQ(devices_with_bram(), "xcv50, xcv100, xcv300, xcv1000, tiny:RxC");
+  for (const char* device : {"xcv50", "tiny:8x12"}) {
+    EXPECT_NO_THROW(compile(design_by_name("bram"), device_by_name(device)))
+        << device;
+  }
+  for (const NamedDevice& d : device_catalog()) {
+    EXPECT_EQ(device_by_name(d.name), d.geometry) << d.name;
+  }
+}
 
 TEST(DeviceNames, TinyDimensionsParseStrictly) {
   const DeviceGeometry ok = device_by_name("tiny:8x16");

@@ -20,9 +20,9 @@
 
 #include "common/crc.h"
 #include "common/rng.h"
-#include "svc/client.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
+#include "svc/session.h"
 
 namespace vscrub {
 namespace {
@@ -219,7 +219,7 @@ class ServerFuzz : public ::testing::Test {
   }
   void TearDown() override {
     // Whatever the hostile client did, a fresh client must still get a pong.
-    ServiceClient client = ServiceClient::connect_unix(options_.socket_path);
+    ServiceSession client = ServiceSession::connect_unix(options_.socket_path);
     const Frame pong = client.ping();
     EXPECT_EQ(pong.kind, FrameKind::kResult);
     EXPECT_EQ(FlatJson::parse(pong.payload).get_string("kind"), "pong");
@@ -352,7 +352,7 @@ struct HostileServer {
     // After every hostile episode, a fresh client still gets a pong. (Skipped
     // when the config itself dooms every reply, e.g. a 1-byte backlog bound.)
     if (check_health) {
-      ServiceClient client = ServiceClient::connect_unix(config.socket_path);
+      ServiceSession client = ServiceSession::connect_unix(config.socket_path);
       EXPECT_EQ(client.ping().kind, FrameKind::kResult);
     }
     server.request_stop();
@@ -392,7 +392,7 @@ TEST(ServerHostile, SlowLorisDribblerNeverStallsOtherClients) {
 
   // Meanwhile every other client is served at full speed: a partial frame
   // parks in that connection's decoder, not in the event loop.
-  ServiceClient client = ServiceClient::connect_unix(host.config.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(host.config.socket_path);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(client.ping().kind, FrameKind::kResult);
   }
@@ -411,8 +411,9 @@ TEST(ServerHostile, MidStreamDisconnectCancelsOrphanedWork) {
 
   // Submit a long campaign, then vanish with it still running.
   {
-    ServiceClient client = ServiceClient::connect_unix(host.config.socket_path);
-    (void)client.send_request(
+    ServiceSession client =
+        ServiceSession::connect_unix(host.config.socket_path);
+    (void)client.submit(
         FrameKind::kCampaign,
         R"({"design": "lfsrmult", "device": "campaign", "sample": 20000,)"
         R"( "chunk": 64})");
@@ -420,7 +421,7 @@ TEST(ServerHostile, MidStreamDisconnectCancelsOrphanedWork) {
 
   // The disconnect cancels the orphan at its next chunk boundary: live work
   // drains to zero far sooner than 20k injections could complete.
-  ServiceClient probe = ServiceClient::connect_unix(host.config.socket_path);
+  ServiceSession probe = ServiceSession::connect_unix(host.config.socket_path);
   u64 live = ~0ull;
   for (int i = 0; i < 1000 && live != 0; ++i) {
     live = FlatJson::parse(probe.stats().payload).get_u64("live_requests");

@@ -15,8 +15,8 @@
 #include "core/vscrub.h"
 #include "serve_common.h"
 #include "svc/campaign_spec.h"
-#include "svc/client.h"
 #include "svc/requests.h"
+#include "svc/session.h"
 
 using namespace vscrub;
 
@@ -310,7 +310,7 @@ int call_and_report(const CliArgs& args, const std::string& socket,
     if (progress) request.set_bool("progress", true);
     payload = request.to_json();
   }
-  ServiceClient client = ServiceClient::connect_unix(socket);
+  ServiceSession client = ServiceSession::connect_unix(socket);
   const Frame reply =
       client.call(kind, payload, [progress, print_progress](const Frame& f) {
         if (progress && f.kind == FrameKind::kProgress) {
@@ -428,11 +428,14 @@ int main(int argc, char** argv) {
     if (name == "version") return cmd_version(args);
     if (name == "info") return cmd_info(args);
     if (name == "designs") {
-      std::printf("lfsr mult vmult counter multadd lfsrmult fir selfcheck bram\n");
+      std::printf("lfsr mult vmult counter multadd lfsrmult fir selfcheck bram\n"
+                  "bram needs a --device with BRAM columns: %s\n",
+                  devices_with_bram().c_str());
       return 0;
     }
     if (name == "devices") {
-      std::printf("campaign xcv50 xcv100 xcv300 xcv1000 tiny:RxC\n");
+      for (const NamedDevice& d : device_catalog()) std::printf("%s ", d.name);
+      std::printf("tiny:RxC\n");
       return 0;
     }
     if (name == "policies") {
