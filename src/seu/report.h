@@ -19,14 +19,6 @@ std::string correlation_table_csv(const ConfigSpace& space,
 /// One-paragraph human-readable summary.
 std::string campaign_summary(const CampaignResult& result);
 
-/// The u64 report counters the fabric merge sums across ranges; the other
-/// u64 fields are device_bits (one range's) and sensitive_digest (XORed).
-inline constexpr const char* kSummedCampaignCounters[] = {
-    "injections", "failures", "persistent", "pruned", "resumed_injections",
-    "gang_runs", "gang_lanes", "gang_fallbacks", "cache_hits", "cache_misses",
-    "cache_stores", "remote_hits", "remote_publishes", "sensitive_bits",
-};
-
 /// The campaign result as a versioned JSON report ("kind": "campaign"),
 /// through the shared report/json serializer.
 JsonReport campaign_report_json(const PlacedDesign& design,

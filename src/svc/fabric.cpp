@@ -3,18 +3,19 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/log.h"
+#include "seu/checkpoint.h"
 #include "seu/report.h"
 #include "svc/campaign_spec.h"
 #include "svc/requests.h"
 #include "svc/session.h"
+#include "svc/store_wire.h"
 
 namespace vscrub {
 namespace {
@@ -36,7 +37,7 @@ constexpr u64 kLinkFailureBudget = 3;
 
 struct RangeState {
   BitRange range;
-  /// Latest shipped VSCK blob (hex) — the range's restart point.
+  /// Latest shipped VSCK blob (hex) of this range — its restart point.
   std::string checkpoint_hex;
   /// Dispatch epoch: a zombie attempt's frames are ignored unless its
   /// epoch is still current, so a reassigned range can never have its
@@ -44,7 +45,7 @@ struct RangeState {
   u64 attempt = 0;
   u64 error_attempts = 0;
   bool done = false;
-  FlatJson report;         ///< the range's campaign report once done
+  CampaignResult result;   ///< once done: the completing attempt's record
   u64 live_injections = 0; ///< progress snapshot (final count once done)
   Clock::time_point last_event{};
 };
@@ -154,28 +155,40 @@ void run_driver(const FabricOptions& options, Shared& shared,
 
     const JsonReport request = shard_request(options, rs.range, resume_hex);
 
-    // Event stream: every frame is a lease heartbeat; checkpoints update
-    // the range's restart point (current attempt only — a zombie's blob
-    // must not clobber the live attempt's).
-    const auto on_event = [&options, &shared, &rs, my_attempt,
-                           universe](const Frame& frame) {
+    // Event stream: every frame is a lease heartbeat. A checkpoint is
+    // decoded outside the shared mutex; a record of this range is this
+    // attempt's latest tally and, for the current attempt only, the range's
+    // restart point. An undecodable blob is dropped.
+    auto shipped = std::make_shared<CampaignTally>();
+    const auto on_event = [&options, &shared, &rs, my_attempt, universe,
+                           shipped](const Frame& frame) {
+      std::string blob;
+      std::optional<u64> injections_done;
+      try {
+        const FlatJson payload = FlatJson::parse(frame.payload);
+        if (frame.kind == FrameKind::kCheckpoint) {
+          std::string hex = payload.get_string("blob");
+          CampaignCheckpoint ck;
+          if (decode_campaign_checkpoint(hex_decode(hex), &ck) &&
+              ck.total_injections == rs.range.size()) {
+            *shipped = std::move(ck.tally);
+            blob = std::move(hex);
+          }
+        } else if (frame.kind == FrameKind::kProgress) {
+          injections_done = payload.get_u64("injections_done");
+        }
+      } catch (const Error&) {
+        // A malformed event frame is dropped; it still renews the lease.
+      }
       std::optional<JsonReport> progress;
       {
         std::lock_guard lock(shared.mutex);
         if (rs.attempt != my_attempt || rs.done) return;
         rs.last_event = Clock::now();
-        try {
-          if (frame.kind == FrameKind::kCheckpoint) {
-            const std::string blob =
-                FlatJson::parse(frame.payload).get_string("blob");
-            if (!blob.empty()) rs.checkpoint_hex = blob;
-          } else if (frame.kind == FrameKind::kProgress) {
-            rs.live_injections =
-                FlatJson::parse(frame.payload).get_u64("injections_done");
-            progress = fabric_progress_locked(shared, universe);
-          }
-        } catch (const Error&) {
-          // A malformed event frame is dropped; the terminal reply decides.
+        if (!blob.empty()) rs.checkpoint_hex = std::move(blob);
+        if (injections_done.has_value()) {
+          rs.live_injections = *injections_done;
+          progress = fabric_progress_locked(shared, universe);
         }
       }
       if (progress.has_value() && options.on_progress) {
@@ -255,15 +268,28 @@ void run_driver(const FabricOptions& options, Shared& shared,
 
     const Frame& reply = *terminal;
     if (reply.kind == FrameKind::kResult) {
-      FlatJson report;
-      bool ok = true;
+      // The range's result is the last record this attempt shipped (the
+      // session delivers events before the terminal reply). The report is
+      // read only for the run facts a tally does not hold: `interrupted`
+      // (requeue), `resumed_injections` and `cache_stores` (summed), and
+      // `cache_enabled` (set if any range set it).
+      std::optional<CampaignResult> result;
+      bool interrupted = false;
       try {
-        report = FlatJson::parse(reply.payload);
+        const FlatJson report = FlatJson::parse(reply.payload);
+        interrupted = report.get_bool("interrupted");
+        if (shipped->injections == rs.range.size()) {
+          result.emplace();
+          static_cast<CampaignTally&>(*result) = std::move(*shipped);
+          result->resumed_injections = report.get_u64("resumed_injections");
+          result->cache_stores = report.get_u64("cache_stores");
+          result->cache_enabled = report.get_bool("cache_enabled");
+        }
       } catch (const Error&) {
-        ok = false;
+        // Unparseable: no result, retried below.
       }
       std::unique_lock lock(shared.mutex);
-      if (ok && report.get_bool("interrupted")) {
+      if (interrupted) {
         // A worker-side stop (drain, hard signal) delivered a partial
         // report; the range resumes elsewhere from its checkpoint.
         if (!rs.done) requeue_locked(shared, index);
@@ -271,17 +297,18 @@ void run_driver(const FabricOptions& options, Shared& shared,
       }
       if (rs.done) {
         shared.duplicates += 1;
-      } else if (ok) {
+      } else if (result.has_value()) {
         rs.done = true;
-        rs.report = report;
-        rs.live_injections = report.get_u64("injections");
+        rs.result = std::move(*result);
+        rs.live_injections = rs.result.injections;
         shared.done_count += 1;
         shared.cv.notify_all();
       } else {
+        // An unparseable report, or no shipped record covering the range.
         rs.error_attempts += 1;
         if (rs.error_attempts >= kRangeErrorBudget) {
-          set_fatal_locked(shared, "fabric: worker returned an unparseable "
-                                   "range report repeatedly");
+          set_fatal_locked(shared, "fabric: worker returned an unusable "
+                                   "range result repeatedly");
         } else {
           requeue_locked(shared, index);
         }
@@ -348,10 +375,13 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
   VSCRUB_CHECK(options.shards_per_worker > 0,
                "fabric: shards_per_worker must be positive");
   const auto started = Clock::now();
-  // Sized from the options every worker builds; a bad engine selection is
-  // rejected here, once.
-  const u64 universe = campaign_universe_size(
-      spec_string(options.params, Param::kDevice),
+  // The merged report renders from this compile, and a request that cannot
+  // build (design, device, engine selection) fails here, before dispatch.
+  const auto design =
+      request_design(spec_string(options.params, Param::kDesign),
+                     spec_string(options.params, Param::kDevice));
+  const u64 universe = universe_size(
+      design->space->total_bits(),
       campaign_options_from(options.params, RequestContext{}));
   const std::vector<BitRange> ranges = partition_universe(
       universe, options.workers.size() * options.shards_per_worker);
@@ -387,54 +417,32 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     result.reassignments = shared.reassignments;
     result.duplicate_completions = shared.duplicates;
 
-    // The exact merge: counters sum, the order-independent sensitive-set
-    // digest XOR-folds. Disjoint covering ranges therefore reproduce the
-    // one-shot campaign's report field-for-field.
-    std::map<std::string_view, u64> sums;
-    u64 digest = 0;
-    double modeled_s = 0.0;
-    bool cache_enabled = false;
-    const FlatJson* first = nullptr;
+    // The campaign's own merge and renderer.
+    CampaignResult merged;
     for (const RangeState& rs : shared.ranges) {
       if (!rs.done) continue;
-      const FlatJson& r = rs.report;
-      if (first == nullptr) first = &r;
-      for (const char* name : kSummedCampaignCounters) {
-        sums[name] += r.get_u64(name);
-      }
-      digest ^= r.get_u64("sensitive_digest");
-      modeled_s += r.get_double("modeled_hardware_s");
-      cache_enabled = cache_enabled || r.get_bool("cache_enabled");
+      merged += rs.result;
+      merged.resumed_injections += rs.result.resumed_injections;
+      merged.cache_stores += rs.result.cache_stores;
+      merged.cache_enabled = merged.cache_enabled || rs.result.cache_enabled;
     }
-    result.resumed_injections = sums["resumed_injections"];
-    result.remote_hits = sums["remote_hits"];
-    result.remote_publishes = sums["remote_publishes"];
-    const auto ratio = [](u64 part, u64 whole) {
-      return whole ? static_cast<double>(part) / static_cast<double>(whole)
-                   : 0.0;
-    };
-    JsonReport& merged = result.merged;
-    merged.set_string("design", first ? first->get_string("design") : "");
-    merged.set_string("device", first ? first->get_string("device") : "");
-    merged.set_u64("device_bits", first ? first->get_u64("device_bits") : 0);
-    for (const char* name : kSummedCampaignCounters) {
-      merged.set_u64(name, sums[name]);
-    }
-    merged.set("sensitivity", ratio(sums["failures"], sums["injections"]));
-    merged.set("persistence_ratio",
-               ratio(sums["persistent"], sums["failures"]));
-    merged.set("modeled_hardware_s", modeled_s);
-    merged.set("wall_seconds",
-               std::chrono::duration<double>(Clock::now() - started).count());
-    merged.set_bool("interrupted", result.interrupted);
-    merged.set_bool("cache_enabled", cache_enabled);
-    merged.set_u64("sensitive_digest", digest);
-    merged.set_u64("fabric_workers", options.workers.size());
-    merged.set_u64("fabric_workers_lost", result.workers_lost);
-    merged.set_u64("fabric_ranges", result.ranges);
-    merged.set_u64("fabric_reassignments", result.reassignments);
-    merged.set_u64("fabric_duplicate_completions",
-                   result.duplicate_completions);
+    merged.device_bits = design->space->total_bits();
+    merged.design_slices = design->stats.slices_used;
+    merged.utilization = design->stats.utilization;
+    merged.pruned = merged.phases.pruned;
+    merged.interrupted = result.interrupted;
+    merged.wall_seconds =
+        std::chrono::duration<double>(Clock::now() - started).count();
+    result.resumed_injections = merged.resumed_injections;
+    result.remote_hits = merged.remote_hits;
+    result.remote_publishes = merged.remote_publishes;
+    result.merged = campaign_report_json(*design, merged);
+    result.merged.set_u64("fabric_workers", options.workers.size());
+    result.merged.set_u64("fabric_workers_lost", result.workers_lost);
+    result.merged.set_u64("fabric_ranges", result.ranges);
+    result.merged.set_u64("fabric_reassignments", result.reassignments);
+    result.merged.set_u64("fabric_duplicate_completions",
+                          result.duplicate_completions);
   }
   return result;
 }

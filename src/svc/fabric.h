@@ -4,12 +4,14 @@
 // Execution model — one driver thread per worker link, pulling ranges off a
 // shared queue:
 //
-//   partition the universe into (workers x shards_per_worker) ranges
+//   compile the design and partition its universe into
+//   (workers x shards_per_worker) ranges
 //   each driver: pop range -> submit it to its worker (range_begin/
 //   range_end + ship_checkpoints + remote_store_socket, and the range's
-//   last shipped VSCK blob as resume_checkpoint when it has one) ->
-//   stream kProgress (merged, forwarded up) and kCheckpoint (blob kept as
-//   the range's restart point) -> fold the range report into the merge.
+//   last good VSCK blob as resume_checkpoint when it has one) ->
+//   stream kProgress (merged, forwarded up) and kCheckpoint (decoded on
+//   arrival: a record of the range is its restart point, anything else is
+//   dropped) -> the attempt's final record is the range's result.
 //
 // Fault tolerance is the LLNL-style checkpoint/restart loop, one lease per
 // in-flight range: a worker that dies (connection drop) or hangs (no
@@ -20,12 +22,14 @@
 // first-wins: a zombie attempt finishing after reassignment is counted and
 // dropped (its result would be bit-identical anyway). The fabric only
 // fails when every worker link is gone while ranges remain, or a range
-// keeps failing past its attempt budget.
+// keeps failing (typed errors, results with no covering record) past its
+// attempt budget.
 //
-// The merge is exact, not approximate: counters sum, and the sensitive-set
-// digest — XOR over order-independent per-bit hashes — folds across
-// disjoint ranges to precisely the one-shot campaign's digest. The fabric
-// tests assert that equality byte-for-byte, killed workers included.
+// The merge is the campaign's own: range tallies fold with
+// CampaignTally::operator+= and render through campaign_report_json, so
+// the merged report has the one-shot report's fields and values (the
+// sensitive-set digest is order-independent). The fabric tests assert
+// that equality, killed workers included.
 #pragma once
 
 #include <atomic>
@@ -68,9 +72,9 @@ struct FabricOptions {
 };
 
 struct FabricResult {
-  /// The merged campaign report ("kind": "campaign" plus fabric_* fields):
-  /// summed counters, XOR-folded sensitive_digest — bit-identical to the
-  /// equivalent one-shot run unless `interrupted`.
+  /// campaign_report_json of the folded range tallies plus five fabric_*
+  /// fields: the one-shot run's report unless `interrupted`, but for wall
+  /// clock, resumed_injections, gang_runs and store-tier counters.
   JsonReport merged;
   bool interrupted = false;
   u64 ranges = 0;
@@ -90,9 +94,9 @@ JsonReport shard_request(const FabricOptions& options, const BitRange& range,
                          const std::string& resume_hex);
 
 /// Runs one sharded campaign over the fleet. Blocks until every range
-/// completed (or the campaign was cancelled). Throws Error when no worker
-/// is reachable, every link dies with ranges outstanding, or a range
-/// exhausts its attempt budget on typed worker errors.
+/// completed (or the campaign was cancelled). Throws Error when the design
+/// does not compile, no worker is reachable, every link dies with ranges
+/// outstanding, or a range exhausts its attempt budget.
 FabricResult run_fabric_campaign(const FabricOptions& options);
 
 }  // namespace vscrub

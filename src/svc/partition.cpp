@@ -3,16 +3,8 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "fabric/config_space.h"
-#include "svc/requests.h"
 
 namespace vscrub {
-
-u64 campaign_universe_size(const std::string& device,
-                           const CampaignOptions& options) {
-  return universe_size(ConfigSpace(device_by_name(device)).total_bits(),
-                       options);
-}
 
 std::vector<BitRange> partition_universe(u64 universe, u64 shards) {
   VSCRUB_CHECK(shards > 0, "partition: shard count must be positive");

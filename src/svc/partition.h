@@ -10,11 +10,9 @@
 // digest XORs across ranges to the one-shot digest.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/types.h"
-#include "seu/campaign.h"
 
 namespace vscrub {
 
@@ -25,10 +23,6 @@ struct BitRange {
   u64 end = 0;
   u64 size() const { return end - begin; }
 };
-
-/// universe_size on the named device (throws Error on an unknown name).
-u64 campaign_universe_size(const std::string& device,
-                           const CampaignOptions& options);
 
 /// Splits [0, universe) into at most `shards` contiguous near-equal ranges
 /// (the first `universe % shards` ranges are one position larger). Fewer

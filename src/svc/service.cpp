@@ -360,16 +360,15 @@ void CampaignService::executor_loop() {
 std::string CampaignService::checkpoint_path_for(const Job& job) const {
   // Named by the server-assigned job id: client-chosen request ids collide
   // across connections, and two concurrent campaigns must never share a
-  // checkpoint file. Stable across preemption quanta — the resume path IS
-  // this same file.
+  // checkpoint file. The file is what a cancelled or hard-stopped request
+  // leaves behind; a preempted job resumes from the record its Job keeps.
   char name[48];
   std::snprintf(name, sizeof name, "/ckpt_%llu.vsck",
                 static_cast<unsigned long long>(job.job_id));
   return config_.checkpoint_dir() + name;
 }
 
-bool CampaignService::should_preempt(const Job& job, u64 chunks_done) {
-  (void)chunks_done;
+bool CampaignService::should_preempt(const Job& job) {
   if (draining()) return false;  // the drain wants jobs DONE, not parked
   std::lock_guard lock(mutex_);
   return sched_.other_tenant_waiting(job.tenant);
@@ -496,7 +495,7 @@ JsonReport CampaignService::run_local(Job& job, const FlatJson& params,
       if (*preempted) return true;
       if (!base.has_value()) base = chunks_done;
       if (chunks_done - *base < config_.preempt_chunks) return false;
-      if (should_preempt(job, chunks_done)) *preempted = true;
+      if (should_preempt(job)) *preempted = true;
       return *preempted;
     };
   }

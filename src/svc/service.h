@@ -203,7 +203,7 @@ class CampaignService : public FrameService {
   bool coordinator() const { return !config_.workers.empty(); }
   /// Preemption predicate, polled at chunk boundaries from the campaign's
   /// progress callback.
-  bool should_preempt(const Job& job, u64 chunks_done);
+  bool should_preempt(const Job& job);
   std::string checkpoint_path_for(const Job& job) const;
   void reply(const Emit& emit, FrameKind kind, u64 request_id,
              const JsonReport& report) const;

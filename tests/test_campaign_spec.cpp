@@ -7,7 +7,6 @@
 // it, a shard that does not forward it) fails it.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <filesystem>
 
 #include "bitstream/record_io.h"
@@ -223,46 +222,6 @@ TEST(CampaignSpec, UniverseSizeClampsTheSampleToTheDevice) {
   EXPECT_EQ(universe_size(1000, options.with_exhaustive()), 1000u);
   EXPECT_EQ(universe_size(1000, options.with_sample(400)), 400u);
   EXPECT_EQ(universe_size(1000, options.with_sample(5000)), 1000u);
-  const u64 total = ConfigSpace(device_by_name("tiny:8x12")).total_bits();
-  EXPECT_EQ(campaign_universe_size("tiny:8x12", options.with_sample(300)),
-            300u);
-  EXPECT_EQ(campaign_universe_size("tiny:8x12", options.with_exhaustive()),
-            total);
-}
-
-TEST(CampaignReport, EveryU64FieldIsSummedOrANamedException) {
-  // A synthetic result whose double-valued fields are all non-integral, so
-  // the u64 fields are exactly the all-digit ones.
-  const auto design = compile(designs::counter_adder(8), device_tiny(8, 12, 2));
-  CampaignResult r;
-  r.device_bits = 1000;
-  r.injections = 7;
-  r.failures = 3;
-  r.persistent = 1;
-  r.utilization = 0.37;
-  r.modeled_hardware_time = SimTime::microseconds(1.5);
-  r.wall_seconds = 1.25;
-  r.cache_hits = 2;
-  const FlatJson report = reparse(campaign_report_json(design, r));
-  const auto is_summed = [](const std::string& name) {
-    for (const char* summed : kSummedCampaignCounters) {
-      if (name == summed) return true;
-    }
-    return false;
-  };
-  std::size_t u64_fields = 0;
-  for (const auto& [name, value] : report.fields()) {
-    bool digits = !value.empty();
-    for (const char c : value) {
-      digits = digits && std::isdigit(static_cast<unsigned char>(c));
-    }
-    if (!digits || name == "schema_version") continue;
-    u64_fields += 1;
-    EXPECT_TRUE(is_summed(name) || name == "device_bits" ||
-                name == "sensitive_digest")
-        << name << " is a u64 report field the fabric merge does not fold";
-  }
-  EXPECT_EQ(u64_fields, std::size(kSummedCampaignCounters) + 2);
 }
 
 TEST(AtomicWrite, MissingDirectoryThrowsAndLeavesNoTmp) {

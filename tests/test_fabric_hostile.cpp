@@ -76,6 +76,13 @@ class HostileWorkerService final : public FrameService {
     /// late — after the lease has expired and the range moved on: a zombie
     /// completion that must be dropped by first-wins.
     kZombieTerminal,
+    /// Forwards frames until the first kCheckpoint has gone out, sends a
+    /// garbled one (an odd-length hex blob) after it, then drops every
+    /// later frame: the restart point must stay the last good record.
+    kGarbledCheckpoint,
+    /// Forwards everything but the kCheckpoint frames: the range reports
+    /// finish with no record to take the result from.
+    kNoCheckpoints,
   };
 
   HostileWorkerService(const ServiceConfig& config, Mode mode)
@@ -88,7 +95,8 @@ class HostileWorkerService final : public FrameService {
     }
     const Mode mode = mode_;
     auto dead = std::make_shared<std::atomic<bool>>(
-        mode != Mode::kDieAfterFirstCheckpoint);
+        mode != Mode::kDieAfterFirstCheckpoint &&
+        mode != Mode::kGarbledCheckpoint);
     inner_.handle(
         request,
         [emit = std::move(emit), dead, mode](const Frame& f) {
@@ -98,9 +106,16 @@ class HostileWorkerService final : public FrameService {
             emit(f);
             return;
           }
+          if (mode == Mode::kNoCheckpoints) {
+            if (f.kind != FrameKind::kCheckpoint) emit(f);
+            return;
+          }
           if (dead->load(std::memory_order_acquire)) return;
           emit(f);
           if (f.kind == FrameKind::kCheckpoint) {
+            if (mode == Mode::kGarbledCheckpoint) {
+              emit({FrameKind::kCheckpoint, f.request_id, R"({"blob": "f"})"});
+            }
             dead->store(true, std::memory_order_release);
           }
         },
@@ -175,23 +190,33 @@ FlatJson one_shot_report(const std::string& socket, const char* design,
   return FlatJson::parse(reply.payload);
 }
 
+/// The merged report is the one-shot report plus the five fabric_* fields:
+/// the same field names, and equal values in every deterministic field.
+/// Wall clock, resumed_injections (a restart's proof) and gang_runs (ranges
+/// cut the chunks differently) are the run's own.
 void expect_merged_matches(const JsonReport& merged_report,
                            const FlatJson& expected) {
   const FlatJson merged = FlatJson::parse(merged_report.to_json());
-  EXPECT_EQ(merged.get_u64("injections"), expected.get_u64("injections"));
-  EXPECT_EQ(merged.get_u64("failures"), expected.get_u64("failures"));
-  EXPECT_EQ(merged.get_u64("persistent"), expected.get_u64("persistent"));
-  EXPECT_EQ(merged.get_u64("pruned"), expected.get_u64("pruned"));
-  EXPECT_EQ(merged.get_u64("sensitive_bits"),
-            expected.get_u64("sensitive_bits"));
-  EXPECT_EQ(merged.get_u64("sensitive_digest"),
-            expected.get_u64("sensitive_digest"));
-  // Gang fill sums across ranges like the other counters. Without a store
-  // every unpruned eligible bit is one gang lane exactly once (a resumed
-  // range's checkpoint carries its finished chunks' counters), so lanes
-  // match the one-shot run; runs depend on how ranges cut the chunks.
-  EXPECT_EQ(merged.get_u64("gang_lanes"), expected.get_u64("gang_lanes"));
+  std::vector<std::string> merged_names;
+  for (const auto& [name, value] : merged.fields()) {
+    merged_names.push_back(name);
+  }
+  std::vector<std::string> expected_names = {
+      "fabric_workers", "fabric_workers_lost", "fabric_ranges",
+      "fabric_reassignments", "fabric_duplicate_completions"};
+  for (const auto& [name, value] : expected.fields()) {
+    expected_names.push_back(name);
+    if (name == "wall_seconds" || name == "resumed_injections" ||
+        name == "gang_runs") {
+      continue;
+    }
+    EXPECT_EQ(merged.get_string(name), value) << name;
+  }
+  std::sort(merged_names.begin(), merged_names.end());
+  std::sort(expected_names.begin(), expected_names.end());
+  EXPECT_EQ(merged_names, expected_names);
   EXPECT_GT(merged.get_u64("gang_runs"), 0u);
+  EXPECT_GT(merged.get_u64("sensitive_bits"), 0u);
   EXPECT_FALSE(merged.get_bool("interrupted"));
 }
 
@@ -247,6 +272,46 @@ TEST(FabricHostile, WorkerDeadAfterCheckpointRangeResumesElsewhere) {
   // And the seam is invisible in the merge: bit-identical to one-shot.
   expect_merged_matches(result.merged,
                         one_shot_report(cb.socket_path, "lfsr", 4000));
+}
+
+TEST(FabricHostile, GarbledCheckpointBlobKeepsTheLastGoodRestartPoint) {
+  ServiceConfig ca = worker_config("fab_garble_a.sock");
+  ServiceConfig cb = worker_config("fab_garble_b.sock");
+  ServerBox hostile(ca, std::make_unique<HostileWorkerService>(
+                            ca, HostileWorkerService::Mode::
+                                    kGarbledCheckpoint));
+  ServerBox honest(cb);
+
+  const FabricResult result = run_fabric_campaign(
+      fabric_options({ca.socket_path, cb.socket_path}, "lfsr", 4000,
+                     /*lease_ms=*/400));
+
+  // The undecodable blob was dropped on arrival: the range resumed from the
+  // good record before it instead of failing on every later attempt.
+  EXPECT_EQ(result.workers_lost, 1u);
+  EXPECT_GT(result.resumed_injections, 0u);
+  EXPECT_FALSE(result.interrupted);
+  expect_merged_matches(result.merged,
+                        one_shot_report(cb.socket_path, "lfsr", 4000));
+}
+
+TEST(FabricHostile, ResultWithoutACoveringRecordIsRetriedThenFailsTyped) {
+  // A range's result is its attempt's final shipped record; a report with
+  // no record behind it is an unusable reply, and on a fleet that only
+  // sends such replies the range exhausts its budget with a typed error.
+  ServiceConfig config = worker_config("fab_no_record.sock");
+  ServerBox hostile(config, std::make_unique<HostileWorkerService>(
+                                config,
+                                HostileWorkerService::Mode::kNoCheckpoints));
+  try {
+    run_fabric_campaign(
+        fabric_options({config.socket_path}, "lfsr", 500, /*lease_ms=*/5000));
+    ADD_FAILURE() << "a result without a record was merged";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unusable range result"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FabricHostile, SilentWorkerForfeitsLeaseAndSurvivorsAbsorbTheRange) {
