@@ -251,7 +251,6 @@ void run_report() {
                                             sockets[3]};
   FabricOptions lossy = fabric_options(lossy_sockets, sample);
   lossy.lease_ms = 1000;
-  lossy.checkpoint_every_chunks = 4;
   const FabricResult killed = run_fabric_campaign(lossy);
   const FlatJson killed_merged = FlatJson::parse(killed.merged.to_json());
   const bool killed_match =

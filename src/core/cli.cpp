@@ -190,7 +190,7 @@ CliCampaign cli_campaign(const CliArgs& args) {
       cli_request(args, "campaign_request", args.positional[0]).to_json());
   CliCampaign out{request_design(spec_string(params, Param::kDesign),
                                  spec_string(params, Param::kDevice)),
-                  campaign_options_from(params, RequestContext{})};
+                  campaign_options_from(params)};
   out.options.with_threads(
       static_cast<unsigned>(args.option_u64("--threads", 0)));
   const std::string checkpoint = args.option("--checkpoint", "");

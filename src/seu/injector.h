@@ -68,8 +68,6 @@ struct InjectionOptions {
     persistence_check = check;
     return *this;
   }
-  InjectionOptions& with_clock_hz(double v) { clock_hz = v; return *this; }
-  InjectionOptions& with_timing(const SelectMapTiming& t) { timing = t; return *this; }
   InjectionOptions& with_pruning(bool on) { prune_unobservable = on; return *this; }
   InjectionOptions& with_gang_width(u32 w) { gang_width = w; return *this; }
 };

@@ -3,10 +3,10 @@
 // default, help text and the request kinds it applies to. The vscrubctl
 // flags (`--` + the name in kebab case), the command line -> request
 // renderer (core/cli.cpp), the served readers (svc/requests.cpp) and the
-// fabric's shard forwarding (coord/fabric.cpp) are all derived from it, so
+// fabric's shard forwarding (svc/fabric.cpp) are all derived from it, so
 // a one-shot run, a served request and a sharded one read the same words.
 // Transport-only fields (range_*, ship_checkpoints, resume_checkpoint,
-// remote_store_socket, progress*, checkpoint_every_chunks) stay outside.
+// remote_store_socket, progress*) stay outside.
 #pragma once
 
 #include <string>

@@ -46,7 +46,9 @@ struct RangeState {
   u64 error_attempts = 0;
   bool done = false;
   CampaignResult result;   ///< once done: the completing attempt's record
-  u64 live_injections = 0; ///< progress snapshot (final count once done)
+  /// Injections of checkpoint_hex's record: the range's progress, kept
+  /// across reassignment because the next attempt resumes from that record.
+  u64 live_injections = 0;
   Clock::time_point last_event{};
 };
 
@@ -59,13 +61,11 @@ struct Shared {
   std::size_t active_drivers = 0;
   bool cancelled = false;
   u64 reassignments = 0;
-  u64 duplicates = 0;
   u64 workers_lost = 0;
   std::string fatal;  ///< first fatal condition; set once
 };
 
-/// Builds the merged progress snapshot under the shared mutex; emitted
-/// outside it.
+/// The merged progress snapshot, built under the shared mutex.
 JsonReport fabric_progress_locked(const Shared& shared, u64 universe) {
   u64 injections_done = 0;
   for (const RangeState& rs : shared.ranges) injections_done +=
@@ -149,7 +149,6 @@ void run_driver(const FabricOptions& options, Shared& shared,
       my_attempt = rs.attempt;
       resume_hex = rs.checkpoint_hex;
       rs.last_event = Clock::now();
-      rs.live_injections = 0;
     }
     RangeState& rs = shared.ranges[index];
 
@@ -158,41 +157,34 @@ void run_driver(const FabricOptions& options, Shared& shared,
     // Event stream: every frame is a lease heartbeat. A checkpoint is
     // decoded outside the shared mutex; a record of this range is this
     // attempt's latest tally and, for the current attempt only, the range's
-    // restart point. An undecodable blob is dropped.
+    // restart point and progress. An undecodable blob is dropped.
     auto shipped = std::make_shared<CampaignTally>();
     const auto on_event = [&options, &shared, &rs, my_attempt, universe,
                            shipped](const Frame& frame) {
       std::string blob;
-      std::optional<u64> injections_done;
-      try {
-        const FlatJson payload = FlatJson::parse(frame.payload);
-        if (frame.kind == FrameKind::kCheckpoint) {
-          std::string hex = payload.get_string("blob");
+      if (frame.kind == FrameKind::kCheckpoint) {
+        try {
+          std::string hex = FlatJson::parse(frame.payload).get_string("blob");
           CampaignCheckpoint ck;
           if (decode_campaign_checkpoint(hex_decode(hex), &ck) &&
               ck.total_injections == rs.range.size()) {
             *shipped = std::move(ck.tally);
             blob = std::move(hex);
           }
-        } else if (frame.kind == FrameKind::kProgress) {
-          injections_done = payload.get_u64("injections_done");
-        }
-      } catch (const Error&) {
-        // A malformed event frame is dropped; it still renews the lease.
-      }
-      std::optional<JsonReport> progress;
-      {
-        std::lock_guard lock(shared.mutex);
-        if (rs.attempt != my_attempt || rs.done) return;
-        rs.last_event = Clock::now();
-        if (!blob.empty()) rs.checkpoint_hex = std::move(blob);
-        if (injections_done.has_value()) {
-          rs.live_injections = *injections_done;
-          progress = fabric_progress_locked(shared, universe);
+        } catch (const Error&) {
+          // A malformed frame is dropped; it still renews the lease.
         }
       }
-      if (progress.has_value() && options.on_progress) {
-        options.on_progress(*progress);
+      std::lock_guard lock(shared.mutex);
+      if (rs.attempt != my_attempt || rs.done) return;
+      rs.last_event = Clock::now();
+      if (blob.empty()) return;
+      rs.checkpoint_hex = std::move(blob);
+      rs.live_injections = shipped->injections;
+      // Emitted under the lock, so snapshots leave in the order they were
+      // built and injections_done never decreases.
+      if (options.on_progress) {
+        options.on_progress(fabric_progress_locked(shared, universe));
       }
     };
 
@@ -231,8 +223,8 @@ void run_driver(const FabricOptions& options, Shared& shared,
         }
         if (lease_expired) {
           // Hung worker: forfeit the range (latest checkpoint travels with
-          // it) and stop trusting this link. A later zombie completion is
-          // dropped by the first-wins rule.
+          // it) and stop trusting this link. Nothing waits on this attempt
+          // any more, and the epoch check drops its late frames.
           try {
             handle.cancel();
           } catch (const Error&) {
@@ -288,19 +280,16 @@ void run_driver(const FabricOptions& options, Shared& shared,
       } catch (const Error&) {
         // Unparseable: no result, retried below.
       }
-      std::unique_lock lock(shared.mutex);
+      std::lock_guard lock(shared.mutex);
       if (interrupted) {
         // A worker-side stop (drain, hard signal) delivered a partial
         // report; the range resumes elsewhere from its checkpoint.
-        if (!rs.done) requeue_locked(shared, index);
+        requeue_locked(shared, index);
         continue;
       }
-      if (rs.done) {
-        shared.duplicates += 1;
-      } else if (result.has_value()) {
+      if (result.has_value()) {
         rs.done = true;
         rs.result = std::move(*result);
-        rs.live_injections = rs.result.injections;
         shared.done_count += 1;
         shared.cv.notify_all();
       } else {
@@ -355,12 +344,9 @@ JsonReport shard_request(const FabricOptions& options, const BitRange& range,
   request.set_u64("range_begin", range.begin);
   request.set_u64("range_end", range.end);
   request.set_bool("ship_checkpoints", true);
-  request.set_bool("progress", true);
+  // The worker polls its cancel flag at this cadence.
   request.set_u64("progress_every_chunks",
                   options.params.get_u64("progress_every_chunks", 4));
-  if (options.checkpoint_every_chunks > 0) {
-    request.set_u64("checkpoint_every_chunks", options.checkpoint_every_chunks);
-  }
   if (!options.remote_store_socket.empty()) {
     request.set_string("remote_store_socket", options.remote_store_socket);
   }
@@ -382,7 +368,7 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
                      spec_string(options.params, Param::kDevice));
   const u64 universe = universe_size(
       design->space->total_bits(),
-      campaign_options_from(options.params, RequestContext{}));
+      campaign_options_from(options.params));
   const std::vector<BitRange> ranges = partition_universe(
       universe, options.workers.size() * options.shards_per_worker);
   VSCRUB_CHECK(!ranges.empty(), "fabric: empty injection universe");
@@ -415,7 +401,6 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     result.ranges = shared.ranges.size();
     result.workers_lost = shared.workers_lost;
     result.reassignments = shared.reassignments;
-    result.duplicate_completions = shared.duplicates;
 
     // The campaign's own merge and renderer.
     CampaignResult merged;
@@ -441,8 +426,6 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     result.merged.set_u64("fabric_workers_lost", result.workers_lost);
     result.merged.set_u64("fabric_ranges", result.ranges);
     result.merged.set_u64("fabric_reassignments", result.reassignments);
-    result.merged.set_u64("fabric_duplicate_completions",
-                          result.duplicate_completions);
   }
   return result;
 }

@@ -80,8 +80,7 @@ std::shared_ptr<const PlacedDesign> request_design(const std::string& design,
   return cache.emplace(key, std::move(compiled)).first->second;
 }
 
-CampaignOptions campaign_options_from(const FlatJson& params,
-                                      const RequestContext& ctx) {
+CampaignOptions campaign_options_from(const FlatJson& params) {
   CampaignOptions options =
       CampaignOptions{}
           .with_injection(
@@ -98,55 +97,31 @@ CampaignOptions campaign_options_from(const FlatJson& params,
     options.with_sample(spec_u64(params, Param::kSample),
                         spec_u64(params, Param::kSeed));
   }
-  if (ctx.store != nullptr) options.with_shared_store(ctx.store);
-  if (ctx.pool != nullptr) options.with_shared_pool(ctx.pool);
-  if (ctx.remote_store != nullptr) options.with_remote_store(ctx.remote_store);
   // Fabric range restriction: [range_begin, range_end) over the campaign's
   // deterministic universe order. range_end == 0 means the whole universe.
   const u64 range_end = params.get_u64("range_end", 0);
   if (range_end > 0) {
     options.with_range(params.get_u64("range_begin", 0), range_end);
   }
-  options.checkpoint_path = ctx.checkpoint_path;
-  if (ctx.checkpoint_every_chunks > 0) {
-    options.checkpoint_every_chunks = ctx.checkpoint_every_chunks;
-  }
-  options.on_checkpoint = ctx.on_checkpoint;
-  options.resume_checkpoint = ctx.resume_checkpoint;
-  // Cancel beats preemption: both stop the campaign at the chunk boundary
-  // (saving the checkpoint), but a cancelled job must deliver its
-  // interrupted report, so the service checks the cancel flag before
-  // deciding a stop was a preemption.
-  const std::atomic<bool>* cancelled = ctx.cancelled;
-  options.with_progress(
-      [cancelled, forward = ctx.on_progress,
-       preempt = ctx.preempt_poll](const CampaignProgress& p) {
-        if (forward) forward(p);
-        if (cancelled != nullptr && cancelled->load(std::memory_order_relaxed))
-          return false;
-        return !(preempt && preempt(p.chunks_done));
-      },
-      params.get_u64("progress_every_chunks", 8));
+  options.progress_every_chunks = params.get_u64("progress_every_chunks", 8);
   return options;
 }
 
 u32 served_gang_width_default() { return preferred_gang_width(); }
 
-namespace {
-
-/// A campaign or (`delta`) recampaign request on the memoized design.
 JsonReport run_campaign_request(const FlatJson& params,
-                                const RequestContext& ctx, bool delta) {
-  VSCRUB_CHECK(!delta || ctx.store != nullptr,
+                                const CampaignOptions& options, bool delta) {
+  VSCRUB_CHECK(!delta || options.store != nullptr,
                "recampaign requests need a server started with --cache-dir");
   const auto design = request_design(spec_string(params, Param::kDesign),
                                      spec_string(params, Param::kDevice));
-  const CampaignOptions options = campaign_options_from(params, ctx);
   if (delta) {
     return recampaign_report_json(*design, run_recampaign(*design, options));
   }
   return campaign_report_json(*design, run_campaign(*design, options));
 }
+
+namespace {
 
 /// The environment (scaled from the paper's XCV1000 rate to this device)
 /// and the scrub-datapath fault models of a mission or fleet request.
@@ -250,12 +225,11 @@ FleetRun fly_fleet(const FlatJson& params, const RequestContext& ctx,
 JsonReport execute_request(FrameKind kind, const FlatJson& params,
                            const RequestContext& ctx) {
   switch (kind) {
-    case FrameKind::kCampaign: return run_campaign_request(params, ctx, false);
-    case FrameKind::kRecampaign: return run_campaign_request(params, ctx, true);
     case FrameKind::kMission: return run_mission_request(params, ctx);
     case FrameKind::kFleet: return run_fleet_request(params, ctx);
     default:
-      throw Error(std::string("not a work request: ") + frame_kind_name(kind));
+      throw Error(std::string("not a mission or fleet request: ") +
+                  frame_kind_name(kind));
   }
 }
 

@@ -7,10 +7,8 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fabric/geometry.h"
 #include "netlist/netlist.h"
@@ -40,41 +38,16 @@ DeviceGeometry device_by_name(const std::string& name);
 std::shared_ptr<const PlacedDesign> request_design(const std::string& design,
                                                    const std::string& device);
 
-/// Everything a request executes against. All pointers are borrowed and may
-/// be null: a null store disables verdict caching (and fails recampaigns), a
-/// null pool gives the campaign its own workers, a null cancelled flag makes
-/// the request uncancellable.
+/// What a mission or fleet request executes against (its sensitivity
+/// campaign included). All pointers are borrowed and may be null: a null
+/// store disables verdict caching, a null pool gives the campaign its own
+/// workers, a null cancelled flag makes the request uncancellable. A served
+/// campaign's executor sets these and its other hooks on the CampaignOptions
+/// it builds (CampaignService::run_local).
 struct RequestContext {
   VerdictStore* store = nullptr;
   ThreadPool* pool = nullptr;
   const std::atomic<bool>* cancelled = nullptr;
-  /// Chunk-complete telemetry hook (campaign/recampaign only); the service
-  /// forwards these as kProgress frames. May be empty.
-  std::function<void(const CampaignProgress&)> on_progress;
-  /// Preemption hook, polled with chunks_done at every chunk boundary the
-  /// progress callback sees. Returning true stops the campaign exactly like
-  /// a cancel — at the boundary, saving its checkpoint — but the service
-  /// requeues the job instead of delivering the interrupted report, and the
-  /// next dispatch resumes from that checkpoint bit-identically. May be
-  /// empty.
-  std::function<bool(u64)> preempt_poll;
-  /// When set, campaigns also write each checkpoint here (VSCK), so a
-  /// cancelled or hard-stopped request leaves a resumable file. Empty = no
-  /// checkpoint file.
-  std::string checkpoint_path;
-  /// Checkpoint cadence in chunks (0 = the campaign default).
-  u64 checkpoint_every_chunks = 0;
-  /// Gets every checkpoint record (periodic and final): a preempting
-  /// service keeps the last one with the job, a fabric worker ships it to
-  /// its coordinator. Setting it turns checkpointing on. May be empty.
-  std::function<void(const std::vector<u8>&)> on_checkpoint;
-  /// A VSCK record to resume from (a preempted job's last save, or a
-  /// coordinator's blob). Empty = resume from checkpoint_path, if any.
-  std::vector<u8> resume_checkpoint;
-  /// Second-tier verdict source behind the local store (borrowed, may be
-  /// null): the fabric wires the coordinator's store in here so workers
-  /// reuse each other's verdicts.
-  RemoteVerdictClient* remote_store = nullptr;
 };
 
 /// The gang width a campaign runs at on every path unless `no_gang` is set:
@@ -83,10 +56,15 @@ struct RequestContext {
 u32 served_gang_width_default();
 
 /// A campaign/recampaign request's options: its campaign-spec parameters
-/// with the row defaults, its fabric range, and the context's wiring. The
-/// one-shot commands build theirs here too.
-CampaignOptions campaign_options_from(const FlatJson& params,
-                                      const RequestContext& ctx);
+/// with the row defaults, its fabric range and its progress cadence (a
+/// served campaign's cancel-poll cadence too). No hooks: the caller adds
+/// its own. The one-shot commands and the fabric build theirs here too.
+CampaignOptions campaign_options_from(const FlatJson& params);
+
+/// Runs a campaign or (`delta`) recampaign request on its memoized design
+/// with the options its executor built; a recampaign needs options.store.
+JsonReport run_campaign_request(const FlatJson& params,
+                                const CampaignOptions& options, bool delta);
 
 /// Flies a mission request: lfsrmult on the request's device, judged
 /// against its sensitivity campaign (on the context's pool and store), with
@@ -106,12 +84,11 @@ struct FleetRun {
 FleetRun fly_fleet(const FlatJson& params, const RequestContext& ctx,
                    u32 threads);
 
-/// Executes one work request and returns its report (the same JSON the
-/// corresponding `vscrubctl <op> --json` writes). `kind` must be one of
-/// kCampaign/kRecampaign/kMission/kFleet. Throws Error on bad parameters or
-/// an unexecutable request; the service turns that into a typed kError reply.
-/// Cancellation is polled at chunk boundaries for campaign kinds; mission and
-/// fleet requests only honor a cancel that lands before they start.
+/// Executes a mission or fleet request and returns its report (the same
+/// JSON the corresponding `vscrubctl <op> --json` writes). Throws Error on
+/// any other kind, bad parameters or an unexecutable request; the service
+/// turns that into a typed kError reply. Mission and fleet requests only
+/// honor a cancel that lands before they start.
 JsonReport execute_request(FrameKind kind, const FlatJson& params,
                            const RequestContext& ctx);
 

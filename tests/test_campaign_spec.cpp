@@ -78,7 +78,7 @@ struct Built {
 Built served(const FlatJson& params) {
   return {request_design(spec_string(params, Param::kDesign),
                          spec_string(params, Param::kDevice)),
-          campaign_options_from(params, RequestContext{}), params};
+          campaign_options_from(params), params};
 }
 
 Built oneshot_path(const SpecRow* row) {
