@@ -27,6 +27,11 @@ namespace {
 /// its own batch, so a smaller chunk wastes most of every run's lanes.
 constexpr u64 kAutoChunkFloor = 2 * u64{kWidestGangWidth};
 
+/// Saves per campaign when checkpoint_every_chunks is 0. Records are
+/// cumulative, so a fixed count keeps a campaign's checkpoint bytes linear
+/// in its size whatever the chunking.
+constexpr u64 kAutoCheckpointSaves = 16;
+
 /// Chunk sizing never derives from the thread count, this run's gang width
 /// or the host's SIMD tier: results, progress and checkpoints must be
 /// comparable across machines (a checkpoint taken on an 8-way AVX-512 host
@@ -180,6 +185,10 @@ CampaignResult run_campaign(const PlacedDesign& design,
   const u64 n = bits.size();
   const u64 chunk_size = resolve_chunk_size(options.chunk_size, n);
   const u64 nchunks = (n + chunk_size - 1) / chunk_size;
+  const u64 checkpoint_every = std::max<u64>(
+      1, options.checkpoint_every_chunks > 0
+             ? options.checkpoint_every_chunks
+             : (nchunks + kAutoCheckpointSaves - 1) / kAutoCheckpointSaves);
   const u64 fingerprint = campaign_fingerprint(design, options, n, chunk_size);
 
   CampaignResult result;
@@ -468,9 +477,7 @@ CampaignResult run_campaign(const PlacedDesign& design,
         stop.store(true, std::memory_order_relaxed);
       }
     }
-    if (checkpointing &&
-        ++chunks_since_checkpoint >=
-            std::max<u64>(1, options.checkpoint_every_chunks)) {
+    if (checkpointing && ++chunks_since_checkpoint >= checkpoint_every) {
       save_checkpoint();
     }
   };

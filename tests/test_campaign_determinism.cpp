@@ -4,6 +4,7 @@
 // whether the campaign was interrupted and resumed from a checkpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -182,6 +183,32 @@ TEST(CampaignDeterminism, GangMatchesScalarWithPruningOff) {
       design, opts.with_injection(
                   InjectionOptions{}.with_pruning(false)));
   expect_same_result(scalar, ganged);
+}
+
+// checkpoint_every_chunks = 0 spreads about 16 cumulative saves over a
+// campaign however it is chunked: a save every ceil(chunks / 16) chunks, the
+// last one covering every injection.
+TEST(CampaignDeterminism, AutoCheckpointCadenceSavesAboutSixteenRecords) {
+  const auto design = small_static_design();
+  for (const u64 chunk : {u64{32}, u64{64}, u64{1024}}) {
+    std::vector<u64> saved;
+    CampaignOptions opts =
+        CampaignOptions{}.with_sample(3000, 17).with_threads(2).with_chunk_size(
+            chunk);
+    opts.checkpoint_every_chunks = 0;
+    opts.on_checkpoint = [&saved](const std::vector<u8>& record) {
+      CampaignCheckpoint ck;
+      ASSERT_TRUE(decode_campaign_checkpoint(record, &ck));
+      saved.push_back(ck.tally.injections);
+    };
+    run_campaign(design, opts);
+    const u64 nchunks = (3000 + chunk - 1) / chunk;
+    const u64 every = (nchunks + 15) / 16;
+    EXPECT_EQ(saved.size(), (nchunks + every - 1) / every) << chunk;
+    EXPECT_TRUE(std::is_sorted(saved.begin(), saved.end())) << chunk;
+    ASSERT_FALSE(saved.empty());
+    EXPECT_EQ(saved.back(), 3000u) << chunk;
+  }
 }
 
 TEST(CampaignDeterminism, CheckpointResumeRoundTrip) {
